@@ -2,7 +2,7 @@
 membrane under hydrostatic load, computed by a Ritz expansion with an
 optional steep Bessel-profile basis for boundary layers."""
 
-from .assembly import functional_value, jacobian, p_gradient, residual
+from .assembly import functional_value, jacobian, node_terms, p_gradient, residual
 from .basis import (
     BasisSpec,
     SolutionState,
@@ -29,6 +29,7 @@ from .material import (
     principal_stresses,
     stiffness_derivs,
     stiffness_scalar,
+    tension_terms,
 )
 from .quadrature import QuadratureRule, auto_rule, gauss_rule, integrate, two_panel_rule
 from .solver import (
@@ -39,6 +40,7 @@ from .solver import (
     StepPolicy,
     continue_in_load,
     delta_diagnostic,
+    equilibrium_defect,
     init_p1,
     initial_guess,
     newton_solve,

@@ -14,11 +14,13 @@ the open interval, so the 1/s factors never hit the pole.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .basis import BasisTables, SolutionState, shape_p_derivs
 from .kinematics import hydro_load
-from .material import MaterialParams, energy, stiffness_derivs, stiffness_scalar
+from .material import MaterialParams, energy, stiffness_scalar, tension_terms
 
 
 def _nodal(state: SolutionState, tables: BasisTables):
@@ -41,6 +43,42 @@ def _tables(state, rule, tables):
     return tables
 
 
+class NodeTerms(NamedTuple):
+    """Everything the residual, tangent and dg/dc read at one iterate.
+
+    The trial shape, stretches and load at the quadrature nodes, and the
+    tension terms of `material.tension_terms`, on the tables they were
+    evaluated with.
+    """
+
+    tables: BasisTables
+    z: np.ndarray
+    r: np.ndarray
+    dz: np.ndarray
+    dr: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    q: np.ndarray
+    su12: np.ndarray
+    su21: np.ndarray
+    du1: np.ndarray
+    du2: np.ndarray
+    du1_swap: np.ndarray
+
+
+def node_terms(state: SolutionState, mat: MaterialParams,
+               tables: BasisTables) -> NodeTerms:
+    """Evaluate the nodal shape and the material once for one iterate."""
+    nodal = _nodal(state, tables)
+    return NodeTerms(tables, *nodal, *tension_terms(nodal[4], nodal[5], mat))
+
+
+def _terms(state, mat, rule, tables, terms):
+    if terms is None:
+        return node_terms(state, mat, _tables(state, rule, tables))
+    return terms
+
+
 def functional_value(state: SolutionState, mat: MaterialParams, rule,
                      tables: BasisTables | None = None) -> float:
     """Potential energy of the trial shape.
@@ -58,12 +96,15 @@ def functional_value(state: SolutionState, mat: MaterialParams, rule,
 
 
 def residual(state: SolutionState, mat: MaterialParams, rule,
-             tables: BasisTables | None = None) -> np.ndarray:
-    """Equilibrium residual g (length 2m) at the current coefficients."""
-    t = _tables(state, rule, tables)
-    z, r, dz, dr, l1, l2, q = _nodal(state, t)
-    su12 = stiffness_scalar(l1, l2, mat)
-    su21 = stiffness_scalar(l2, l1, mat)
+             tables: BasisTables | None = None,
+             terms: NodeTerms | None = None) -> np.ndarray:
+    """Equilibrium residual g (length 2m) at the current coefficients.
+
+    `terms` from `node_terms` at the same state skips the nodal and
+    material evaluation.
+    """
+    t, z, r, dz, dr, l1, l2, q, su12, su21, _, _, _ = _terms(
+        state, mat, rule, tables, terms)
     ws = t.w * t.s
     g_u = t.du @ (ws * su12 * dz) - t.u @ (ws * q * l2 * dr)
     g_v = t.dv @ (ws * su12 * dr) + t.v @ (t.w * su21 * l2 + ws * q * l2 * dz)
@@ -76,7 +117,8 @@ def _sandwich(a, c, b):
 
 
 def jacobian(state: SolutionState, mat: MaterialParams, rule,
-             tables: BasisTables | None = None) -> np.ndarray:
+             tables: BasisTables | None = None,
+             terms: NodeTerms | None = None) -> np.ndarray:
     """Tangent matrix H = dg/dx, assembled symmetric.
 
     Diagonal blocks are symmetric by construction; the coupling block is
@@ -84,13 +126,9 @@ def jacobian(state: SolutionState, mat: MaterialParams, rule,
     identity dU/db(a,b) = (b/a) dU/db(b,a), so the mirrored matrix equals
     the exact coefficient Jacobian of `residual` up to quadrature error.
     """
-    t = _tables(state, rule, tables)
-    z, r, dz, dr, l1, l2, q = _nodal(state, t)
+    t, z, r, dz, dr, l1, l2, q, su12, su21, du1, du2, du1_swap = _terms(
+        state, mat, rule, tables, terms)
     d = state.load.d
-    su12 = stiffness_scalar(l1, l2, mat)
-    su21 = stiffness_scalar(l2, l1, mat)
-    du1, du2 = stiffness_derivs(l1, l2, mat)
-    du1_swap, _ = stiffness_derivs(l2, l1, mat)
     w, s = t.w, t.s
     ws = w * s
 
@@ -116,10 +154,18 @@ def jacobian(state: SolutionState, mat: MaterialParams, rule,
 
 
 def load_derivative(state: SolutionState, mat: MaterialParams, rule,
-                    tables: BasisTables | None = None) -> np.ndarray:
-    """dg/dc at fixed coefficients, for load-parametrized continuation."""
-    t = _tables(state, rule, tables)
-    z, r, dz, dr, l1, l2, q = _nodal(state, t)
+                    tables: BasisTables | None = None,
+                    terms: NodeTerms | None = None) -> np.ndarray:
+    """dg/dc at fixed coefficients, for load-parametrized continuation.
+
+    Reads only the nodal shape, so without `terms` the material is not
+    evaluated.
+    """
+    if terms is None:
+        t = _tables(state, rule, tables)
+        z, r, dz, dr, l1, l2, q = _nodal(state, t)
+    else:
+        t, dz, dr, l2 = terms.tables, terms.dz, terms.dr, terms.l2
     ws = t.w * t.s
     gc_u = -(t.u @ (ws * l2 * dr))
     gc_v = t.v @ (ws * l2 * dz)

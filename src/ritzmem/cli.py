@@ -30,7 +30,7 @@ from .solver import (
     SolveFailure,
     StepPolicy,
     continue_in_load,
-    delta_diagnostic,
+    equilibrium_defect,
     SolveContext,
     solve_membrane,
 )
@@ -237,11 +237,10 @@ def _report_dict(report, state, mat, probes) -> dict:
         "message": report.message,
     }
     if report.converged and state.load.c != 0.0 and probes:
-        at, dmax = delta_diagnostic(state, mat, probes)
+        at = equilibrium_defect(state, mat, np.asarray(probes, dtype=float))
         out["delta_probes"] = [
             {"s": float(sp), "delta": float(dv)} for sp, dv in zip(probes, at)
         ]
-        out["delta_max"] = dmax
     return out
 
 

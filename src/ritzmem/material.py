@@ -126,3 +126,32 @@ def stiffness_derivs(la, lb, mat: MaterialParams):
     du_dla = da_dla * b + a * w11 * di1_dla
     du_dlb = da_dlb * b + a * (w11 * di1_dlb + 2.0 * lb * w2)
     return du_dla, du_dlb
+
+
+def tension_terms(l1, l2, mat: MaterialParams):
+    """Tension coefficients and their partials for both argument orders.
+
+    Returns (U(l1,l2), U(l2,l1), dU/da(l1,l2), dU/db(l1,l2), dU/da(l2,l1)),
+    the material terms the residual and the tangent read.  The invariants
+    are symmetric in the stretch pair, so one energy evaluation serves both
+    orders; every expression is the one `stiffness_scalar` and
+    `stiffness_derivs` evaluate, so the results agree with them bit for bit.
+    """
+    l1 = np.asarray(l1, dtype=float)
+    l2 = np.asarray(l2, dtype=float)
+    l1s = l1 * l1
+    l2s = l2 * l2
+    i1 = l1s + l2s + 1.0 / (l1s * l2s)
+    i2 = 1.0 / l1s + 1.0 / l2s + l1s * l2s
+    w1, w2, w11, _, _ = energy_derivs(i1, i2, mat)
+    a12 = 1.0 - 1.0 / (l1s * l1s * l2s)
+    a21 = 1.0 - 1.0 / (l2s * l2s * l1s)
+    b12 = w1 + l2s * w2
+    b21 = w1 + l1s * w2
+    du1 = (4.0 / (l1s * l1s * l1 * l2s) * b12
+           + a12 * w11 * (2.0 * l1 - 2.0 / (l1s * l1 * l2s)))
+    du2 = (2.0 / (l1s * l1s * l2s * l2) * b12
+           + a12 * (w11 * (2.0 * l2 - 2.0 / (l1s * l2s * l2)) + 2.0 * l2 * w2))
+    du1_swap = (4.0 / (l2s * l2s * l2 * l1s) * b21
+                + a21 * w11 * (2.0 * l2 - 2.0 / (l2s * l2 * l1s)))
+    return a12 * b12, a21 * b21, du1, du2, du1_swap

@@ -9,6 +9,7 @@ nodes in the boundary layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -34,11 +35,23 @@ class QuadratureRule:
         return self.nodes.size
 
 
+@lru_cache(maxsize=32)
+def _legendre(n: int):
+    """Gauss-Legendre nodes and weights on (-1, 1), computed once per n.
+
+    Every caller shares the arrays, so they are read-only.
+    """
+    x, w = roots_legendre(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule mapped to (0, 1)."""
     if not MIN_NODES <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [{MIN_NODES}, {MAX_NODES}], got {n}")
-    x, w = roots_legendre(n)
+    x, w = _legendre(n)
     return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
 
@@ -46,7 +59,7 @@ def two_panel_rule(n: int, split: float) -> QuadratureRule:
     """Composite rule with n Gauss points on (0, split) and on (split, 1)."""
     if not 0.0 < split < 1.0:
         raise ValueError("split must lie strictly inside (0, 1)")
-    x, w = roots_legendre(n)
+    x, w = _legendre(n)
     left_nodes = 0.5 * split * (x + 1.0)
     right_nodes = split + 0.5 * (1.0 - split) * (x + 1.0)
     nodes = np.concatenate([left_nodes, right_nodes])

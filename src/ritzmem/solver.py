@@ -10,6 +10,14 @@ limit points without drama.
 For the steep basis family the profile parameter p is tuned by an outer
 one-dimensional secant iteration that zeroes the energy gradient in p; the
 energy is unimodal in p, so a golden-section scan backstops the secant.
+
+Each Newton iterate evaluates the nodal shape and the material once
+(`assembly.node_terms`); the residual, the tangent and dg/dc all read that
+one evaluation.  `newton_solve` reports the tangent's condition number
+`cond` of every converged solve, which the continuation reads to switch
+parametrization.  The equilibrium defect `delta` is a diagnostic of the
+answer only: `solve_membrane` evaluates it once, on the state it returns,
+and no inner or continuation solve computes it.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .assembly import (
     functional_value,
     jacobian,
     load_derivative,
+    node_terms,
     p_gradient,
     residual,
 )
@@ -83,38 +92,44 @@ class ContinuationPoint:
     stability_hint: int = 0
 
 
-def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
-    """Pointwise defect of the normal equilibrium, scaled by the load.
+def equilibrium_defect(state: SolutionState, mat: MaterialParams, s) -> np.ndarray:
+    """Defect of the normal equilibrium at the points s, scaled by the load.
 
-    delta(s) = |k1 T1 + k2 T2 - Q| / |c|.  Returns (delta at each probe,
-    max over a 101-point interior grid).  The pole uses the limit values of
+    delta(s) = |k1 T1 + k2 T2 - Q| / |c|.  The pole uses the limit values of
     lambda2 and k2.
     """
     c = state.load.c
     if c == 0.0:
         raise ValueError("delta diagnostic undefined at zero load")
+    shape = eval_shape(state, s, second=True)
+    l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
+    t1, t2 = principal_stresses(l1, l2, mat)
+    k1, k2 = curvatures(s, shape)
+    q = hydro_load(shape.z, c, state.load.d)
+    return np.abs(k1 * t1 + k2 * t2 - q) / abs(c)
+
+
+def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
+    """Equilibrium defect at the probes and over the interior grid.
+
+    Returns (delta at each probe, max over a 101-point interior grid), with
+    delta as in `equilibrium_defect`.
+    """
     probes = np.asarray(list(probes), dtype=float)
     grid = np.linspace(0.0, 1.0, DELTA_GRID + 2)[1:-1]
-
-    def _delta(s):
-        shape = eval_shape(state, s, second=True)
-        l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
-        t1, t2 = principal_stresses(l1, l2, mat)
-        k1, k2 = curvatures(s, shape)
-        q = hydro_load(shape.z, state.load.c, state.load.d)
-        return np.abs(k1 * t1 + k2 * t2 - q) / abs(c)
-
-    at_probes = _delta(probes) if probes.size else probes
-    return at_probes, float(np.max(_delta(grid)))
+    at_probes = equilibrium_defect(state, mat, probes) if probes.size else probes
+    return at_probes, float(np.max(equilibrium_defect(state, mat, grid)))
 
 
 def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
-                 max_iter: int = 25, probe: float | None = None):
+                 max_iter: int = 25):
     """Plain Newton iteration on the assembled system.
 
     Stops on the max-norm of the residual.  Divergence (three consecutive
     residual increases) and non-finite iterates abort with converged=False;
-    callers decide whether that is fatal.
+    callers decide whether that is fatal.  A converged report carries the
+    condition number of the tangent at the solution; the equilibrium defect
+    is left to `solve_membrane`.
     """
     x = np.array(x0, dtype=float)
     hist: list[float] = []
@@ -123,7 +138,9 @@ def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
     growth = 0
     steps = 0
     while True:
-        g = residual(ctx.state(x), ctx.mat, ctx.rule, ctx.tables)
+        state = ctx.state(x)
+        terms = node_terms(state, ctx.mat, ctx.tables)
+        g = residual(state, ctx.mat, ctx.rule, ctx.tables, terms)
         gn = float(np.max(np.abs(g))) if np.all(np.isfinite(g)) else math.inf
         hist.append(gn)
         if not math.isfinite(gn):
@@ -142,7 +159,7 @@ def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
         if steps >= max_iter:
             message = "max_iter exceeded"
             break
-        h = jacobian(ctx.state(x), ctx.mat, ctx.rule, ctx.tables)
+        h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
         try:
             dx = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
@@ -163,13 +180,10 @@ def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
         message=message,
     )
     if converged:
-        h = jacobian(state, ctx.mat, ctx.rule, ctx.tables)
+        # the last residual was evaluated at the returned x, so its terms
+        # are the solution's
+        h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
         report.cond = float(np.linalg.cond(h))
-        if ctx.load.c != 0.0:
-            probes = [probe] if probe is not None else []
-            at, dmax = delta_diagnostic(state, ctx.mat, probes)
-            report.delta_max = dmax
-            report.delta_at = float(at[0]) if probe is not None else None
     return state, report
 
 
@@ -233,7 +247,8 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float,
     while True:
         cctx = ctx.with_load(c)
         state = cctx.state(x)
-        g = residual(state, ctx.mat, ctx.rule, ctx.tables)
+        terms = node_terms(state, ctx.mat, ctx.tables)
+        g = residual(state, ctx.mat, ctx.rule, ctx.tables, terms)
         big_g = np.concatenate([g, [float(e @ x) - f_target]])
         gn = float(np.max(np.abs(big_g))) if np.all(np.isfinite(big_g)) else math.inf
         hist.append(gn)
@@ -246,8 +261,8 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float,
         if steps >= max_iter:
             message = "max_iter exceeded"
             break
-        h = jacobian(state, ctx.mat, ctx.rule, ctx.tables)
-        gc = load_derivative(state, ctx.mat, ctx.rule, ctx.tables)
+        h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
+        gc = load_derivative(state, ctx.mat, ctx.rule, ctx.tables, terms)
         big_h = np.zeros((2 * m + 1, 2 * m + 1))
         big_h[:-1, :-1] = h
         big_h[:-1, -1] = gc
@@ -480,7 +495,7 @@ def _golden_min(fun, a: float, b: float, rel_tol: float = 1e-4,
 
 
 def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
-                   max_outer: int = 40, probe: float | None = None):
+                   max_outer: int = 40):
     """Tune the steep-family parameters to the energy-stationary point.
 
     Inner loop: Newton on the coefficients at fixed p, warm-started from
@@ -497,9 +512,9 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
     def inner(p_vec, x_warm):
         c = ctx.with_spec(ctx.spec.with_p(p_vec))
         xw = x_warm if x_warm is not None else initial_guess(c)
-        st, rep = newton_solve(xw, c, probe=probe)
+        st, rep = newton_solve(xw, c)
         if not rep.converged and x_warm is not None:
-            st, rep = newton_solve(initial_guess(c), c, probe=probe)
+            st, rep = newton_solve(initial_guess(c), c)
         return c, st, rep
 
     def measures(c, st):
@@ -638,13 +653,13 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
     elif stalled:
         raise SolveFailure("parameter search stalled")
 
-    _, rep = newton_solve(state.x, cctx, probe=probe)
+    _, rep = newton_solve(state.x, cctx)
     rep.final_p = cctx.spec.p
     rep.inner_iterations = inner_counts
     return cctx.state(state.x), rep
 
 
-def _ladder_solve(ctx: SolveContext, probe: float | None):
+def _ladder_solve(ctx: SolveContext):
     """Walk the basis size up from m = 1, embedding each converged state.
 
     High m shrinks the Newton basin faster than the m = 1 embed can cover,
@@ -660,13 +675,32 @@ def _ladder_solve(ctx: SolveContext, probe: float | None):
             x0 = np.zeros(2 * mm)
             x0[:mm - 1] = x[:mm - 1]
             x0[mm:2 * mm - 1] = x[mm - 1:]
-        state, rep = newton_solve(x0, c, probe=probe if mm == ctx.spec.m else None)
+        state, rep = newton_solve(x0, c)
         if not rep.converged:
             raise SolveFailure(
                 f"no convergence at c = {c.load.c} while stepping m (failed at"
                 f" m = {mm}): {rep.message}"
             )
         x = state.x
+    return state, rep
+
+
+def _solve_fixed_basis(mat: MaterialParams, load: LoadParams, family: str,
+                       m: int, p, quad: int | None):
+    """Solve with the basis fixed: polynomial, or steep at the given p.
+
+    Falls back to the basis-size ladder when the direct solve fails.  The
+    report carries no equilibrium defect.
+    """
+    if family == "polynomial":
+        spec = BasisSpec("polynomial", m)
+        ctx = SolveContext(mat, load, spec, auto_rule(family, n=quad))
+    else:
+        spec = BasisSpec("adaptive", m, tuple(p))
+        ctx = SolveContext(mat, load, spec, auto_rule(family, spec.p[0], quad))
+    state, rep = newton_solve(initial_guess(ctx), ctx)
+    if not rep.converged:
+        state, rep = _ladder_solve(ctx)
     return state, rep
 
 
@@ -677,25 +711,24 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
 
     Returns (state, report).  For the steep family without fixed p the
     starting steepness comes from a polynomial predictor solve at the same
-    load; optimization then zeroes the energy gradient in p.
+    load; optimization then zeroes the energy gradient in p.  The report of
+    a converged solve at nonzero load carries the equilibrium defect of the
+    returned state: its grid maximum `delta_max` and, if a probe point is
+    given, `delta_at` there.
     """
     if family == "polynomial" or p is not None:
-        if family == "polynomial":
-            spec = BasisSpec("polynomial", m)
-            ctx = SolveContext(mat, load, spec, auto_rule(family, n=quad))
-        else:
-            spec = BasisSpec("adaptive", m, tuple(p))
-            ctx = SolveContext(mat, load, spec, auto_rule(family, spec.p[0], quad))
-        state, rep = newton_solve(initial_guess(ctx), ctx, probe=probe)
-        if not rep.converged:
-            state, rep = _ladder_solve(ctx, probe)
-        return state, rep
-
-    try:
-        prev, _ = solve_membrane(mat, load, "polynomial", m, quad=quad)
-    except SolveFailure:
-        prev = None
-    p1 = init_p1(prev, mat, load)
-    spec = BasisSpec("adaptive", m, (p1,) + (0.0,) * (n_p - 1))
-    ctx = SolveContext(mat, load, spec, auto_rule(family, p1, quad))
-    return optimize_basis(ctx, probe=probe)
+        state, rep = _solve_fixed_basis(mat, load, family, m, p, quad)
+    else:
+        try:
+            prev, _ = _solve_fixed_basis(mat, load, "polynomial", m, None, quad)
+        except SolveFailure:
+            prev = None
+        p1 = init_p1(prev, mat, load)
+        spec = BasisSpec("adaptive", m, (p1,) + (0.0,) * (n_p - 1))
+        ctx = SolveContext(mat, load, spec, auto_rule(family, p1, quad))
+        state, rep = optimize_basis(ctx)
+    if rep.converged and load.c != 0.0:
+        at, rep.delta_max = delta_diagnostic(
+            state, mat, [probe] if probe is not None else [])
+        rep.delta_at = float(at[0]) if probe is not None else None
+    return state, rep

@@ -11,6 +11,7 @@ from ritzmem.assembly import (
     functional_value,
     jacobian,
     load_derivative,
+    node_terms,
     p_gradient,
     residual,
 )
@@ -151,6 +152,19 @@ def test_jacobian_consistency_under_both_loads():
             h = jacobian(state, GAS, RULE)
             fd = _fd_jacobian(state, GAS, RULE)
             assert np.max(np.abs(h - fd)) <= 1e-5 * max(np.max(np.abs(h)), 1.0)
+
+
+def test_precomputed_node_terms_change_nothing(gas_m6, liquid_m6):
+    rng = np.random.default_rng(127)
+    cases = [(gas_m6, GAS, RULE), (liquid_m6, LIQ, auto_rule("adaptive", 17.113)),
+             (_random_state(rng, BasisSpec("polynomial", 3), LoadParams(0.5, 10.0)),
+              GAS, RULE)]
+    for state, mat, rule in cases:
+        tables = BasisTables.build(state.spec, rule)
+        terms = node_terms(state, mat, tables)
+        for fn in (residual, jacobian, load_derivative):
+            assert np.array_equal(fn(state, mat, rule, tables, terms),
+                                  fn(state, mat, rule))
 
 
 def test_block_structure():

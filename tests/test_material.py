@@ -13,6 +13,7 @@ from ritzmem.material import (
     principal_stresses,
     stiffness_derivs,
     stiffness_scalar,
+    tension_terms,
 )
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
@@ -148,6 +149,20 @@ def test_stiffness_derivs_swapped_arguments():
         want = _fd_stiffness(lb, la, GAS)
         assert got[0] == pytest.approx(want[0], rel=1e-5)
         assert got[1] == pytest.approx(want[1], rel=1e-5)
+
+
+def test_tension_terms_equal_stiffness_functions_exactly():
+    # the one-pass evaluation keeps every expression of the reference
+    # functions, so the assembled residual and tangent stay bit-identical
+    rng = np.random.default_rng(31)
+    l1, l2 = rng.uniform(0.5, 3.0, (2, 200))
+    for mat in (GAS, LIQ):
+        su12, su21, du1, du2, du1_swap = tension_terms(l1, l2, mat)
+        assert np.array_equal(su12, stiffness_scalar(l1, l2, mat))
+        assert np.array_equal(su21, stiffness_scalar(l2, l1, mat))
+        assert np.array_equal(du1, stiffness_derivs(l1, l2, mat)[0])
+        assert np.array_equal(du2, stiffness_derivs(l1, l2, mat)[1])
+        assert np.array_equal(du1_swap, stiffness_derivs(l2, l1, mat)[0])
 
 
 def test_derivs_match_fd_on_random_states():

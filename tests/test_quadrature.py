@@ -10,6 +10,7 @@ from ritzmem.quadrature import (
     MAX_NODES,
     MIN_NODES,
     QuadratureRule,
+    _legendre,
     auto_rule,
     gauss_rule,
     integrate,
@@ -132,6 +133,18 @@ def test_node_count_bounds():
         gauss_rule(MIN_NODES - 1)
     with pytest.raises(ValueError):
         gauss_rule(MAX_NODES + 1)
+
+
+def test_cached_roots_are_shared_read_only():
+    a, b = gauss_rule(16), gauss_rule(16)
+    assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+    a.nodes[0] = 0.5
+    assert gauss_rule(16).nodes[0] != 0.5
+    x, w = _legendre(16)
+    assert x is _legendre(16)[0]
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def test_two_panel_rule():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ritzmem import solver
 from ritzmem.basis import BasisSpec, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
@@ -15,6 +16,7 @@ from ritzmem.solver import (
     StepPolicy,
     continue_in_load,
     delta_diagnostic,
+    equilibrium_defect,
     init_p1,
     initial_guess,
     newton_solve,
@@ -35,7 +37,7 @@ def gas_context(m, c=1.7):
 @pytest.fixture(scope="module")
 def gas_m6():
     ctx = gas_context(6)
-    state, report = newton_solve(initial_guess(ctx), ctx, probe=0.2)
+    state, report = newton_solve(initial_guess(ctx), ctx)
     assert report.converged
     return state, report
 
@@ -61,17 +63,19 @@ def test_newton_gas_case_m6(gas_m6):
     assert r == pytest.approx(0.3069, abs=1e-4)
     assert -dz == pytest.approx(0.4362, abs=1e-4)
     assert dr == pytest.approx(1.4757, abs=1e-4)
-    assert 2e-5 / 3 <= report.delta_at <= 2e-5 * 3.2
+    at, _ = delta_diagnostic(state, GAS, [0.2])
+    assert 2e-5 / 3 <= at[0] <= 2e-5 * 3.2
 
 
 def test_newton_gas_case_m1():
     ctx = gas_context(1)
-    state, report = newton_solve(initial_guess(ctx), ctx, probe=0.2)
+    state, report = newton_solve(initial_guess(ctx), ctx)
     assert report.converged
     z, r, *_ = _profile(state, 0.2)
     assert z == pytest.approx(0.7016, abs=1e-4)
     assert r == pytest.approx(0.2865, abs=1e-4)
-    assert 2e-1 / 3 <= report.delta_at <= 2e-1 * 3
+    at, _ = delta_diagnostic(state, GAS, [0.2])
+    assert 2e-1 / 3 <= at[0] <= 2e-1 * 3
 
 
 def test_newton_zero_load_zero_start():
@@ -281,6 +285,49 @@ def test_delta_probes_include_pole(gas_m6):
     assert np.all(np.isfinite(at)) and np.all(np.asarray(at) >= 0.0)
     assert np.max(at) < 1e-3
     assert dmax < 1e-3
+
+
+def test_pointwise_defect_matches_diagnostic(gas_m6):
+    state, report = gas_m6
+    probes = np.array([0.0, 0.2, 1.0])
+    at, _ = delta_diagnostic(state, GAS, probes)
+    assert np.array_equal(equilibrium_defect(state, GAS, probes), at)
+    zero = SolutionState(state.x, state.spec, LoadParams(0.0))
+    with pytest.raises(ValueError):
+        equilibrium_defect(zero, GAS, probes)
+
+
+@pytest.fixture
+def delta_calls(monkeypatch):
+    calls = []
+    inner = solver.delta_diagnostic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "delta_diagnostic", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, m, load, probe", [
+    ("adaptive", 6, LoadParams(0.5, 10.0), 0.9),
+    ("polynomial", 6, LoadParams(1.7), 0.2),
+])
+def test_defect_evaluated_once_per_returned_state(delta_calls, family, m, load,
+                                                  probe):
+    mat = LIQ if family == "adaptive" else GAS
+    state, report = solve_membrane(mat, load, family, m, probe=probe)
+    assert len(delta_calls) == 1
+    assert delta_calls[0][0] is state
+    at, dmax = delta_diagnostic(state, mat, [probe])
+    assert (report.delta_at, report.delta_max) == (float(at[0]), dmax)
+
+
+def test_continuation_evaluates_no_defect(delta_calls):
+    points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
+    assert len(points) > 2
+    assert delta_calls == []
 
 
 def test_delta_decreases_with_basis_size():
