@@ -6,11 +6,8 @@ from .assembly import functional_value, jacobian, node_terms, p_gradient, residu
 from .basis import (
     BasisSpec,
     SolutionState,
-    bessel_i0_i1,
+    eval_generators,
     eval_shape,
-    eval_u,
-    eval_v,
-    phi,
     shape_p_derivs,
 )
 from .kinematics import (
@@ -18,12 +15,10 @@ from .kinematics import (
     ShapeEval,
     curvatures,
     hydro_load,
-    normal_angle,
     stretches,
 )
 from .material import (
     MaterialParams,
-    StretchState,
     energy,
     energy_derivs,
     principal_stresses,
@@ -31,7 +26,7 @@ from .material import (
     stiffness_scalar,
     tension_terms,
 )
-from .quadrature import QuadratureRule, auto_rule, gauss_rule, integrate, two_panel_rule
+from .quadrature import QuadratureRule, auto_rule, gauss_rule, two_panel_rule
 from .solver import (
     ContinuationPoint,
     SolveContext,

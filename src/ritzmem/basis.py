@@ -41,19 +41,6 @@ FAMILIES = ("polynomial", "adaptive")
 P_MIN = 1e-3
 
 
-def bessel_i0_i1(x):
-    """Modified Bessel functions (I0(x), I1(x)) for x >= 0.
-
-    Unscaled values; overflows for x beyond ~713.  The basis evaluation
-    itself never calls this, it works with the exponentially scaled forms.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("bessel_i0_i1 requires x >= 0")
-    e = np.exp(x)
-    return e * i0e(x), e * i1e(x)
-
-
 def _i1e_over_x(x):
     """Exponentially scaled I1(x)/x, finite at x = 0 (limit 1/2)."""
     x = np.asarray(x, dtype=float)
@@ -76,32 +63,6 @@ def _poly_y(s, p):
         if e >= 2:
             d2y += pi * e * (e - 1) * s ** (e - 2)
     return y, dy, d2y
-
-
-def phi(s, p):
-    """Raw Bessel profile phi = I0(y(s)) with derivatives.
-
-    Returns (phi, dphi, d2phi, dphi_dp, ddphi_dp); the last two are arrays
-    with one leading axis per component of p.  Unscaled, so usable only for
-    moderate y; the basis tables use the scaled ratio instead.
-    """
-    s = np.asarray(s, dtype=float)
-    y, dy, d2y = _poly_y(s, p)
-    ay = np.abs(y)
-    b0 = np.exp(ay) * i0e(y)
-    b1 = np.exp(ay) * i1e(y)
-    # I1'(y) = I0(y) - I1(y)/y, finite at the origin
-    db1 = np.exp(ay) * (i0e(y) - _i1e_over_x(y))
-    val = b0
-    dval = b1 * dy
-    d2val = db1 * dy * dy + b1 * d2y
-    dval_dp = np.empty((len(p),) + s.shape)
-    ddval_dp = np.empty((len(p),) + s.shape)
-    for i in range(len(p)):
-        e = 2 * i + 1
-        dval_dp[i] = b1 * s ** e
-        ddval_dp[i] = db1 * s ** e * dy + b1 * e * s ** (e - 1)
-    return val, dval, d2val, dval_dp, ddval_dp
 
 
 @dataclass(frozen=True)
@@ -227,22 +188,14 @@ def _steep_uv(spec: BasisSpec, s):
     return u, du, d2u, v, dv, d2v
 
 
-def eval_u(spec: BasisSpec, s):
-    """Axial generators: (u, u', u'') arrays shaped (m,) + s.shape."""
-    if spec.family == "polynomial":
-        u, du, d2u, _, _, _ = _poly_uv(spec, s)
-    else:
-        u, du, d2u, _, _, _ = _steep_uv(spec, s)
-    return u, du, d2u
+def eval_generators(spec: BasisSpec, s):
+    """Axial and radial generators with two s-derivatives each.
 
-
-def eval_v(spec: BasisSpec, s):
-    """Radial generators: (v, v', v'') arrays shaped (m,) + s.shape."""
+    Returns (u, u', u'', v, v', v''), arrays shaped (m,) + s.shape.
+    """
     if spec.family == "polynomial":
-        _, _, _, v, dv, d2v = _poly_uv(spec, s)
-    else:
-        _, _, _, v, dv, d2v = _steep_uv(spec, s)
-    return v, dv, d2v
+        return _poly_uv(spec, s)
+    return _steep_uv(spec, s)
 
 
 def _steep_uv_p_derivs(spec: BasisSpec, s):
@@ -284,7 +237,7 @@ class SolutionState:
 
     def sag(self) -> float:
         """Pole deflection z(0)."""
-        u0, _, _ = eval_u(self.spec, np.array(0.0))
+        u0 = eval_generators(self.spec, np.array(0.0))[0]
         return float(self.x[: self.spec.m] @ u0)
 
 
@@ -294,8 +247,7 @@ def eval_shape(state: SolutionState, s, second: bool = False) -> ShapeEval:
     m = state.spec.m
     xu = state.x[:m]
     xv = state.x[m:]
-    u, du, d2u = eval_u(state.spec, s)
-    v, dv, d2v = eval_v(state.spec, s)
+    u, du, d2u, v, dv, d2v = eval_generators(state.spec, s)
     tensordot = lambda c, t: np.tensordot(c, t, axes=(0, 0))
     shape = ShapeEval(
         z=tensordot(xu, u),
@@ -348,7 +300,6 @@ class BasisTables:
     @classmethod
     def build(cls, spec: BasisSpec, rule) -> "BasisTables":
         s = rule.nodes
-        u, du, _ = eval_u(spec, s)
-        v, dv, _ = eval_v(spec, s)
-        u_at_0, _, _ = eval_u(spec, np.array(0.0))
-        return cls(s=s, w=rule.weights, u=u, du=du, v=v, dv=dv, u0=u_at_0)
+        u, du, _, v, dv, _ = eval_generators(spec, s)
+        u0 = eval_generators(spec, np.array(0.0))[0]
+        return cls(s=s, w=rule.weights, u=u, du=du, v=v, dv=dv, u0=u0)

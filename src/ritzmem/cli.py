@@ -22,21 +22,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import P_MIN, FAMILIES, eval_shape
-from .kinematics import LoadParams, curvatures, hydro_load, stretches
-from .material import MaterialParams, principal_stresses
-from .quadrature import MAX_NODES, MIN_NODES
+from .basis import FAMILIES, P_MIN, BasisSpec, eval_shape
+from .kinematics import LoadParams
+from .material import MaterialParams
+from .quadrature import MAX_NODES, MIN_NODES, auto_rule
 from .solver import (
+    SolveContext,
     SolveFailure,
+    SolveReport,
     StepPolicy,
+    _defect_terms,
     continue_in_load,
     equilibrium_defect,
-    SolveContext,
     solve_membrane,
 )
-from .basis import BasisSpec
-from .quadrature import auto_rule
-from .solver import initial_guess, newton_solve
 
 PROFILE_POINTS = 201
 
@@ -54,7 +53,6 @@ class RunConfig:
     m: int = 6
     m_min: int | None = None
     m_max: int | None = None
-    n_p: int = 1
     p: tuple | None = None
     quad: int | None = None
     probes: tuple = ()
@@ -105,11 +103,13 @@ def load_config(path: str | Path) -> dict:
     return _parse_kv(text)
 
 
-def _as_floats(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    parts = str(value).replace(",", " ").split()
-    return tuple(float(v) for v in parts)
+def _as_floats(key: str, value) -> tuple:
+    try:
+        if isinstance(value, (list, tuple)):
+            return tuple(float(v) for v in value)
+        return tuple(float(v) for v in str(value).replace(",", " ").split())
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def build_config(raw: dict) -> RunConfig:
@@ -129,7 +129,7 @@ def build_config(raw: dict) -> RunConfig:
                 vals[key] = int(value)
             else:
                 vals[key] = value
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
 
     cfg.mat = MaterialParams(
@@ -149,11 +149,14 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError("m must be >= 1")
     cfg.m_min = vals.get("m_min")
     cfg.m_max = vals.get("m_max")
-    cfg.n_p = vals.get("n", 1)
-    if cfg.n_p < 1:
-        raise ConfigError("n must be >= 1")
+    for key in ("m_min", "m_max"):
+        if vals.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    # only one steepness parameter is searched; fixed p may carry more
+    if vals.get("n", 1) != 1:
+        raise ConfigError("n must be 1")
     if "p" in vals:
-        cfg.p = _as_floats(vals["p"])
+        cfg.p = _as_floats("p", vals["p"])
         if len(cfg.p) < 1:
             raise ConfigError("p must contain at least one value")
         if cfg.p[0] < P_MIN:
@@ -161,12 +164,12 @@ def build_config(raw: dict) -> RunConfig:
     if "quad" in vals and str(vals["quad"]).lower() != "auto":
         try:
             cfg.quad = int(vals["quad"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"quad: {exc}") from exc
         if not MIN_NODES <= cfg.quad <= MAX_NODES:
             raise ConfigError(f"quad must be in [{MIN_NODES}, {MAX_NODES}]")
     if "probes" in vals:
-        cfg.probes = _as_floats(vals["probes"])
+        cfg.probes = _as_floats("probes", vals["probes"])
     for sp in cfg.probes:
         if not 0.0 <= sp <= 1.0:
             raise ConfigError(f"probe {sp} outside [0, 1]")
@@ -206,13 +209,9 @@ def profile_rows(state, mat: MaterialParams):
     raw defect is reported instead.
     """
     s = np.linspace(0.0, 1.0, PROFILE_POINTS)
-    shape = eval_shape(state, s, second=True)
-    l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
-    t1, t2 = principal_stresses(l1, l2, mat)
-    k1, k2 = curvatures(s, shape)
-    q = hydro_load(shape.z, state.load.c, state.load.d)
+    shape, l1, l2, t1, t2, defect = _defect_terms(state, mat, s)
     norm = abs(state.load.c) if state.load.c != 0.0 else 1.0
-    delta = np.abs(k1 * t1 + k2 * t2 - q) / norm
+    delta = defect / norm
     return np.column_stack([s, shape.z, shape.r, shape.dz, shape.dr,
                             l1, l2, t1, t2, delta])
 
@@ -259,16 +258,14 @@ def run_solve(cfg: RunConfig) -> int:
     load = LoadParams(cfg.c, cfg.d)
     try:
         state, report = solve_membrane(
-            cfg.mat, load, cfg.family, cfg.m,
-            n_p=cfg.n_p, p=cfg.p, quad=cfg.quad,
+            cfg.mat, load, cfg.family, cfg.m, p=cfg.p, quad=cfg.quad,
             probe=cfg.probes[0] if cfg.probes else None,
         )
     except SolveFailure as exc:
-        _write_json(cfg.out / "report.json", {
-            "converged": False, "iterations": 0, "residual_history": [],
-            "delta_max": None, "delta_probes": [], "final_p": None,
-            "message": str(exc),
-        })
+        failed = SolveReport(converged=False, iterations=0, residual_history=[],
+                             message=str(exc))
+        _write_json(cfg.out / "report.json",
+                    _report_dict(failed, None, cfg.mat, cfg.probes))
         print(f"solve failed: {exc}", file=sys.stderr)
         return 3
 
@@ -289,8 +286,8 @@ def run_solve(cfg: RunConfig) -> int:
 def run_convergence(cfg: RunConfig) -> int:
     if cfg.c is None:
         raise ConfigError("converge needs a load value c")
-    m_lo = cfg.m_min or 1
-    m_hi = cfg.m_max or cfg.m
+    m_lo = 1 if cfg.m_min is None else cfg.m_min
+    m_hi = cfg.m if cfg.m_max is None else cfg.m_max
     if m_lo > m_hi:
         raise ConfigError("m_min must not exceed m_max")
     probe = cfg.probes[0] if cfg.probes else 0.5
@@ -303,8 +300,8 @@ def run_convergence(cfg: RunConfig) -> int:
         for m in range(m_lo, m_hi + 1):
             try:
                 state, report = solve_membrane(
-                    cfg.mat, load, cfg.family, m,
-                    n_p=cfg.n_p, p=cfg.p, quad=cfg.quad, probe=probe,
+                    cfg.mat, load, cfg.family, m, p=cfg.p, quad=cfg.quad,
+                    probe=probe,
                 )
             except SolveFailure as exc:
                 print(f"m = {m}: {exc}", file=sys.stderr)
@@ -395,23 +392,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = load_config(args.config) if args.config else {}
+        # command line flags override file values and pass the same checks
+        flags = {"out": args.out, "quad": args.quad, "probes": args.probe}
+        flags.update((key, getattr(args, key, None)) for key in _SCALE_KEYS)
+        raw.update((key, value) for key, value in flags.items() if value is not None)
         cfg = build_config(raw)
-        if args.out:
-            cfg.out = Path(args.out)
-        if args.quad:
-            if not MIN_NODES <= args.quad <= MAX_NODES:
-                raise ConfigError(f"quad must be in [{MIN_NODES}, {MAX_NODES}]")
-            cfg.quad = args.quad
-        if args.probe:
-            for sp in args.probe:
-                if not 0.0 <= sp <= 1.0:
-                    raise ConfigError(f"probe {sp} outside [0, 1]")
-            cfg.probes = tuple(args.probe)
         if args.verb == "scale":
-            for key in _SCALE_KEYS:
-                value = getattr(args, key, None)
-                if value is not None:
-                    cfg.scale[key] = value
             return run_scale(cfg)
         if args.verb == "solve":
             return run_solve(cfg)

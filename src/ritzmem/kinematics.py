@@ -23,13 +23,6 @@ class LoadParams:
         if self.d < 0.0:
             raise ValueError("hydrostatic gradient d must be >= 0")
 
-    @property
-    def mu(self) -> float:
-        """Boundary-layer width parameter 1/d; needs d > 0."""
-        if self.d <= 0.0:
-            raise ValueError("mu = 1/d needs d > 0")
-        return 1.0 / self.d
-
 
 @dataclass
 class ShapeEval:
@@ -87,12 +80,3 @@ def hydro_load(z, c, d):
     """Pressure Q at height z for the load Q = c - d*z."""
     return c - d * np.asarray(z, dtype=float)
 
-
-def normal_angle(dz, dr):
-    """Angle between the surface normal and the symmetry axis.
-
-    cos(alpha) = r' / lambda1; alpha is in [0, pi].
-    """
-    l1 = np.hypot(np.asarray(dz, dtype=float), np.asarray(dr, dtype=float))
-    ca = np.clip(np.asarray(dr, dtype=float) / l1, -1.0, 1.0)
-    return np.arccos(ca)

@@ -26,27 +26,6 @@ class MaterialParams:
     gamma3: float = 0.0
 
 
-@dataclass(frozen=True)
-class StretchState:
-    """Principal stretches of an incompressible membrane element."""
-
-    lambda1: float
-    lambda2: float
-    lambda3: float
-
-    @staticmethod
-    def from_plane(lambda1, lambda2) -> "StretchState":
-        return StretchState(lambda1, lambda2, 1.0 / (lambda1 * lambda2))
-
-    def invariants(self):
-        l1s = self.lambda1 ** 2
-        l2s = self.lambda2 ** 2
-        l3s = self.lambda3 ** 2
-        i1 = l1s + l2s + l3s
-        i2 = 1.0 / l1s + 1.0 / l2s + 1.0 / l3s
-        return i1, i2
-
-
 def energy(i1, i2, mat: MaterialParams):
     """Strain energy density at the given invariants."""
     e1 = i1 - 3.0
@@ -55,17 +34,16 @@ def energy(i1, i2, mat: MaterialParams):
 
 
 def energy_derivs(i1, i2, mat: MaterialParams):
-    """First and second partials of the energy in the invariants.
+    """The nonzero first and second partials of the energy in the invariants.
 
-    Returns (W1, W2, W11, W12, W22).  For the Bidermann form W2 is the
-    constant gamma1 and the cross and I2-squared terms vanish.
+    Returns (W1, W2, W11).  For the Bidermann form W2 is the constant gamma1,
+    and the cross and I2-squared partials W12 and W22 vanish.
     """
     e1 = i1 - 3.0
     w1 = 1.0 + 2.0 * mat.gamma2 * e1 + 3.0 * mat.gamma3 * e1 * e1
     w2 = mat.gamma1 * np.ones_like(np.asarray(i1, dtype=float))
     w11 = 2.0 * mat.gamma2 + 6.0 * mat.gamma3 * e1
-    zero = np.zeros_like(np.asarray(i1, dtype=float))
-    return w1, w2, w11, zero, zero
+    return w1, w2, w11
 
 
 def principal_stresses(lambda1, lambda2, mat: MaterialParams):
@@ -80,7 +58,7 @@ def principal_stresses(lambda1, lambda2, mat: MaterialParams):
     l3s = l3 * l3
     i1 = l1s + l2s + l3s
     i2 = 1.0 / l1s + 1.0 / l2s + 1.0 / l3s
-    w1, w2, _, _, _ = energy_derivs(i1, i2, mat)
+    w1, w2, _ = energy_derivs(i1, i2, mat)
     t1 = l3 * (l1s - l3s) * (w1 + l2s * w2)
     t2 = l3 * (l2s - l3s) * (w1 + l1s * w2)
     return t1, t2
@@ -100,7 +78,7 @@ def stiffness_scalar(la, lb, mat: MaterialParams):
     lbs = lb * lb
     i1 = las + lbs + 1.0 / (las * lbs)
     i2 = 1.0 / las + 1.0 / lbs + las * lbs
-    w1, w2, _, _, _ = energy_derivs(i1, i2, mat)
+    w1, w2, _ = energy_derivs(i1, i2, mat)
     return (1.0 - 1.0 / (las * las * lbs)) * (w1 + lbs * w2)
 
 
@@ -116,7 +94,7 @@ def stiffness_derivs(la, lb, mat: MaterialParams):
     lbs = lb * lb
     i1 = las + lbs + 1.0 / (las * lbs)
     i2 = 1.0 / las + 1.0 / lbs + las * lbs
-    w1, w2, w11, _, _ = energy_derivs(i1, i2, mat)
+    w1, w2, w11 = energy_derivs(i1, i2, mat)
     a = 1.0 - 1.0 / (las * las * lbs)
     b = w1 + lbs * w2
     di1_dla = 2.0 * la - 2.0 / (las * la * lbs)
@@ -143,7 +121,7 @@ def tension_terms(l1, l2, mat: MaterialParams):
     l2s = l2 * l2
     i1 = l1s + l2s + 1.0 / (l1s * l2s)
     i2 = 1.0 / l1s + 1.0 / l2s + l1s * l2s
-    w1, w2, w11, _, _ = energy_derivs(i1, i2, mat)
+    w1, w2, w11 = energy_derivs(i1, i2, mat)
     a12 = 1.0 - 1.0 / (l1s * l1s * l2s)
     a21 = 1.0 - 1.0 / (l2s * l2s * l1s)
     b12 = w1 + l2s * w2

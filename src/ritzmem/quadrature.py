@@ -81,20 +81,3 @@ def auto_rule(family: str, p1: float | None = None, n: int | None = None) -> Qua
         return two_panel_rule(base, 1.0 - 6.0 / p1)
     return gauss_rule(base)
 
-
-def integrate(f, rule: QuadratureRule) -> float:
-    """Apply the rule to a callable f(s).
-
-    f may be vectorized over the node array; scalar-only callables are
-    looped.  Non-finite values abort with the offending node named.
-    """
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=float)
-        if vals.shape != rule.nodes.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(f(s)) for s in rule.nodes])
-    if not np.all(np.isfinite(vals)):
-        bad = rule.nodes[~np.isfinite(vals)][0]
-        raise FloatingPointError(f"integrand not finite at s = {bad!r}")
-    return float(np.dot(rule.weights, vals))

@@ -7,9 +7,9 @@ near-singular tangent), the driver switches to prescribing the pole sag f
 and treating c as an unknown in a bordered system, which passes through
 limit points without drama.
 
-For the steep basis family the profile parameter p is tuned by an outer
-one-dimensional secant iteration that zeroes the energy gradient in p; the
-energy is unimodal in p, so a golden-section scan backstops the secant.
+For the steep basis family the one profile parameter p1 is tuned by an
+outer secant iteration that zeroes the energy gradient in p1; the energy
+is unimodal in p1, so a golden-section scan backstops the secant.
 
 Each Newton iterate evaluates the nodal shape and the material once
 (`assembly.node_terms`); the residual, the tangent and dg/dc all read that
@@ -92,6 +92,20 @@ class ContinuationPoint:
     stability_hint: int = 0
 
 
+def _defect_terms(state: SolutionState, mat: MaterialParams, s):
+    """Shape, stretches, tensions and the unscaled normal-equilibrium defect.
+
+    Returns (shape, lambda1, lambda2, T1, T2, |k1 T1 + k2 T2 - Q|) at the
+    points s; the pole uses the limit values of lambda2 and k2.
+    """
+    shape = eval_shape(state, s, second=True)
+    l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
+    t1, t2 = principal_stresses(l1, l2, mat)
+    k1, k2 = curvatures(s, shape)
+    q = hydro_load(shape.z, state.load.c, state.load.d)
+    return shape, l1, l2, t1, t2, np.abs(k1 * t1 + k2 * t2 - q)
+
+
 def equilibrium_defect(state: SolutionState, mat: MaterialParams, s) -> np.ndarray:
     """Defect of the normal equilibrium at the points s, scaled by the load.
 
@@ -101,12 +115,7 @@ def equilibrium_defect(state: SolutionState, mat: MaterialParams, s) -> np.ndarr
     c = state.load.c
     if c == 0.0:
         raise ValueError("delta diagnostic undefined at zero load")
-    shape = eval_shape(state, s, second=True)
-    l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
-    t1, t2 = principal_stresses(l1, l2, mat)
-    k1, k2 = curvatures(s, shape)
-    q = hydro_load(shape.z, c, state.load.d)
-    return np.abs(k1 * t1 + k2 * t2 - q) / abs(c)
+    return _defect_terms(state, mat, s)[-1] / abs(c)
 
 
 def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
@@ -496,21 +505,22 @@ def _golden_min(fun, a: float, b: float, rel_tol: float = 1e-4,
 
 def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
                    max_outer: int = 40):
-    """Tune the steep-family parameters to the energy-stationary point.
+    """Tune the steepness p1 of the steep family to the energy-stationary point.
 
-    Inner loop: Newton on the coefficients at fixed p, warm-started from
-    the previous parameter value.  Outer loop: secant (Broyden for several
-    parameters) on the energy gradient in p, with steps clamped to half the
-    current value.  If the secant stalls on p1 the unimodal energy is
-    bracketed by a golden-section scan instead.
+    Inner loop: Newton on the coefficients at fixed p1, warm-started from
+    the best accepted parameter value.  Outer loop: secant on the energy
+    gradient in p1, with steps clamped to half the current value.  If the
+    secant stalls the unimodal energy is bracketed by a golden-section scan
+    instead.  The spec must carry exactly one parameter.
     """
     if ctx.spec.family != "adaptive":
         raise ValueError("basis optimization applies to the steep family only")
-    n = ctx.spec.n_p
+    if ctx.spec.n_p != 1:
+        raise ValueError("basis optimization tunes exactly one steepness parameter")
     inner_counts: list[int] = []
 
-    def inner(p_vec, x_warm):
-        c = ctx.with_spec(ctx.spec.with_p(p_vec))
+    def inner(p1, x_warm):
+        c = ctx.with_spec(ctx.spec.with_p((p1,)))
         xw = x_warm if x_warm is not None else initial_guess(c)
         st, rep = newton_solve(xw, c)
         if not rep.converged and x_warm is not None:
@@ -518,11 +528,11 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
         return c, st, rep
 
     def measures(c, st):
-        psi = p_gradient(st, c.mat, c.rule, c.tables)
+        psi = p_gradient(st, c.mat, c.rule, c.tables)[0]
         val = functional_value(st, c.mat, c.rule, c.tables)
         return psi, val
 
-    p = np.array(ctx.spec.p, dtype=float)
+    p = ctx.spec.p[0]
     cctx, state, rep = inner(p, np.asarray(x0, dtype=float) if x0 is not None else None)
     if not rep.converged:
         raise SolveFailure("inner solve failed at the starting parameters")
@@ -535,8 +545,8 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
     # root step to collapse below step_tol relative to p itself.
     step_tol = 1e-3
 
-    def done(psi_vec, value):
-        return float(np.max(np.abs(psi_vec))) <= tol_p * max(1.0, abs(value))
+    def done(psi1, value):
+        return abs(psi1) <= tol_p * max(1.0, abs(value))
 
     # The warm-started inner Newton can slide onto a different root of g at
     # an aggressive p step (degenerate near-flat shapes also solve g = 0 and
@@ -547,24 +557,8 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
         return value > best_val + max(1e-6 * abs(best_val), 1e-14)
 
     best_val, best_ctx, best_state = val, cctx, state
-
-    if n == 1:
-        p_prev, psi_prev = p.copy(), psi.copy()
-        p = np.array([max(P_MIN, p[0] * 1.05)])
-    else:
-        # Broyden start: finite-difference the gradient along each p_i.
-        b = np.empty((n, n))
-        for i in range(n):
-            dp = 1e-3 * max(1.0, abs(p[i]))
-            pt = p.copy()
-            pt[i] += dp
-            ct, st, rp = inner(pt, state.x)
-            if not rp.converged:
-                raise SolveFailure("parameter probe solve failed")
-            inner_counts.append(rp.iterations)
-            psi_t, _ = measures(ct, st)
-            b[:, i] = (psi_t - psi) / dp
-        p_prev, psi_prev = None, None
+    p_prev, psi_prev = p, psi
+    p = max(P_MIN, p * 1.05)
 
     stalled = False
     for _ in range(max_outer):
@@ -574,66 +568,34 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
             psi, val = measures(cctx, state)
             bad = slid(val)
         if bad:
-            if p_prev is None:
-                raise SolveFailure("inner solve failed during p search")
-            p_bad = p.copy()
+            p_bad = p
             p = 0.5 * (p + p_prev)
-            if float(np.max(np.abs(p - p_bad))) <= step_tol * step_tol:
+            if abs(p - p_bad) <= step_tol * step_tol:
                 stalled = True
                 break
             continue
         inner_counts.append(rep.iterations)
         if val < best_val:
             best_val, best_ctx, best_state = val, cctx, state
-        if n == 1:
-            denom = psi[0] - psi_prev[0]
-            if denom == 0.0 or p[0] == p_prev[0]:
-                stalled = not done(psi, val)
-                break
-            step = -psi[0] * (p[0] - p_prev[0]) / denom
-            if abs(step) <= step_tol * max(1.0, p[0]) and done(psi, val):
-                break
-            step = float(np.clip(step, -0.5 * p[0], 0.5 * p[0]))
-            p_prev, psi_prev = p.copy(), psi.copy()
-            p = np.array([max(P_MIN, p[0] + step)])
-        else:
-            try:
-                dp = np.linalg.solve(b, -psi)
-            except np.linalg.LinAlgError:
-                stalled = True
-                break
-            if float(np.max(np.abs(dp))) <= step_tol * max(1.0, float(np.max(np.abs(p)))) \
-                    and done(psi, val):
-                break
-            dp = np.clip(dp, -0.5 * np.abs(p) - 1e-3, 0.5 * np.abs(p) + 1e-3)
-            ct, st, rp = inner(p + dp, state.x)
-            if not rp.converged:
-                dp *= 0.5
-                ct, st, rp = inner(p + dp, state.x)
-                if not rp.converged:
-                    stalled = True
-                    break
-            inner_counts.append(rp.iterations)
-            psi_new, val2 = measures(ct, st)
-            if slid(val2):
-                stalled = True
-                break
-            y = psi_new - psi
-            b += np.outer(y - b @ dp, dp) / float(dp @ dp)
-            p = p + dp
-            psi = psi_new
-            cctx, state = ct, st
-            if val2 < best_val:
-                best_val, best_ctx, best_state = val2, cctx, state
+        denom = psi - psi_prev
+        if denom == 0.0 or p == p_prev:
+            stalled = not done(psi, val)
+            break
+        step = -psi * (p - p_prev) / denom
+        if abs(step) <= step_tol * max(1.0, p) and done(psi, val):
+            break
+        step = float(np.clip(step, -0.5 * p, 0.5 * p))
+        p_prev, psi_prev = p, psi
+        p = max(P_MIN, p + step)
     else:
         stalled = True
 
-    if stalled and n == 1:
+    if stalled:
         # Energy along p1 is unimodal, so a bracket scan around the best
         # accepted point always lands.
         def en(p1):
             try:
-                c, st, rp = inner(np.array([p1]), best_state.x)
+                c, st, rp = inner(p1, best_state.x)
             except SolveFailure:
                 return math.inf
             if not rp.converged:
@@ -642,7 +604,7 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
             return functional_value(st, c.mat, c.rule, c.tables)
 
         p_mid = best_ctx.spec.p[0]
-        p = np.array([_golden_min(en, max(P_MIN, p_mid / 3.0), 3.0 * p_mid)])
+        p = _golden_min(en, max(P_MIN, p_mid / 3.0), 3.0 * p_mid)
         cctx, state, rep = inner(p, best_state.x)
         if not rep.converged:
             raise SolveFailure("p search could not recover")
@@ -650,8 +612,6 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
         psi, val = measures(cctx, state)
         if slid(val):
             cctx, state = best_ctx, best_state
-    elif stalled:
-        raise SolveFailure("parameter search stalled")
 
     _, rep = newton_solve(state.x, cctx)
     rep.final_p = cctx.spec.p
@@ -705,13 +665,12 @@ def _solve_fixed_basis(mat: MaterialParams, load: LoadParams, family: str,
 
 
 def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
-                   n_p: int = 1, p=None, quad: int | None = None,
-                   probe: float | None = None):
+                   p=None, quad: int | None = None, probe: float | None = None):
     """One-call driver: pick rule, build guess, solve, tune p if steep.
 
     Returns (state, report).  For the steep family without fixed p the
     starting steepness comes from a polynomial predictor solve at the same
-    load; optimization then zeroes the energy gradient in p.  The report of
+    load; optimization then zeroes the energy gradient in p1.  The report of
     a converged solve at nonzero load carries the equilibrium defect of the
     returned state: its grid maximum `delta_max` and, if a probe point is
     given, `delta_at` there.
@@ -724,7 +683,7 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
         except SolveFailure:
             prev = None
         p1 = init_p1(prev, mat, load)
-        spec = BasisSpec("adaptive", m, (p1,) + (0.0,) * (n_p - 1))
+        spec = BasisSpec("adaptive", m, (p1,))
         ctx = SolveContext(mat, load, spec, auto_rule(family, p1, quad))
         state, rep = optimize_basis(ctx)
     if rep.converged and load.c != 0.0:

@@ -6,6 +6,7 @@ and then asserts, so a red run still prints the full scorecard.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -15,14 +16,13 @@ from ritzmem.assembly import functional_value, jacobian, residual
 from ritzmem.basis import (
     BasisSpec,
     SolutionState,
-    bessel_i0_i1,
+    _rho_scaled,
+    eval_generators,
     eval_shape,
-    eval_u,
-    eval_v,
 )
 from ritzmem.kinematics import LoadParams, stretches
 from ritzmem.material import MaterialParams, principal_stresses
-from ritzmem.quadrature import gauss_rule, integrate
+from ritzmem.quadrature import gauss_rule
 from ritzmem.solver import delta_diagnostic, solve_membrane
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
@@ -42,6 +42,11 @@ GAS_TABLE = {
 VAL_TOL = 5e-4
 DERIV_TOL = 5e-3
 ORDER = np.sqrt(10.0)
+
+
+def _i0_series(x, terms=60):
+    """Ascending series sum_k (x/2)^(2k) / (k!)^2 of I0."""
+    return sum((x / 2.0) ** (2 * k) / math.factorial(k) ** 2 for k in range(terms))
 
 
 def record(log, num, name, ok, detail):
@@ -69,8 +74,7 @@ def gas_ladder():
 @pytest.fixture(scope="module")
 def liquid_case():
     t0 = time.perf_counter()
-    state, report = solve_membrane(LIQ, LIQ_LOAD, "adaptive", 6, n_p=1,
-                                   probe=0.9)
+    state, report = solve_membrane(LIQ, LIQ_LOAD, "adaptive", 6, probe=0.9)
     elapsed = time.perf_counter() - t0
     assert report.converged
     return state, report, elapsed
@@ -235,8 +239,7 @@ def test_criterion_7_structural_invariants(acceptance_log):
     worst_shape = 0.0
     ends = np.array([0.0, 1.0])
     for spec in specs:
-        u, du, _ = eval_u(spec, ends)
-        v, dv, _ = eval_v(spec, ends)
+        u, du, _, v, dv, _ = eval_generators(spec, ends)
         worst_basis = max(worst_basis,
                           np.max(np.abs(u[:, 1])), np.max(np.abs(du[:, 0])),
                           np.max(np.abs(v[:, 0])), np.max(np.abs(v[:, 1])))
@@ -255,13 +258,17 @@ def test_criterion_7_structural_invariants(acceptance_log):
         for mat in (GAS, LIQ)
         for t in principal_stresses(1.0, 1.0, mat))
 
+    # the scaled profile rho = I0(p1 s)/I0(p1) the steep family is built on:
+    # its value against the ascending series of I0, its s-derivative
+    # against central differences
     h = 1e-6
     bessel_dev = 0.0
-    for x in (0.5, 5.0, 50.0):
-        i0m, i1m = bessel_i0_i1(x - h)
-        i0p, _ = bessel_i0_i1(x + h)
-        _, i1 = bessel_i0_i1(x)
-        bessel_dev = max(bessel_dev, abs((i0p - i0m) / (2 * h) - i1) / i1)
+    for p1 in (0.5, 5.0, 50.0):
+        for s in (0.3, 0.7, 0.95):
+            rho, drho, _ = _rho_scaled(np.array([s - h, s, s + h]), (p1,))
+            want = _i0_series(p1 * s) / _i0_series(p1)
+            bessel_dev = max(bessel_dev, abs(rho[1] - want) / want,
+                             abs((rho[2] - rho[0]) / (2 * h) - drho[1]) / drho[1])
     bessel_ok = bessel_dev <= 1e-8
 
     quad_dev = 0.0
@@ -269,7 +276,7 @@ def test_criterion_7_structural_invariants(acceptance_log):
         rule = gauss_rule(n)
         for k in range(2 * n):
             exact = 1.0 / (k + 1)
-            got = integrate(lambda s: s**k, rule)
+            got = float(rule.weights @ rule.nodes**k)
             quad_dev = max(quad_dev, abs(got - exact) / exact)
     quad_ok = quad_dev <= 1e-13
 

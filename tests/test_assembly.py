@@ -211,8 +211,7 @@ def test_p_gradient_matches_fd_without_weight_term(liquid_m6):
 
 
 def test_p_gradient_small_at_optimized_parameters():
-    state, report = solve_membrane(LIQ, LoadParams(0.5, 10.0), "adaptive", 6,
-                                   n_p=1)
+    state, report = solve_membrane(LIQ, LoadParams(0.5, 10.0), "adaptive", 6)
     assert report.converged
     rule = auto_rule("adaptive", state.spec.p[0])
     psi = p_gradient(state, LIQ, rule)

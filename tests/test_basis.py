@@ -1,4 +1,4 @@
-"""Coordinate-function families, Bessel profile, trial-shape evaluation."""
+"""Coordinate-function families, scaled Bessel profile, trial-shape evaluation."""
 
 from __future__ import annotations
 
@@ -11,11 +11,10 @@ from ritzmem.basis import (
     P_MIN,
     BasisSpec,
     SolutionState,
-    bessel_i0_i1,
+    _rho_p_derivs,
+    _rho_scaled,
+    eval_generators,
     eval_shape,
-    eval_u,
-    eval_v,
-    phi,
     shape_p_derivs,
 )
 from ritzmem.kinematics import LoadParams
@@ -32,57 +31,68 @@ def _i0_series(x, terms=30):
     return total
 
 
+def _rho(s, p1):
+    """Scaled profile I0(p1 s)/I0(p1) and its two s-derivatives at one s."""
+    return [float(part[0]) for part in _rho_scaled(np.array([s]), (p1,))]
+
+
 def test_bessel_at_zero():
-    i0, i1 = bessel_i0_i1(0.0)
-    assert i0 == 1.0 and i1 == 0.0
+    # y = 0 at the pole: I0'(0) = 0 and I0''(0) = 1/2, so rho'(0) = 0 and
+    # rho''(0) = p1^2 / (2 I0(p1)) through the small-argument limit of I1/y
+    _, drho, d2rho = _rho(0.0, 3.0)
+    assert drho == 0.0
+    assert d2rho == pytest.approx(4.5 / _i0_series(3.0), rel=1e-14)
 
 
 def test_bessel_against_series_oracle():
-    i0, _ = bessel_i0_i1(1.0)
-    assert i0 == pytest.approx(1.2660658777520084, rel=1e-14)
-    assert i0 == pytest.approx(_i0_series(1.0), rel=1e-14)
-    for x in (0.3, 2.5, 7.0):
-        i0x, _ = bessel_i0_i1(x)
-        assert i0x == pytest.approx(_i0_series(x), rel=1e-12)
+    assert _rho(0.5, 2.0)[0] * _i0_series(2.0) == pytest.approx(
+        1.2660658777520084, rel=1e-14)
+    for s, p1 in ((0.3, 1.0), (0.5, 5.0), (0.8, 3.0), (0.5, 14.0)):
+        want = _i0_series(p1 * s) / _i0_series(p1)
+        assert _rho(s, p1)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_bessel_derivative_identities():
+    # rho' and rho'' against central differences of the scaled profile
     h = 1e-6
-    for x in (0.5, 5.0, 50.0):
-        i0m, i1m = bessel_i0_i1(x - h)
-        i0p, i1p = bessel_i0_i1(x + h)
-        i0, i1 = bessel_i0_i1(x)
-        assert (i0p - i0m) / (2 * h) == pytest.approx(i1, rel=1e-8)
-        assert (i1p - i1m) / (2 * h) == pytest.approx(i0 - i1 / x, rel=1e-8)
+    for p1 in (0.5, 5.0, 50.0):
+        for s in (0.3, 0.7, 0.95):
+            lo, mid, hi = _rho(s - h, p1), _rho(s, p1), _rho(s + h, p1)
+            assert (hi[0] - lo[0]) / (2 * h) == pytest.approx(mid[1], rel=1e-8)
+            assert (hi[1] - lo[1]) / (2 * h) == pytest.approx(mid[2], rel=1e-8)
 
 
 def test_bessel_rejects_negative():
+    # the profile is only ever built from a validated spec
     with pytest.raises(ValueError):
-        bessel_i0_i1(-1.0)
+        BasisSpec("adaptive", 3, (-1.0,))
 
 
 def test_phi_at_the_pole():
-    val, dval, _, _, _ = phi(np.array([0.0]), (3.0,))
-    assert val[0] == 1.0
-    assert dval[0] == 0.0
+    rho, drho, _ = _rho(0.0, 3.0)
+    assert rho == pytest.approx(1.0 / _i0_series(3.0), rel=1e-14)
+    assert drho == 0.0
 
 
 def test_phi_direct_value():
-    val, _, _, _, _ = phi(np.array([0.5]), (2.0,))
-    assert val[0] == pytest.approx(_i0_series(1.0), rel=1e-12)
+    rho, _, _ = _rho(0.5, 2.0)
+    assert rho == pytest.approx(_i0_series(1.0) / _i0_series(2.0), rel=1e-12)
+    assert _rho(1.0, 2.0)[0] == 1.0
 
 
 def test_phi_parameter_derivative_fd():
     h = 1e-6
-    vp, _, _, dp, _ = phi(np.array([0.7]), (3.0,))
-    vm, _, _, _, _ = phi(np.array([0.7]), (3.0 - h,))
-    vq, _, _, _, _ = phi(np.array([0.7]), (3.0 + h,))
-    assert dp[0, 0] == pytest.approx((vq[0] - vm[0]) / (2 * h), rel=1e-6)
+    s = np.array([0.7])
+    drho_dp, ddrho_dp = _rho_p_derivs(s, (3.0,))
+    up = _rho_scaled(s, (3.0 + h,))
+    dn = _rho_scaled(s, (3.0 - h,))
+    assert drho_dp[0, 0] == pytest.approx((up[0][0] - dn[0][0]) / (2 * h), rel=1e-6)
+    assert ddrho_dp[0, 0] == pytest.approx((up[1][0] - dn[1][0]) / (2 * h), rel=1e-6)
 
 
 def test_polynomial_first_functions():
     spec = BasisSpec("polynomial", 3)
-    u, du, _ = eval_u(spec, np.array([0.0, 0.5]))
+    u, du, _, _, _, _ = eval_generators(spec, np.array([0.0, 0.5]))
     assert u[0, 1] == pytest.approx(-0.75)
     assert du[0, 0] == 0.0
 
@@ -90,15 +100,14 @@ def test_polynomial_first_functions():
 def test_steep_family_boundary_values():
     for p1 in (0.5, 2.0, 10.0):
         spec = BasisSpec("adaptive", 2, (p1,))
-        u, du, _ = eval_u(spec, np.array([0.0, 1.0]))
-        v, _, _ = eval_v(spec, np.array([0.0, 1.0]))
+        u, du, _, v, _, _ = eval_generators(spec, np.array([0.0, 1.0]))
         assert abs(u[0, 1]) <= 1e-12 and abs(u[1, 1]) <= 1e-12
         assert du[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert v[0, 0] == 0.0
         # FD check on the analytic u1'(0)
         h = 1e-7
-        uh, _, _ = eval_u(spec, np.array([h]))
-        u0, _, _ = eval_u(spec, np.array([0.0]))
+        uh = eval_generators(spec, np.array([h]))[0]
+        u0 = eval_generators(spec, np.array([0.0]))[0]
         assert (uh[0, 0] - u0[0, 0]) / h == pytest.approx(0.0, abs=1e-5)
 
 
@@ -190,8 +199,7 @@ def test_boundary_conditions_both_families():
     specs += [BasisSpec("adaptive", m, (p1,))
               for m in (1, 4, 8, 12) for p1 in (0.1, 1.0, 10.0, 100.0)]
     for spec in specs:
-        u, du, _ = eval_u(spec, ends)
-        v, _, _ = eval_v(spec, ends)
+        u, du, _, v, _, _ = eval_generators(spec, ends)
         assert np.max(np.abs(u[:, 1])) <= 1e-12
         assert np.max(np.abs(du[:, 0])) <= 1e-12
         assert np.max(np.abs(v[:, 0])) <= 1e-12
@@ -202,7 +210,7 @@ def test_steep_family_degenerates_as_p_vanishes():
     # u1 = 1 - I0(p1 s)/I0(p1) -> 0 like p1^2 (1 - s^2)/4
     s = np.linspace(0.0, 1.0, 50)
     for p1 in (1e-2, 1e-3):
-        u, _, _ = eval_u(BasisSpec("adaptive", 1, (p1,)), s)
+        u = eval_generators(BasisSpec("adaptive", 1, (p1,)), s)[0]
         assert np.max(np.abs(u[0])) <= p1 * p1 / 3.0
 
 
@@ -213,7 +221,7 @@ def test_gram_condition_on_operating_parameters():
     pairs = [(1, 10.8), (2, 17.6), (3, 17.1), (4, 17.6), (5, 16.8), (6, 17.1)]
     grid = gauss_rule(64).nodes
     for m, p1 in pairs:
-        u, _, _ = eval_u(BasisSpec("adaptive", m, (p1,)), grid)
+        u = eval_generators(BasisSpec("adaptive", m, (p1,)), grid)[0]
         gram = (u @ u.T) / grid.size
         assert np.linalg.cond(gram) < 1e12
 
@@ -222,9 +230,7 @@ def test_polynomial_parity():
     # z-basis even, r-basis odd
     spec = BasisSpec("polynomial", 6)
     s = np.linspace(0.1, 0.9, 7)
-    up, _, _ = eval_u(spec, s)
-    um, _, _ = eval_u(spec, -s)
-    vp, _, _ = eval_v(spec, s)
-    vm, _, _ = eval_v(spec, -s)
+    up, _, _, vp, _, _ = eval_generators(spec, s)
+    um, _, _, vm, _, _ = eval_generators(spec, -s)
     assert np.allclose(up, um, rtol=1e-14)
     assert np.allclose(vp, -vm, rtol=1e-14)

@@ -8,8 +8,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ritzmem.cli import ConfigError, build_config, load_config, main, scale_inputs
+from ritzmem.cli import (
+    ConfigError,
+    RunConfig,
+    build_config,
+    load_config,
+    main,
+    scale_inputs,
+)
 
 GAS_KV = """\
 # circular membrane under gas pressure
@@ -63,7 +72,7 @@ def test_config_json_format(tmp_path):
     assert cfg.mat.gamma1 == 0.1
     assert cfg.c == 0.5 and cfg.d == 10.0
     assert cfg.family == "adaptive"
-    assert cfg.n_p == 1
+    assert cfg.m == 6 and cfg.p is None
 
 
 def test_config_rejects_unknown_key():
@@ -79,6 +88,43 @@ def test_config_rejects_bad_probe():
 def test_config_rejects_negative_d():
     with pytest.raises(ConfigError, match="d must"):
         build_config({"c": 1.0, "d": -1.0})
+
+
+def test_config_searches_one_parameter_only():
+    # n = 1 is what the search tunes; fixed p may still carry several values
+    assert build_config({"n": 1}).p is None
+    for n in (0, 2, 3):
+        with pytest.raises(ConfigError, match="n must be 1"):
+            build_config({"n": n})
+    assert build_config({"p": "17.1, 0.5"}).p == (17.1, 0.5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p", "abc"), ("probes", "0.2 x"), ("p", [17.1, None]), ("probes", [[0.2]]),
+])
+def test_config_rejects_non_numeric_lists(key, value):
+    with pytest.raises(ConfigError, match=key):
+        build_config({"c": 1.0, key: value})
+
+
+CONFIG_KEYS = (
+    "gamma1", "gamma2", "gamma3", "c", "d", "c_start", "c_end", "c_step",
+    "r0", "h0", "c1", "rho_g", "p_star", "p_ref", "m", "m_min", "m_max", "n",
+    "family", "p", "probes", "out", "quad",
+)
+SCALARS = st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=12))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS),
+                       st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
+                       max_size=6))
+def test_build_config_returns_config_or_config_error(raw):
+    try:
+        cfg = build_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_solve_gas_profile(tmp_path):
@@ -143,6 +189,23 @@ def test_exit_code_2_on_config_errors(tmp_path):
                  "--out", str(tmp_path / "c")]) == 2
     steep_d0 = write_cfg(tmp_path, "c = 1.0\nfamily = adaptive\n", "sd0.cfg")
     assert main(["solve", "--config", steep_d0, "--out", str(tmp_path / "d")]) == 2
+
+
+@pytest.mark.parametrize("verb, extra, flags", [
+    ("solve", "", ["--quad", "0"]),
+    ("solve", "quad = 0", []),
+    ("solve", "n = 2", []),
+    ("solve", "p = abc", []),
+    ("solve", "probes = 0.2 x", []),
+    ("converge", "m_min = -1", []),
+    ("converge", "m_min = 0", []),
+    ("converge", "m_max = 0", []),
+])
+def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
+    cfg = write_cfg(tmp_path, GAS_KV + extra + "\n")
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)] + flags) == 2
+    assert not out.exists()
 
 
 def test_exit_code_3_still_writes_report(tmp_path):

@@ -1,18 +1,20 @@
-"""Shape-to-physics conversions: stretches, curvatures, load, normal angle."""
+"""Shape-to-physics conversions: stretches, curvatures, load."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from ritzmem.basis import BasisSpec, eval_generators
 from ritzmem.kinematics import (
     LoadParams,
     ShapeEval,
     curvatures,
     hydro_load,
-    normal_angle,
     stretches,
 )
+from ritzmem.material import MaterialParams
+from ritzmem.solver import init_p1
 
 
 def test_load_params_reject_negative_d():
@@ -21,9 +23,17 @@ def test_load_params_reject_negative_d():
 
 
 def test_boundary_layer_width():
-    assert LoadParams(0.5, 10.0).mu == pytest.approx(0.1)
+    # The steep family starts at p1 = sqrt(d), the inverse layer width of
+    # the linearised problem: one width in from the rim the profile
+    # 1 - u_1 = I0(p1 s)/I0(p1) has fallen by about 1/e.
+    for d in (10.0, 100.0, 1000.0):
+        p1 = init_p1(None, MaterialParams(), LoadParams(0.5, d))
+        assert p1 == pytest.approx(np.sqrt(d), rel=1e-15)
+        u = eval_generators(BasisSpec("adaptive", 1, (p1,)),
+                            np.array([1.0 - 1.0 / p1]))[0]
+        assert 0.3 <= 1.0 - u[0, 0] <= 0.5
     with pytest.raises(ValueError):
-        LoadParams(0.5, 0.0).mu
+        init_p1(None, MaterialParams(), LoadParams(0.5, 0.0))
 
 
 def test_stretches_undeformed():
@@ -128,16 +138,3 @@ def test_hydro_load_values():
     z = np.array([-2.0, 0.3, 11.0])
     assert np.allclose(hydro_load(z, 0.9, 0.0), 0.9)
 
-
-def test_normal_angle_values():
-    assert normal_angle(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert np.cos(normal_angle(-1.0, 1.0)) == pytest.approx(1.0 / np.sqrt(2.0),
-                                                            rel=1e-15)
-
-
-def test_normal_angle_trig_identity():
-    rng = np.random.default_rng(13)
-    dz = rng.uniform(-2.0, 2.0, 50)
-    dr = rng.uniform(0.2, 2.0, 50)
-    a = normal_angle(dz, dr)
-    assert np.allclose(np.cos(a) ** 2 + np.sin(a) ** 2, 1.0, rtol=1e-14)

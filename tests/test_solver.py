@@ -228,6 +228,18 @@ def test_optimize_liquid_case_m1():
     assert 4e-1 / 3 <= report.delta_at <= 4e-1 * 3
 
 
+def test_optimize_tunes_one_parameter_fixed_p_may_carry_more():
+    # the search moves p1 only; a fixed multi-parameter profile still solves
+    load = LoadParams(0.5, 10.0)
+    spec = BasisSpec("adaptive", 6, (17.1, 0.5))
+    ctx = SolveContext(LIQ, load, spec, auto_rule("adaptive", 17.1))
+    with pytest.raises(ValueError, match="one steepness parameter"):
+        optimize_basis(ctx)
+    state, report = solve_membrane(LIQ, load, "adaptive", 6, p=(17.1, 0.5))
+    assert report.converged and report.final_p == (17.1, 0.5)
+    assert report.delta_max < 1e-2
+
+
 def test_optimize_warm_start_iteration_counts(liquid_m6):
     inner = liquid_m6[1].inner_iterations
     assert inner is not None and len(inner) >= 2
