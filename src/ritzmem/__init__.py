@@ -44,5 +44,23 @@ from .solver import (
     solve_membrane,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # assembly
+    "functional_value", "jacobian", "node_terms", "p_gradient", "residual",
+    # basis
+    "BasisSpec", "SolutionState", "eval_generators", "eval_shape",
+    "shape_p_derivs",
+    # kinematics
+    "LoadParams", "ShapeEval", "curvatures", "hydro_load", "stretches",
+    # material
+    "MaterialParams", "energy", "energy_derivs", "principal_stresses",
+    "stiffness_derivs", "stiffness_scalar", "tension_terms",
+    # quadrature
+    "QuadratureRule", "auto_rule", "gauss_rule", "two_panel_rule",
+    # solver
+    "ContinuationPoint", "SolveContext", "SolveFailure", "SolveReport",
+    "StepPolicy", "continue_in_load", "delta_diagnostic", "equilibrium_defect",
+    "init_p1", "initial_guess", "newton_solve", "optimize_basis",
+    "solve_at_sag", "solve_membrane",
+]
 __version__ = "0.1.0"

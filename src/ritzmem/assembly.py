@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BasisTables, SolutionState, shape_p_derivs
 from .kinematics import hydro_load
-from .material import MaterialParams, energy, stiffness_scalar, tension_terms
+from .material import MaterialParams, energy, tension_terms
 
 
 def _nodal(state: SolutionState, tables: BasisTables):
@@ -180,11 +180,10 @@ def p_gradient(state: SolutionState, mat: MaterialParams, rule,
     replaced by the parameter derivatives of the trial shape.  At a
     converged state this is also the total derivative of the energy along
     the optimized family, which is what the outer parameter search zeroes.
+    The tension coefficients come from `node_terms`, as for the residual.
     """
-    t = _tables(state, rule, tables)
-    z, r, dz, dr, l1, l2, q = _nodal(state, t)
-    su12 = stiffness_scalar(l1, l2, mat)
-    su21 = stiffness_scalar(l2, l1, mat)
+    t, z, r, dz, dr, l1, l2, q, su12, su21, _, _, _ = _terms(
+        state, mat, rule, tables, None)
     dz_dp, dr_dp, dzp_dp, drp_dp = shape_p_derivs(state, t.s)
     w, s = t.w, t.s
     ws = w * s

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +39,9 @@ from .solver import (
 )
 
 PROFILE_POINTS = 201
+# Largest basis size a config may ask for; the tables grow with m times
+# the node count, so an unbounded m only ends in an allocation failure.
+MAX_M = 64
 
 
 class ConfigError(ValueError):
@@ -103,13 +107,21 @@ def load_config(path: str | Path) -> dict:
     return _parse_kv(text)
 
 
+def _finite(key: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value}")
+    return value
+
+
 def _as_floats(key: str, value) -> tuple:
     try:
         if isinstance(value, (list, tuple)):
-            return tuple(float(v) for v in value)
-        return tuple(float(v) for v in str(value).replace(",", " ").split())
+            values = tuple(float(v) for v in value)
+        else:
+            values = tuple(float(v) for v in str(value).replace(",", " ").split())
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return tuple(_finite(key, v) for v in values)
 
 
 def build_config(raw: dict) -> RunConfig:
@@ -131,6 +143,8 @@ def build_config(raw: dict) -> RunConfig:
                 vals[key] = value
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
+        if key in _FLOAT_KEYS:
+            _finite(key, vals[key])
 
     cfg.mat = MaterialParams(
         gamma1=vals.get("gamma1", 0.0),
@@ -144,14 +158,12 @@ def build_config(raw: dict) -> RunConfig:
     cfg.family = str(vals.get("family", "polynomial")).lower()
     if cfg.family not in FAMILIES:
         raise ConfigError(f"family must be one of {FAMILIES}")
+    for key in ("m", "m_min", "m_max"):
+        if not 1 <= vals.get(key, 1) <= MAX_M:
+            raise ConfigError(f"{key} must be in [1, {MAX_M}]")
     cfg.m = vals.get("m", 6)
-    if cfg.m < 1:
-        raise ConfigError("m must be >= 1")
     cfg.m_min = vals.get("m_min")
     cfg.m_max = vals.get("m_max")
-    for key in ("m_min", "m_max"):
-        if vals.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be >= 1")
     # only one steepness parameter is searched; fixed p may carry more
     if vals.get("n", 1) != 1:
         raise ConfigError("n must be 1")

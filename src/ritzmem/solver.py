@@ -5,7 +5,8 @@ the analytic tangent matrix.  Load sweeps walk the load parameter c with a
 secant predictor; when a fold makes c-stepping unreliable (slow Newton or
 near-singular tangent), the driver switches to prescribing the pole sag f
 and treating c as an unknown in a bordered system, which passes through
-limit points without drama.
+limit points without drama.  Both solves, at fixed c (`newton_solve`) and
+at prescribed f (`solve_at_sag`), run the one Newton loop `_newton`.
 
 For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
@@ -13,11 +14,11 @@ is unimodal in p1, so a golden-section scan backstops the secant.
 
 Each Newton iterate evaluates the nodal shape and the material once
 (`assembly.node_terms`); the residual, the tangent and dg/dc all read that
-one evaluation.  `newton_solve` reports the tangent's condition number
-`cond` of every converged solve, which the continuation reads to switch
-parametrization.  The equilibrium defect `delta` is a diagnostic of the
-answer only: `solve_membrane` evaluates it once, on the state it returns,
-and no inner or continuation solve computes it.
+one evaluation.  Diagnostics run only where they are read: the load
+continuation computes the tangent's condition number of an accepted state
+when the Newton iteration count alone does not already switch it to sag
+parametrization, and `solve_membrane` evaluates the equilibrium defect
+`delta` once, on the state it returns.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class SolveReport:
     delta_max: float | None = None
     delta_at: float | None = None
     final_p: tuple | None = None
-    cond: float | None = None
     inner_iterations: list | None = None
     message: str = ""
 
@@ -130,17 +130,20 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
     return at_probes, float(np.max(equilibrium_defect(state, mat, grid)))
 
 
-def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
-                 max_iter: int = 25):
-    """Plain Newton iteration on the assembled system.
+def _newton(ctx: SolveContext, x0, tol: float, max_iter: int,
+            f_target: float | None = None):
+    """Newton iteration on g(x; c) = 0 at the load of `ctx`.
 
-    Stops on the max-norm of the residual.  Divergence (three consecutive
-    residual increases) and non-finite iterates abort with converged=False;
-    callers decide whether that is fatal.  A converged report carries the
-    condition number of the tangent at the solution; the equilibrium defect
-    is left to `solve_membrane`.
+    With `f_target` the load c is an unknown too: the system is bordered by
+    the sag row e.x - f = 0 and the column dg/dc, starting from c of `ctx`.
+    Stops on the max-norm of the (bordered) residual.  Divergence (three
+    consecutive residual increases) and non-finite iterates abort with
+    converged=False; callers decide whether that is fatal.
     """
     x = np.array(x0, dtype=float)
+    n = x.size
+    if f_target is not None:
+        e = np.concatenate([ctx.tables.u0, np.zeros(ctx.spec.m)])
     hist: list[float] = []
     converged = False
     message = ""
@@ -150,6 +153,8 @@ def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
         state = ctx.state(x)
         terms = node_terms(state, ctx.mat, ctx.tables)
         g = residual(state, ctx.mat, ctx.rule, ctx.tables, terms)
+        if f_target is not None:
+            g = np.concatenate([g, [float(e @ x) - f_target]])
         gn = float(np.max(np.abs(g))) if np.all(np.isfinite(g)) else math.inf
         hist.append(gn)
         if not math.isfinite(gn):
@@ -169,18 +174,22 @@ def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
             message = "max_iter exceeded"
             break
         h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
+        if f_target is not None:
+            gc = load_derivative(state, ctx.mat, ctx.rule, ctx.tables, terms)
+            h = np.block([[h, gc[:, None]], [e, 0.0]])
         try:
-            dx = np.linalg.solve(h, g)
+            step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
             message = "singular tangent matrix"
             break
-        x = x - dx
+        x = x - step[:n]
+        if f_target is not None:
+            ctx = ctx.with_load(ctx.load.c - float(step[-1]))
         steps += 1
-        if not np.all(np.isfinite(x)):
+        if not (np.all(np.isfinite(x)) and math.isfinite(ctx.load.c)):
             message = "iterate not finite"
             break
 
-    state = ctx.state(x)
     report = SolveReport(
         converged=converged,
         iterations=steps,
@@ -188,12 +197,17 @@ def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
         final_p=ctx.spec.p if ctx.spec.family == "adaptive" else None,
         message=message,
     )
-    if converged:
-        # the last residual was evaluated at the returned x, so its terms
-        # are the solution's
-        h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
-        report.cond = float(np.linalg.cond(h))
-    return state, report
+    return ctx.state(x), report
+
+
+def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
+                 max_iter: int = 25):
+    """Plain Newton iteration at the fixed load of `ctx`.
+
+    Returns (state, report); the equilibrium defect is left to
+    `solve_membrane`.
+    """
+    return _newton(ctx, x0, tol, max_iter)
 
 
 def initial_guess(ctx: SolveContext, tol: float = 1e-10) -> np.ndarray:
@@ -241,85 +255,39 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float,
                  tol: float = 1e-10, max_iter: int = 25):
     """Equilibrium with prescribed pole sag; the load c is an unknown.
 
-    Newton on the bordered system {g(x; c) = 0, z(0) - f = 0}.  The
-    bordered matrix stays regular at limit points of the load, so this is
-    the fold-crossing workhorse.  Returns (state, c, report).
+    Newton on the bordered system {g(x; c) = 0, z(0) - f = 0}, starting
+    from (x0, c0).  The bordered matrix stays regular at limit points of
+    the load, so this is the fold-crossing workhorse.  Returns
+    (state, c, report).
     """
-    m = ctx.spec.m
-    e = np.concatenate([ctx.tables.u0, np.zeros(m)])
-    x = np.array(x0, dtype=float)
-    c = float(c0)
-    hist: list[float] = []
-    converged = False
-    message = ""
-    steps = 0
-    while True:
-        cctx = ctx.with_load(c)
-        state = cctx.state(x)
-        terms = node_terms(state, ctx.mat, ctx.tables)
-        g = residual(state, ctx.mat, ctx.rule, ctx.tables, terms)
-        big_g = np.concatenate([g, [float(e @ x) - f_target]])
-        gn = float(np.max(np.abs(big_g))) if np.all(np.isfinite(big_g)) else math.inf
-        hist.append(gn)
-        if not math.isfinite(gn):
-            message = "residual not finite"
-            break
-        if gn <= tol:
-            converged = True
-            break
-        if steps >= max_iter:
-            message = "max_iter exceeded"
-            break
-        h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
-        gc = load_derivative(state, ctx.mat, ctx.rule, ctx.tables, terms)
-        big_h = np.zeros((2 * m + 1, 2 * m + 1))
-        big_h[:-1, :-1] = h
-        big_h[:-1, -1] = gc
-        big_h[-1, :-1] = e
-        try:
-            step = np.linalg.solve(big_h, big_g)
-        except np.linalg.LinAlgError:
-            message = "singular bordered matrix"
-            break
-        x = x - step[:-1]
-        c = c - float(step[-1])
-        steps += 1
-        if not (np.all(np.isfinite(x)) and math.isfinite(c)):
-            message = "iterate not finite"
-            break
+    state, report = _newton(ctx.with_load(float(c0)), x0, tol, max_iter,
+                            f_target)
+    return state, state.load.c, report
 
-    cctx = ctx.with_load(c)
-    state = cctx.state(x)
-    report = SolveReport(
-        converged=converged,
-        iterations=steps,
-        residual_history=hist,
-        final_p=ctx.spec.p if ctx.spec.family == "adaptive" else None,
-        message=message,
-    )
-    return state, c, report
+
+# Continuation step control.  The step halves on failure and grows by GROW
+# after EASY_STREAK solves of at most EASY_ITERS iterations, up to MAX_STEP.
+# More than SWITCH_ITERS iterations or a tangent condition number above
+# SWITCH_COND flips the driver into sag parametrization, which it keeps to
+# the end of the sweep; a load step below MIN_STEP does too, and a sag step
+# below it fails the sweep.  A sweep stops at MAX_POINTS points or past a
+# sag of MAX_SAG.
+MIN_STEP = 1e-6
+MAX_STEP = 0.25
+GROW = 2.0
+EASY_ITERS = 4
+EASY_STREAK = 3
+SWITCH_ITERS = 8
+SWITCH_COND = 1e10
+MAX_POINTS = 2000
+MAX_SAG = 8.0
 
 
 @dataclass
 class StepPolicy:
-    """Continuation step control.
-
-    The load step halves on failure and grows after `easy_streak` quick
-    solves.  Slow Newton or a near-singular tangent flips the driver into
-    sag parametrization, which it keeps to the end of the sweep.
-    """
+    """Continuation step control: the first load step."""
 
     initial: float = 0.05
-    min_step: float = 1e-6
-    max_step: float = 0.25
-    grow: float = 2.0
-    easy_iters: int = 4
-    easy_streak: int = 3
-    adaptive: bool = True
-    switch_iters: int = 8
-    switch_cond: float = 1e10
-    max_points: int = 2000
-    max_sag: float = 8.0
 
 
 def _hints(points: list[ContinuationPoint]) -> None:
@@ -334,6 +302,14 @@ def _hints(points: list[ContinuationPoint]) -> None:
             pt.stability_hint = 0
         else:
             pt.stability_hint = int(np.sign(dc / df))
+
+
+def _hard(ctx: SolveContext, state: SolutionState, rep: SolveReport) -> bool:
+    """Slow Newton, or a near-singular tangent at the accepted state."""
+    if rep.iterations > SWITCH_ITERS:
+        return True
+    h = jacobian(state, ctx.mat, ctx.rule, ctx.tables)
+    return float(np.linalg.cond(h)) > SWITCH_COND
 
 
 def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
@@ -356,13 +332,11 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
 
     dc = direction * policy.initial
     easy = 0
-    sag_mode = rep.iterations > policy.switch_iters or (
-        rep.cond is not None and rep.cond > policy.switch_cond
-    )
+    sag_mode = _hard(ctx, state, rep)
     df = None
 
     jumps = 0
-    while len(points) < policy.max_points:
+    while len(points) < MAX_POINTS:
         last = points[-1]
         if not sag_mode:
             if direction * (last.c_value - c_end) >= 0.0:
@@ -391,24 +365,17 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             if rep.converged and not jumped:
                 jumps = 0
                 points.append(ContinuationPoint(c_next, state.sag(), state.x.copy()))
-                hard = rep.iterations > policy.switch_iters or (
-                    rep.cond is not None and rep.cond > policy.switch_cond
-                )
-                if hard:
+                if _hard(ctx, state, rep):
                     sag_mode = True
-                elif policy.adaptive:
-                    easy = easy + 1 if rep.iterations <= policy.easy_iters else 0
-                    if easy >= policy.easy_streak and abs(dc) < policy.max_step:
-                        dc = direction * min(abs(dc) * policy.grow, policy.max_step)
+                else:
+                    easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
+                    if easy >= EASY_STREAK and abs(dc) < MAX_STEP:
+                        dc = direction * min(abs(dc) * GROW, MAX_STEP)
                         easy = 0
             else:
-                if not policy.adaptive:
-                    raise SolveFailure(
-                        f"continuation failed at c = {c_next} with fixed steps"
-                    )
                 jumps += jumped
                 dc *= 0.5
-                if jumps >= 2 or abs(dc) < policy.min_step:
+                if jumps >= 2 or abs(dc) < MIN_STEP:
                     sag_mode = True
                     jumps = 0
             continue
@@ -419,9 +386,7 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
                 df = points[-1].sag - points[-2].sag
             if df is None or df == 0.0:
                 df = 0.02 * math.copysign(1.0, points[-1].sag or direction)
-            df = math.copysign(
-                min(max(abs(df), policy.min_step), policy.max_step), df
-            )
+            df = math.copysign(min(max(abs(df), MIN_STEP), MAX_STEP), df)
         if len(points) >= 2:
             prev = points[-2]
             denom = last.sag - prev.sag
@@ -438,20 +403,19 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
         )
         if rep.converged and not jumped:
             points.append(ContinuationPoint(c_new, state.sag(), state.x.copy()))
-            if policy.adaptive:
-                easy = easy + 1 if rep.iterations <= policy.easy_iters else 0
-                if easy >= policy.easy_streak and abs(df) < policy.max_step:
-                    df *= policy.grow
-                    easy = 0
+            easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
+            if easy >= EASY_STREAK and abs(df) < MAX_STEP:
+                df *= GROW
+                easy = 0
             rising = c_new > points[-2].c_value
             if direction * (c_new - c_end) >= 0.0 and (direction < 0 or rising):
                 break
-            if abs(state.sag()) > policy.max_sag:
+            if abs(state.sag()) > MAX_SAG:
                 break
         else:
             df *= 0.5
             easy = 0
-            if abs(df) < policy.min_step:
+            if abs(df) < MIN_STEP:
                 raise SolveFailure(
                     f"sag continuation stalled near f = {last.sag + df}"
                 )

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ritzmem.cli import (
+    MAX_M,
     ConfigError,
     RunConfig,
     build_config,
@@ -125,6 +126,32 @@ def test_build_config_returns_config_or_config_error(raw):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+    numbers = [cfg.mat.gamma1, cfg.mat.gamma2, cfg.mat.gamma3, cfg.d,
+               *(v for v in (cfg.c, cfg.c_start, cfg.c_end, cfg.c_step)
+                 if v is not None),
+               *cfg.scale.values(), *(cfg.p or ()), *cfg.probes]
+    assert all(math.isfinite(v) for v in numbers)
+    for m in (cfg.m, cfg.m_min, cfg.m_max):
+        assert m is None or 1 <= m <= MAX_M
+
+
+@pytest.mark.parametrize("raw", [
+    # both sweeps never ended when the infinite step reached the driver
+    {"c_start": 0.1, "c_end": math.inf},
+    {"c_start": 0.1, "c_end": 3.0, "c_step": "inf"},
+    {"c": 1.0, "p": "17.1 nan"},
+    {"r0": "inf"},
+])
+def test_config_rejects_non_finite_numbers(raw):
+    with pytest.raises(ConfigError, match="must be finite"):
+        build_config(raw)
+
+
+def test_config_caps_basis_size():
+    assert build_config({"m": MAX_M, "m_min": 1, "m_max": MAX_M}).m == MAX_M
+    for key in ("m", "m_min", "m_max"):
+        with pytest.raises(ConfigError, match=f"{key} must be in"):
+            build_config({key: MAX_M + 1})
 
 
 def test_solve_gas_profile(tmp_path):
@@ -200,6 +227,13 @@ def test_exit_code_2_on_config_errors(tmp_path):
     ("converge", "m_min = -1", []),
     ("converge", "m_min = 0", []),
     ("converge", "m_max = 0", []),
+    ("solve", "c = nan", []),
+    ("solve", "c = inf", []),
+    ("solve", "d = inf", []),
+    ("solve", "gamma1 = nan", []),
+    ("solve", "p = inf", []),
+    ("solve", "m = 100000000", []),
+    ("converge", "m_max = 100000000", []),
 ])
 def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
     cfg = write_cfg(tmp_path, GAS_KV + extra + "\n")

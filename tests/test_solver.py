@@ -128,7 +128,7 @@ def test_sweep_reverse_path_independence():
     # match points by load value; both directions clamp their own endpoint,
     # so the raw lists are not exact mirrors
     ctx = gas_context(6)
-    policy = StepPolicy(initial=0.1, adaptive=False)
+    policy = StepPolicy(initial=0.1)
     fwd = continue_in_load(ctx, 0.2, 0.8, policy)
     back = continue_in_load(ctx, 0.8, 0.2, policy, x0=fwd[-1].x)
     fwd_by_c = {round(pt.c_value, 9): pt for pt in fwd}
@@ -166,9 +166,8 @@ def test_sweep_fold_structure():
     assert hint_flips == 2
     # whichever variable was stepped obeys its cap (the sag step may grow
     # once past the cap check before it bites)
-    policy = StepPolicy()
     stepped = np.minimum(np.abs(np.diff(c)), np.abs(np.diff(f)))
-    assert np.max(stepped) <= policy.max_step * policy.grow + 1e-12
+    assert np.max(stepped) <= solver.MAX_STEP * solver.GROW + 1e-12
 
 
 def test_solve_at_sag_matches_load_parametrization():
@@ -336,6 +335,37 @@ def test_defect_evaluated_once_per_returned_state(delta_calls, family, m, load,
     assert (report.delta_at, report.delta_max) == (float(at[0]), dmax)
 
 
+@pytest.fixture
+def cond_calls(monkeypatch):
+    calls = []
+    inner = np.linalg.cond
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mat, load, family", [
+    (GAS, LoadParams(1.7), "polynomial"),
+    (LIQ, LoadParams(0.5, 10.0), "adaptive"),
+])
+def test_solves_compute_no_condition_number(cond_calls, mat, load, family):
+    _, report = solve_membrane(mat, load, family, 6)
+    assert report.converged
+    assert cond_calls == []
+
+
+def test_continuation_conditions_only_undecided_accepted_states(cond_calls):
+    # the switch test reads cond only on accepted states that the iteration
+    # count leaves undecided: 13 of the 17 converged Newton solves here
+    points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
+    assert len(points) > 2
+    assert 0 < len(cond_calls) <= 13
+
+
 def test_continuation_evaluates_no_defect(delta_calls):
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
     assert len(points) > 2
@@ -355,3 +385,13 @@ def test_delta_decreases_with_basis_size():
 def test_hopeless_load_raises_with_context():
     with pytest.raises(SolveFailure, match="m = "):
         solve_membrane(GAS, LoadParams(60.0), "polynomial", 3)
+
+
+def test_package_exports_its_api_not_its_modules():
+    import types
+
+    import ritzmem
+
+    public = {name for name, obj in vars(ritzmem).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert sorted(ritzmem.__all__) == sorted(public)
