@@ -105,15 +105,10 @@ def residual(state: SolutionState, mat: MaterialParams, rule,
     """
     t, z, r, dz, dr, l1, l2, q, su12, su21, _, _, _ = _terms(
         state, mat, rule, tables, terms)
-    ws = t.w * t.s
+    ws = t.ws
     g_u = t.du @ (ws * su12 * dz) - t.u @ (ws * q * l2 * dr)
     g_v = t.dv @ (ws * su12 * dr) + t.v @ (t.w * su21 * l2 + ws * q * l2 * dz)
     return np.concatenate([g_u, g_v])
-
-
-def _sandwich(a, c, b):
-    """Row-weighted product A diag(c) B^T."""
-    return (a * c) @ b.T
 
 
 def jacobian(state: SolutionState, mat: MaterialParams, rule,
@@ -121,28 +116,35 @@ def jacobian(state: SolutionState, mat: MaterialParams, rule,
              terms: NodeTerms | None = None) -> np.ndarray:
     """Tangent matrix H = dg/dx, assembled symmetric.
 
-    Diagonal blocks are symmetric by construction; the coupling block is
-    built once and mirrored.  The v-v curvature coefficient uses the swap
-    identity dU/db(a,b) = (b/a) dU/db(b,a), so the mirrored matrix equals
-    the exact coefficient Jacobian of `residual` up to quadrature error.
+    Nine row-weighted products A diag(c) B^T, one batched matmul over the
+    generator pairs of `BasisTables.left` and `right_t`, summed block by
+    block.  Diagonal blocks are symmetric by construction; the coupling
+    block is built once and mirrored.  The v-v curvature coefficient uses
+    the swap identity dU/db(a,b) = (b/a) dU/db(b,a), so the mirrored matrix
+    equals the exact coefficient Jacobian of `residual` up to quadrature
+    error.
     """
     t, z, r, dz, dr, l1, l2, q, su12, su21, du1, du2, du1_swap = _terms(
         state, mat, rule, tables, terms)
     d = state.load.d
-    w, s = t.w, t.s
-    ws = w * s
-
-    h_uu = _sandwich(t.du, ws * (du1 * dz * dz / l1 + su12), t.du)
-    h_uu += _sandwich(t.u, ws * d * l2 * dr, t.u)
-
-    h_uv = _sandwich(t.du, ws * du1 * dz * dr / l1, t.dv)
-    h_uv += _sandwich(t.du, w * (du2 * dz + s * q * l2), t.v)
-    h_uv -= _sandwich(t.u, ws * d * l2 * dz, t.v)
-
-    h_vv = _sandwich(t.dv, ws * (du1 * dr * dr / l1 + su12), t.dv)
+    w, s, ws = t.w, t.s, t.ws
     mid = w * du2 * dr
-    h_vv += _sandwich(t.dv, mid, t.v) + _sandwich(t.v, mid, t.dv)
-    h_vv += _sandwich(t.v, w * (l2 * du1_swap + su21 + q * s * dz) / s, t.v)
+    # one weight row per generator pair (A, B), in the order of the tables
+    c = np.array([
+        ws * (du1 * dz * dz / l1 + su12),                # u'  u'
+        ws * d * l2 * dr,                                # u   u
+        ws * du1 * dz * dr / l1,                         # u'  v'
+        w * (du2 * dz + s * q * l2),                     # u'  v
+        ws * d * l2 * dz,                                # u   v
+        ws * (du1 * dr * dr / l1 + su12),                # v'  v'
+        mid,                                             # v'  v
+        mid,                                             # v   v'
+        w * (l2 * du1_swap + su21 + q * s * dz) / s,     # v   v
+    ])
+    p = (t.left * c[:, None, :]) @ t.right_t
+    h_uu = p[0] + p[1]
+    h_uv = p[2] + p[3] - p[4]
+    h_vv = p[5] + (p[6] + p[7]) + p[8]
 
     m = state.spec.m
     h = np.empty((2 * m, 2 * m))
@@ -166,7 +168,7 @@ def load_derivative(state: SolutionState, mat: MaterialParams, rule,
         z, r, dz, dr, l1, l2, q = _nodal(state, t)
     else:
         t, dz, dr, l2 = terms.tables, terms.dz, terms.dr, terms.l2
-    ws = t.w * t.s
+    ws = t.ws
     gc_u = -(t.u @ (ws * l2 * dr))
     gc_v = t.v @ (ws * l2 * dz)
     return np.concatenate([gc_u, gc_v])
@@ -185,8 +187,7 @@ def p_gradient(state: SolutionState, mat: MaterialParams, rule,
     t, z, r, dz, dr, l1, l2, q, su12, su21, _, _, _ = _terms(
         state, mat, rule, tables, None)
     dz_dp, dr_dp, dzp_dp, drp_dp = shape_p_derivs(state, t.s)
-    w, s = t.w, t.s
-    ws = w * s
+    w, s, ws = t.w, t.s, t.ws
     out = (
         dzp_dp @ (ws * su12 * dz)
         - dz_dp @ (ws * q * l2 * dr)

@@ -28,7 +28,7 @@ parameters never overflow (I0 alone overflows near y ~ 713).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import i0e, i1e
@@ -39,6 +39,11 @@ FAMILIES = ("polynomial", "adaptive")
 
 # Below this the first two steep generators become numerically parallel.
 P_MIN = 1e-3
+
+# Generator pairs (A, B) of the nine weighted products A diag(c) B^T that
+# the tangent assembles, as rows of the (u, u', v, v') stack.
+_LEFT = [1, 0, 1, 1, 0, 3, 3, 2, 2]
+_RIGHT = [1, 0, 3, 2, 2, 3, 2, 3, 2]
 
 
 def _i1e_over_x(x):
@@ -139,27 +144,25 @@ def _rho_p_derivs(s, p):
 
 
 def _poly_uv(spec: BasisSpec, s):
+    """Polynomial ladder from one table of the powers s**j, j = 0..2m+1.
+
+    Each power is formed once, by the same `s ** j` the per-k formulas
+    use, and every generator row is a fixed combination of two of them.
+    """
     s = np.asarray(s, dtype=float)
     m = spec.m
-    u = np.empty((m,) + s.shape)
-    du = np.empty_like(u)
-    d2u = np.empty_like(u)
-    v = np.empty_like(u)
-    dv = np.empty_like(u)
-    d2v = np.empty_like(u)
-    for k in range(1, m + 1):
-        i = k - 1
-        u[i] = s ** (2 * k) - s ** (2 * k - 2)
-        du[i] = 2 * k * s ** (2 * k - 1)
-        d2u[i] = 2 * k * (2 * k - 1) * s ** (2 * k - 2)
-        if k > 1:
-            du[i] -= (2 * k - 2) * s ** (2 * k - 3)
-            d2u[i] -= (2 * k - 2) * (2 * k - 3) * s ** (2 * k - 4)
-        v[i] = s ** (2 * k + 1) - s ** (2 * k - 1)
-        dv[i] = (2 * k + 1) * s ** (2 * k) - (2 * k - 1) * s ** (2 * k - 2)
-        d2v[i] = 2 * k * (2 * k + 1) * s ** (2 * k - 1)
-        if k > 1:
-            d2v[i] -= (2 * k - 2) * (2 * k - 1) * s ** (2 * k - 3)
+    pw = np.array([s ** j for j in range(2 * m + 2)])
+    k2 = np.arange(2, 2 * m + 1, 2).reshape((m,) + (1,) * s.ndim)  # 2k
+    even, odd = pw[0:2 * m + 1:2], pw[1:2 * m + 2:2]  # s**(2k-2), s**(2k-1)
+    u = even[1:] - even[:-1]
+    du = k2 * odd[:-1]
+    du[1:] -= (k2[1:] - 2) * odd[:m - 1]
+    d2u = k2 * (k2 - 1) * even[:-1]
+    d2u[1:] -= (k2[1:] - 2) * (k2[1:] - 3) * even[:m - 1]
+    v = odd[1:] - odd[:-1]
+    dv = (k2 + 1) * even[1:] - (k2 - 1) * even[:-1]
+    d2v = k2 * (k2 + 1) * odd[:-1]
+    d2v[1:] -= (k2[1:] - 2) * (k2[1:] - 1) * odd[:m - 1]
     return u, du, d2u, v, dv, d2v
 
 
@@ -286,7 +289,14 @@ class BasisTables:
 
     Assembly is a handful of weighted outer products against these tables,
     so they are built once per (spec, rule) pair and reused across Newton
-    iterations.
+    iterations.  The generators u, u', v, v' at the nodes s are (m, n)
+    rows of one stack, and `u0` holds the axial generators at the pole.
+    Derived on construction: the weights times the nodes `ws`, and the
+    tangent's nine generator pairs stacked as `left` (9, m, n) and
+    `right_t` (9, n, m, a transposed view).  Row k of every table is the
+    same for any basis size m >= k, in both families, so `head(k)` makes
+    the tables of the first k generators from slices of these, without
+    evaluating a generator.
     """
 
     s: np.ndarray
@@ -295,11 +305,27 @@ class BasisTables:
     du: np.ndarray
     v: np.ndarray
     dv: np.ndarray
-    u0: np.ndarray = field(default=None, repr=False)
+    u0: np.ndarray = field(repr=False)
+    ws: np.ndarray = field(init=False, repr=False)
+    left: np.ndarray = field(init=False, repr=False)
+    right_t: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        gen = np.array([self.u, self.du, self.v, self.dv])
+        self.u, self.du, self.v, self.dv = gen
+        self.ws = self.w * self.s
+        self.left = gen[_LEFT]
+        self.right_t = gen[_RIGHT].transpose(0, 2, 1)
 
     @classmethod
     def build(cls, spec: BasisSpec, rule) -> "BasisTables":
-        s = rule.nodes
-        u, du, _, v, dv, _ = eval_generators(spec, s)
-        u0 = eval_generators(spec, np.array(0.0))[0]
-        return cls(s=s, w=rule.weights, u=u, du=du, v=v, dv=dv, u0=u0)
+        # one generator pass over the nodes and the pole; the pole column
+        # is copied out so that dot products with it see contiguous data
+        u, du, _, v, dv, _ = eval_generators(spec, np.append(rule.nodes, 0.0))
+        return cls(s=rule.nodes, w=rule.weights, u=u[:, :-1], du=du[:, :-1],
+                   v=v[:, :-1], dv=dv[:, :-1], u0=u[:, -1].copy())
+
+    def head(self, k: int) -> "BasisTables":
+        """The tables of the first k generators."""
+        return replace(self, u=self.u[:k], du=self.du[:k], v=self.v[:k],
+                       dv=self.dv[:k], u0=self.u0[:k])

@@ -323,21 +323,26 @@ def run_convergence(cfg: RunConfig) -> int:
             shape = eval_shape(state, np.array(probe), second=True)
             cells = [_fmt(float(val)) for val in
                      (shape.z, shape.r, shape.dz, shape.dr, shape.d2z, shape.d2r)]
-            fh.write(f"{m}," + ",".join(cells) + f",{report.delta_at:.17e}\n")
+            delta = report.delta_at
+            if delta is None:  # zero load: the raw defect, as in profile.csv
+                delta = float(_defect_terms(state, cfg.mat, np.array(probe))[-1])
+            fh.write(f"{m}," + ",".join(cells) + f",{delta:.17e}\n")
     return 0 if any_ok else 3
 
 
 def run_sweep(cfg: RunConfig) -> int:
     if cfg.c_start is None or cfg.c_end is None:
         raise ConfigError("sweep needs c_start and c_end")
+    if cfg.c_step is not None and cfg.c_step <= 0.0:
+        raise ConfigError("c_step must be positive")
     cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.c_start == cfg.c_end:
         with open(cfg.out / "loadsag.csv", "w", newline="") as fh:
             fh.write("c,f,stability_hint\n")
         return 0
-    step = cfg.c_step or abs(cfg.c_end - cfg.c_start) / 20.0
-    if step <= 0.0:
-        raise ConfigError("c_step must be positive")
+    step = cfg.c_step
+    if step is None:
+        step = abs(cfg.c_end - cfg.c_start) / 20.0
     load = LoadParams(cfg.c_start, cfg.d)
     if cfg.family == "adaptive":
         if cfg.p is None:

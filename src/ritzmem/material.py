@@ -36,14 +36,14 @@ def energy(i1, i2, mat: MaterialParams):
 def energy_derivs(i1, i2, mat: MaterialParams):
     """The nonzero first and second partials of the energy in the invariants.
 
-    Returns (W1, W2, W11).  For the Bidermann form W2 is the constant gamma1,
-    and the cross and I2-squared partials W12 and W22 vanish.
+    Returns (W1, W2, W11).  The Bidermann form is linear in I2, so W2 is the
+    scalar gamma1 (i2 is not read), and the cross and I2-squared partials
+    W12 and W22 vanish.
     """
     e1 = i1 - 3.0
     w1 = 1.0 + 2.0 * mat.gamma2 * e1 + 3.0 * mat.gamma3 * e1 * e1
-    w2 = mat.gamma1 * np.ones_like(np.asarray(i1, dtype=float))
     w11 = 2.0 * mat.gamma2 + 6.0 * mat.gamma3 * e1
-    return w1, w2, w11
+    return w1, mat.gamma1, w11
 
 
 def principal_stresses(lambda1, lambda2, mat: MaterialParams):
@@ -112,24 +112,23 @@ def tension_terms(l1, l2, mat: MaterialParams):
     Returns (U(l1,l2), U(l2,l1), dU/da(l1,l2), dU/db(l1,l2), dU/da(l2,l1)),
     the material terms the residual and the tangent read.  The invariants
     are symmetric in the stretch pair, so one energy evaluation serves both
-    orders; every expression is the one `stiffness_scalar` and
-    `stiffness_derivs` evaluate, so the results agree with them bit for bit.
+    orders, and the two orders run as the rows of one stacked (2, n) pass.
+    Every expression is the one `stiffness_scalar` and `stiffness_derivs`
+    evaluate, so the results agree with them bit for bit.
     """
-    l1 = np.asarray(l1, dtype=float)
-    l2 = np.asarray(l2, dtype=float)
-    l1s = l1 * l1
-    l2s = l2 * l2
+    # row 0 is the order (a, b) = (l1, l2), row 1 the swapped order
+    la = np.array([l1, l2], dtype=float)
+    las = la * la
+    lbs = las[::-1]
+    l1, l2 = la
+    l1s, l2s = las
     i1 = l1s + l2s + 1.0 / (l1s * l2s)
-    i2 = 1.0 / l1s + 1.0 / l2s + l1s * l2s
-    w1, w2, w11 = energy_derivs(i1, i2, mat)
-    a12 = 1.0 - 1.0 / (l1s * l1s * l2s)
-    a21 = 1.0 - 1.0 / (l2s * l2s * l1s)
-    b12 = w1 + l2s * w2
-    b21 = w1 + l1s * w2
-    du1 = (4.0 / (l1s * l1s * l1 * l2s) * b12
-           + a12 * w11 * (2.0 * l1 - 2.0 / (l1s * l1 * l2s)))
-    du2 = (2.0 / (l1s * l1s * l2s * l2) * b12
-           + a12 * (w11 * (2.0 * l2 - 2.0 / (l1s * l2s * l2)) + 2.0 * l2 * w2))
-    du1_swap = (4.0 / (l2s * l2s * l2 * l1s) * b21
-                + a21 * w11 * (2.0 * l2 - 2.0 / (l2s * l2 * l1s)))
-    return a12 * b12, a21 * b21, du1, du2, du1_swap
+    w1, w2, w11 = energy_derivs(i1, None, mat)
+    a = 1.0 - 1.0 / (las * las * lbs)
+    b = w1 + lbs * w2
+    du_a = (4.0 / (las * las * la * lbs) * b
+            + a * w11 * (2.0 * la - 2.0 / (las * la * lbs)))
+    du2 = (2.0 / (l1s * l1s * l2s * l2) * b[0]
+           + a[0] * (w11 * (2.0 * l2 - 2.0 / (l1s * l2s * l2)) + 2.0 * l2 * w2))
+    su = a * b
+    return su[0], su[1], du_a[0], du2, du_a[1]

@@ -14,7 +14,9 @@ is unimodal in p1, so a golden-section scan backstops the secant.
 
 Each Newton iterate evaluates the nodal shape and the material once
 (`assembly.node_terms`); the residual, the tangent and dg/dc all read that
-one evaluation.  Diagnostics run only where they are read: the load
+one evaluation.  A context builds its basis tables once: the m = 1 start
+and the basis-size ladder slice them (`SolveContext.head`), and the pole
+sag is read from them (`SolveContext.sag`).  Diagnostics run only where they are read: the load
 continuation computes the tangent's condition number of an accepted state
 when the Newton iteration count alone does not already switch it to sag
 parametrization, and `solve_membrane` evaluates the equilibrium defect
@@ -67,6 +69,15 @@ class SolveContext:
 
     def with_spec(self, spec: BasisSpec) -> "SolveContext":
         return SolveContext(self.mat, self.load, spec, self.rule)
+
+    def head(self, k: int) -> "SolveContext":
+        """The same problem on the first k generators, on sliced tables."""
+        return replace(self, spec=BasisSpec(self.spec.family, k, self.spec.p),
+                       tables=self.tables.head(k))
+
+    def sag(self, x) -> float:
+        """Pole deflection z(0) of the coefficients x, from the tables."""
+        return float(x[: self.spec.m] @ self.tables.u0)
 
     def state(self, x) -> SolutionState:
         return SolutionState(np.asarray(x, dtype=float), self.spec, self.load)
@@ -143,7 +154,10 @@ def _newton(ctx: SolveContext, x0, tol: float, max_iter: int,
     x = np.array(x0, dtype=float)
     n = x.size
     if f_target is not None:
+        # bordered matrix [[H, dg/dc], [e, 0]], refilled in place per step
         e = np.concatenate([ctx.tables.u0, np.zeros(ctx.spec.m)])
+        hb = np.zeros((n + 1, n + 1))
+        hb[n, :n] = e
     hist: list[float] = []
     converged = False
     message = ""
@@ -175,8 +189,10 @@ def _newton(ctx: SolveContext, x0, tol: float, max_iter: int,
             break
         h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
         if f_target is not None:
-            gc = load_derivative(state, ctx.mat, ctx.rule, ctx.tables, terms)
-            h = np.block([[h, gc[:, None]], [e, 0.0]])
+            hb[:n, :n] = h
+            hb[:n, n] = load_derivative(state, ctx.mat, ctx.rule, ctx.tables,
+                                        terms)
+            h = hb
         try:
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
@@ -224,7 +240,7 @@ def initial_guess(ctx: SolveContext, tol: float = 1e-10) -> np.ndarray:
     c = ctx.load.c
     if c == 0.0:
         return x0
-    sub = ctx.with_spec(BasisSpec(ctx.spec.family, 1, ctx.spec.p))
+    sub = ctx.head(1)
     u0 = float(sub.tables.u0[0])
     if u0 == 0.0:
         raise SolveFailure("degenerate basis: u_1(0) = 0")
@@ -232,7 +248,7 @@ def initial_guess(ctx: SolveContext, tol: float = 1e-10) -> np.ndarray:
     seed = np.array([sag0 / u0, 0.0])
 
     state, rep = newton_solve(seed, sub, tol=tol)
-    if not (rep.converged and state.sag() * c > 0.0):
+    if not (rep.converged and sub.sag(state.x) * c > 0.0):
         x = np.zeros(2)
         ok = True
         for frac in (0.25, 0.5, 0.75, 1.0):
@@ -241,7 +257,7 @@ def initial_guess(ctx: SolveContext, tol: float = 1e-10) -> np.ndarray:
                 ok = False
                 break
             x = state.x
-        if not (ok and state.sag() * c > 0.0):
+        if not (ok and sub.sag(state.x) * c > 0.0):
             raise SolveFailure(
                 "could not start from the small-system guess; reduce the load "
                 "or sweep up to it"
@@ -328,7 +344,7 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
     state, rep = newton_solve(x0, ctx.with_load(c_start))
     if not rep.converged:
         raise SolveFailure(f"no equilibrium at the sweep start c = {c_start}")
-    points = [ContinuationPoint(c_start, state.sag(), state.x.copy())]
+    points = [ContinuationPoint(c_start, ctx.sag(state.x), state.x.copy())]
 
     dc = direction * policy.initial
     easy = 0
@@ -358,13 +374,13 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             # solution ceases to exist.  Treat it like a failed step.
             jumped = False
             if rep.converged and df_exp is not None:
-                df_got = state.sag() - last.sag
+                df_got = ctx.sag(state.x) - last.sag
                 jumped = (df_got * df_exp < 0.0 and abs(df_got) > 1e-3) or (
                     abs(df_got) > 4.0 * abs(df_exp) + 0.02
                 )
             if rep.converged and not jumped:
                 jumps = 0
-                points.append(ContinuationPoint(c_next, state.sag(), state.x.copy()))
+                points.append(ContinuationPoint(c_next, ctx.sag(state.x), state.x.copy()))
                 if _hard(ctx, state, rep):
                     sag_mode = True
                 else:
@@ -402,7 +418,7 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             5.0 * abs(c_pred - last.c_value), 0.25 * (1.0 + abs(last.c_value))
         )
         if rep.converged and not jumped:
-            points.append(ContinuationPoint(c_new, state.sag(), state.x.copy()))
+            points.append(ContinuationPoint(c_new, ctx.sag(state.x), state.x.copy()))
             easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
             if easy >= EASY_STREAK and abs(df) < MAX_STEP:
                 df *= GROW
@@ -410,7 +426,7 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             rising = c_new > points[-2].c_value
             if direction * (c_new - c_end) >= 0.0 and (direction < 0 or rising):
                 break
-            if abs(state.sag()) > MAX_SAG:
+            if abs(points[-1].sag) > MAX_SAG:
                 break
         else:
             df *= 0.5
@@ -592,7 +608,7 @@ def _ladder_solve(ctx: SolveContext):
     x = None
     state, rep = None, None
     for mm in range(1, ctx.spec.m + 1):
-        c = ctx.with_spec(BasisSpec(ctx.spec.family, mm, ctx.spec.p))
+        c = ctx.head(mm)
         if x is None:
             x0 = initial_guess(c)
         else:

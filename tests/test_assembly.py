@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ritzmem.assembly import (
     functional_value,
@@ -17,7 +19,7 @@ from ritzmem.assembly import (
 )
 from ritzmem.basis import BasisSpec, BasisTables, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
-from ritzmem.material import MaterialParams
+from ritzmem.material import MaterialParams, stiffness_derivs, stiffness_scalar
 from ritzmem.quadrature import auto_rule, gauss_rule
 from ritzmem.solver import solve_membrane
 
@@ -233,3 +235,59 @@ def test_load_derivative_matches_fd(gas_m6):
     dn = SolutionState(gas_m6.x, gas_m6.spec, LoadParams(1.7 - h))
     fd = (residual(up, GAS, RULE) - residual(dn, GAS, RULE)) / (2 * h)
     assert np.allclose(gc, fd, rtol=1e-6, atol=1e-10)
+
+
+def _sandwich(a, c, b):
+    return (a * c) @ b.T
+
+
+def _per_product_forms(state, mat, t):
+    """Residual and tangent product by product, on the reference material.
+
+    The nodal shape comes from `node_terms`; the tension coefficients from
+    `stiffness_scalar` and `stiffness_derivs`; each of the tangent's nine
+    weighted products is its own 2-D matmul, summed in assembly order.
+    """
+    _, _, _, dz, dr, l1, l2, q = node_terms(state, mat, t)[:8]
+    su12, su21 = stiffness_scalar(l1, l2, mat), stiffness_scalar(l2, l1, mat)
+    du1, du2 = stiffness_derivs(l1, l2, mat)
+    du1_swap = stiffness_derivs(l2, l1, mat)[0]
+    d = state.load.d
+    w, s = t.w, t.s
+    ws = w * s
+    g = np.concatenate([
+        t.du @ (ws * su12 * dz) - t.u @ (ws * q * l2 * dr),
+        t.dv @ (ws * su12 * dr) + t.v @ (w * su21 * l2 + ws * q * l2 * dz)])
+    h_uu = (_sandwich(t.du, ws * (du1 * dz * dz / l1 + su12), t.du)
+            + _sandwich(t.u, ws * d * l2 * dr, t.u))
+    h_uv = (_sandwich(t.du, ws * du1 * dz * dr / l1, t.dv)
+            + _sandwich(t.du, w * (du2 * dz + s * q * l2), t.v)
+            - _sandwich(t.u, ws * d * l2 * dz, t.v))
+    mid = w * du2 * dr
+    h_vv = (_sandwich(t.dv, ws * (du1 * dr * dr / l1 + su12), t.dv)
+            + (_sandwich(t.dv, mid, t.v) + _sandwich(t.v, mid, t.dv))
+            + _sandwich(t.v, w * (l2 * du1_swap + su21 + q * s * dz) / s, t.v))
+    h = np.block([[0.5 * (h_uu + h_uu.T), h_uv],
+                  [h_uv.T, 0.5 * (h_vv + h_vv.T)]])
+    return g, h
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(family=st.sampled_from(["polynomial", "adaptive"]),
+       m=st.integers(1, 12),
+       p1=st.floats(0.5, 300.0),
+       mat=st.sampled_from([GAS, LIQ]),
+       c=st.floats(-3.0, 3.0),
+       d=st.floats(0.0, 1000.0),
+       x=st.lists(st.floats(-0.1, 0.1), min_size=24, max_size=24))
+def test_residual_and_tangent_equal_per_product_forms(family, m, p1, mat, c,
+                                                       d, x):
+    # the stacked tension pass and the batched tangent products change no bit
+    p = (p1,) if family == "adaptive" else ()
+    spec = BasisSpec(family, m, p)
+    rule = auto_rule(family, p1 if p else None)
+    state = SolutionState(np.array(x[:2 * m]), spec, LoadParams(c, d))
+    tables = BasisTables.build(spec, rule)
+    g, h = _per_product_forms(state, mat, tables)
+    assert np.array_equal(residual(state, mat, rule, tables), g, equal_nan=True)
+    assert np.array_equal(jacobian(state, mat, rule, tables), h, equal_nan=True)

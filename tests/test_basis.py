@@ -10,6 +10,7 @@ import pytest
 from ritzmem.basis import (
     P_MIN,
     BasisSpec,
+    BasisTables,
     SolutionState,
     _rho_p_derivs,
     _rho_scaled,
@@ -17,8 +18,10 @@ from ritzmem.basis import (
     eval_shape,
     shape_p_derivs,
 )
+from ritzmem.cli import MAX_M, PROFILE_POINTS
 from ritzmem.kinematics import LoadParams
-from ritzmem.quadrature import gauss_rule
+from ritzmem.quadrature import auto_rule, gauss_rule
+from ritzmem.solver import DELTA_GRID
 
 NO_LOAD = LoadParams(0.0)
 
@@ -234,3 +237,50 @@ def test_polynomial_parity():
     um, _, _, vm, _, _ = eval_generators(spec, -s)
     assert np.allclose(up, um, rtol=1e-14)
     assert np.allclose(vp, -vm, rtol=1e-14)
+
+
+def _poly_uv_per_k(m, s):
+    """The polynomial ladder formula by formula, one generator at a time."""
+    u, du, d2u, v, dv, d2v = (np.empty((m,) + s.shape) for _ in range(6))
+    for k in range(1, m + 1):
+        i = k - 1
+        u[i] = s ** (2 * k) - s ** (2 * k - 2)
+        du[i] = 2 * k * s ** (2 * k - 1)
+        d2u[i] = 2 * k * (2 * k - 1) * s ** (2 * k - 2)
+        if k > 1:
+            du[i] -= (2 * k - 2) * s ** (2 * k - 3)
+            d2u[i] -= (2 * k - 2) * (2 * k - 3) * s ** (2 * k - 4)
+        v[i] = s ** (2 * k + 1) - s ** (2 * k - 1)
+        dv[i] = (2 * k + 1) * s ** (2 * k) - (2 * k - 1) * s ** (2 * k - 2)
+        d2v[i] = 2 * k * (2 * k + 1) * s ** (2 * k - 1)
+        if k > 1:
+            d2v[i] -= (2 * k - 2) * (2 * k - 1) * s ** (2 * k - 3)
+    return u, du, d2u, v, dv, d2v
+
+
+def test_polynomial_power_table_equals_per_k_formulas():
+    # on every grid the program evaluates: nodes, defect grid, profile, pole
+    grids = [gauss_rule(64).nodes,
+             np.linspace(0.0, 1.0, DELTA_GRID + 2)[1:-1],
+             np.linspace(0.0, 1.0, PROFILE_POINTS),
+             np.array(0.0)]
+    for s in grids:
+        for m in range(1, MAX_M + 1):
+            got = eval_generators(BasisSpec("polynomial", m), s)
+            for a, b in zip(got, _poly_uv_per_k(m, s)):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+
+def test_table_head_equals_tables_built_at_that_size():
+    cases = [(BasisSpec("polynomial", 12), auto_rule("polynomial")),
+             (BasisSpec("adaptive", 12, (17.1,)), auto_rule("adaptive", 17.1)),
+             (BasisSpec("adaptive", 8, (3.0, 0.5)), gauss_rule(96))]
+    for spec, rule in cases:
+        full = BasisTables.build(spec, rule)
+        for k in range(1, spec.m + 1):
+            head = full.head(k)
+            want = BasisTables.build(BasisSpec(spec.family, k, spec.p), rule)
+            for name in ("s", "w", "ws", "u", "du", "v", "dv", "u0", "left",
+                         "right_t"):
+                assert np.array_equal(getattr(head, name), getattr(want, name))

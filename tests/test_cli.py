@@ -234,6 +234,8 @@ def test_exit_code_2_on_config_errors(tmp_path):
     ("solve", "p = inf", []),
     ("solve", "m = 100000000", []),
     ("converge", "m_max = 100000000", []),
+    ("sweep", "c_start = 0.1\nc_end = 1.0\nc_step = 0", []),
+    ("sweep", "c_start = 0.1\nc_end = 1.0\nc_step = -0.1", []),
 ])
 def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
     cfg = write_cfg(tmp_path, GAS_KV + extra + "\n")
@@ -279,6 +281,19 @@ def test_converge_gas_ladder(tmp_path):
     # cross zero close to the probe, so allow half an order of slack
     for a, b in zip(delta, delta[1:]):
         assert b <= a * math.sqrt(10.0)
+
+
+def test_converge_zero_load(tmp_path):
+    # no load, no defect to scale: the delta column is the raw defect at the
+    # probe, as in profile.csv, and the flat membrane has none
+    cfg = write_cfg(tmp_path, "gamma1 = 0.02\nc = 0\nm_min = 1\nm_max = 3\n")
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out),
+                 "--probe", "0.3"]) == 0
+    _, rows = read_csv(out / "table.csv")
+    assert list(rows[:, 0]) == [1, 2, 3]
+    assert np.all(rows[:, 1] == 0.0)
+    assert np.all(rows[:, 7] == 0.0)
 
 
 def test_converge_polynomial_stall_under_weight(tmp_path):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ritzmem import solver
-from ritzmem.basis import BasisSpec, SolutionState, eval_shape
+from ritzmem import assembly, basis, solver
+from ritzmem.basis import BasisSpec, BasisTables, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
 from ritzmem.quadrature import auto_rule
@@ -308,17 +308,21 @@ def test_pointwise_defect_matches_diagnostic(gas_m6):
         equilibrium_defect(zero, GAS, probes)
 
 
-@pytest.fixture
-def delta_calls(monkeypatch):
+def _counter(monkeypatch, owner, name):
     calls = []
-    inner = solver.delta_diagnostic
+    inner = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "delta_diagnostic", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+@pytest.fixture
+def delta_calls(monkeypatch):
+    return _counter(monkeypatch, solver, "delta_diagnostic")
 
 
 @pytest.mark.parametrize("family, m, load, probe", [
@@ -337,15 +341,7 @@ def test_defect_evaluated_once_per_returned_state(delta_calls, family, m, load,
 
 @pytest.fixture
 def cond_calls(monkeypatch):
-    calls = []
-    inner = np.linalg.cond
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cond", counted)
-    return calls
+    return _counter(monkeypatch, np.linalg, "cond")
 
 
 @pytest.mark.parametrize("mat, load, family", [
@@ -364,6 +360,59 @@ def test_continuation_conditions_only_undecided_accepted_states(cond_calls):
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
     assert len(points) > 2
     assert 0 < len(cond_calls) <= 13
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    calls = []
+    inner = BasisTables.__dict__["build"].__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(BasisTables, "build", classmethod(counted))
+    return calls
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    return _counter(monkeypatch, basis, "eval_generators")
+
+
+@pytest.fixture
+def tension_calls(monkeypatch):
+    return _counter(monkeypatch, assembly, "tension_terms")
+
+
+@pytest.mark.parametrize("mat, load, family, builds, tensions", [
+    (GAS, LoadParams(1.7), "polynomial", 1, 11),
+    (LIQ, LoadParams(0.5, 10.0), "adaptive", 12, 78),
+])
+def test_solves_build_tables_once_per_basis(build_calls, tension_calls, mat,
+                                            load, family, builds, tensions):
+    # the small-system guess and the basis-size ladder slice the tables of
+    # the context they start from; only a new steepness builds new ones
+    _, report = solve_membrane(mat, load, family, 6)
+    assert report.converged
+    assert len(build_calls) == builds
+    assert len(tension_calls) == tensions
+
+
+def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
+                                                tension_calls):
+    # the start guess slices the tables and every sag reads the pole values
+    # kept with them, so a sweep on a built context evaluates no generator
+    ctx = gas_context(6, c=0.1)
+    build_calls.clear()
+    generator_calls.clear()
+    points = continue_in_load(ctx, 0.1, 3.0)
+    assert len(points) > 2
+    assert build_calls == []
+    assert generator_calls == []
+    assert len(tension_calls) == 182
+    for pt in points:
+        assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
 
 def test_continuation_evaluates_no_defect(delta_calls):
