@@ -40,6 +40,10 @@ FAMILIES = ("polynomial", "adaptive")
 # Below this the first two steep generators become numerically parallel.
 P_MIN = 1e-3
 
+# Largest basis size; the tables grow with m times the node count, so an
+# unbounded m only ends in an allocation failure.
+MAX_M = 64
+
 # Generator pairs (A, B) of the nine weighted products A diag(c) B^T that
 # the tangent assembles, as rows of the (u, u', v, v') stack.
 _LEFT = [1, 0, 1, 1, 0, 3, 3, 2, 2]
@@ -81,8 +85,8 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown basis family {self.family!r}")
-        if self.m < 1:
-            raise ValueError("basis size m must be >= 1")
+        if not 1 <= self.m <= MAX_M:
+            raise ValueError(f"basis size m must be in [1, {MAX_M}], got {self.m}")
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         if self.family == "adaptive":
             if len(self.p) < 1:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import FAMILIES, P_MIN, BasisSpec, eval_shape
+from .basis import FAMILIES, MAX_M, P_MIN, BasisSpec, eval_shape
 from .kinematics import LoadParams
 from .material import MaterialParams
 from .quadrature import MAX_NODES, MIN_NODES, auto_rule
@@ -39,9 +39,6 @@ from .solver import (
 )
 
 PROFILE_POINTS = 201
-# Largest basis size a config may ask for; the tables grow with m times
-# the node count, so an unbounded m only ends in an allocation failure.
-MAX_M = 64
 
 
 class ConfigError(ValueError):
@@ -335,6 +332,8 @@ def run_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep needs c_start and c_end")
     if cfg.c_step is not None and cfg.c_step <= 0.0:
         raise ConfigError("c_step must be positive")
+    if not math.isfinite(cfg.c_end - cfg.c_start):
+        raise ConfigError("c_end - c_start must be finite")
     cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.c_start == cfg.c_end:
         with open(cfg.out / "loadsag.csv", "w", newline="") as fh:

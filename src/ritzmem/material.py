@@ -33,12 +33,12 @@ def energy(i1, i2, mat: MaterialParams):
     return e1 + mat.gamma1 * e2 + mat.gamma2 * e1 * e1 + mat.gamma3 * e1 ** 3
 
 
-def energy_derivs(i1, i2, mat: MaterialParams):
+def energy_derivs(i1, mat: MaterialParams):
     """The nonzero first and second partials of the energy in the invariants.
 
     Returns (W1, W2, W11).  The Bidermann form is linear in I2, so W2 is the
-    scalar gamma1 (i2 is not read), and the cross and I2-squared partials
-    W12 and W22 vanish.
+    scalar gamma1 whatever I2 is, and the cross and I2-squared partials W12
+    and W22 vanish.
     """
     e1 = i1 - 3.0
     w1 = 1.0 + 2.0 * mat.gamma2 * e1 + 3.0 * mat.gamma3 * e1 * e1
@@ -57,8 +57,7 @@ def principal_stresses(lambda1, lambda2, mat: MaterialParams):
     l3 = 1.0 / (lambda1 * lambda2)
     l3s = l3 * l3
     i1 = l1s + l2s + l3s
-    i2 = 1.0 / l1s + 1.0 / l2s + 1.0 / l3s
-    w1, w2, _ = energy_derivs(i1, i2, mat)
+    w1, w2, _ = energy_derivs(i1, mat)
     t1 = l3 * (l1s - l3s) * (w1 + l2s * w2)
     t2 = l3 * (l2s - l3s) * (w1 + l1s * w2)
     return t1, t2
@@ -77,8 +76,7 @@ def stiffness_scalar(la, lb, mat: MaterialParams):
     las = la * la
     lbs = lb * lb
     i1 = las + lbs + 1.0 / (las * lbs)
-    i2 = 1.0 / las + 1.0 / lbs + las * lbs
-    w1, w2, _ = energy_derivs(i1, i2, mat)
+    w1, w2, _ = energy_derivs(i1, mat)
     return (1.0 - 1.0 / (las * las * lbs)) * (w1 + lbs * w2)
 
 
@@ -93,8 +91,7 @@ def stiffness_derivs(la, lb, mat: MaterialParams):
     las = la * la
     lbs = lb * lb
     i1 = las + lbs + 1.0 / (las * lbs)
-    i2 = 1.0 / las + 1.0 / lbs + las * lbs
-    w1, w2, w11 = energy_derivs(i1, i2, mat)
+    w1, w2, w11 = energy_derivs(i1, mat)
     a = 1.0 - 1.0 / (las * las * lbs)
     b = w1 + lbs * w2
     di1_dla = 2.0 * la - 2.0 / (las * la * lbs)
@@ -123,7 +120,7 @@ def tension_terms(l1, l2, mat: MaterialParams):
     l1, l2 = la
     l1s, l2s = las
     i1 = l1s + l2s + 1.0 / (l1s * l2s)
-    w1, w2, w11 = energy_derivs(i1, None, mat)
+    w1, w2, w11 = energy_derivs(i1, mat)
     a = 1.0 - 1.0 / (las * las * lbs)
     b = w1 + lbs * w2
     du_a = (4.0 / (las * las * la * lbs) * b

@@ -41,6 +41,8 @@ def _legendre(n: int):
 
     Every caller shares the arrays, so they are read-only.
     """
+    if not MIN_NODES <= n <= MAX_NODES:
+        raise ValueError(f"node count must be in [{MIN_NODES}, {MAX_NODES}], got {n}")
     x, w = roots_legendre(n)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -49,8 +51,6 @@ def _legendre(n: int):
 
 def gauss_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule mapped to (0, 1)."""
-    if not MIN_NODES <= n <= MAX_NODES:
-        raise ValueError(f"node count must be in [{MIN_NODES}, {MAX_NODES}], got {n}")
     x, w = _legendre(n)
     return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
@@ -72,11 +72,12 @@ def auto_rule(family: str, p1: float | None = None, n: int | None = None) -> Qua
 
     Polynomial runs use 64 points.  The steep-basis family gets 192, and
     above p1 ~ 60 a composite split at 1 - 6/p1 so the layer panel holds
-    the fast variation.
+    the fast variation.  An explicit n replaces the default node count (per
+    panel for the composite).
     """
     if family == "polynomial":
-        return gauss_rule(n or 64)
-    base = n or 192
+        return gauss_rule(64 if n is None else n)
+    base = 192 if n is None else n
     if p1 is not None and p1 > SPLIT_P1:
         return two_panel_rule(base, 1.0 - 6.0 / p1)
     return gauss_rule(base)

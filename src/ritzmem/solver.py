@@ -2,11 +2,12 @@
 
 The discrete equilibrium g(x) = 0 is solved by plain Newton iteration on
 the analytic tangent matrix.  Load sweeps walk the load parameter c with a
-secant predictor; when a fold makes c-stepping unreliable (slow Newton or
-near-singular tangent), the driver switches to prescribing the pole sag f
-and treating c as an unknown in a bordered system, which passes through
-limit points without drama.  Both solves, at fixed c (`newton_solve`) and
-at prescribed f (`solve_at_sag`), run the one Newton loop `_newton`.
+secant predictor; when the start state is hard (slow Newton or a
+near-singular tangent) or a fold makes c-stepping fail, the driver
+switches to prescribing the pole sag f and treating c as an unknown in a
+bordered system, which passes through limit points without drama.  Both
+solves, at fixed c (`newton_solve`) and at prescribed f (`solve_at_sag`),
+run the one Newton loop `_newton`.
 
 For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
@@ -16,11 +17,10 @@ Each Newton iterate evaluates the nodal shape and the material once
 (`assembly.node_terms`); the residual, the tangent and dg/dc all read that
 one evaluation.  A context builds its basis tables once: the m = 1 start
 and the basis-size ladder slice them (`SolveContext.head`), and the pole
-sag is read from them (`SolveContext.sag`).  Diagnostics run only where they are read: the load
-continuation computes the tangent's condition number of an accepted state
-when the Newton iteration count alone does not already switch it to sag
-parametrization, and `solve_membrane` evaluates the equilibrium defect
-`delta` once, on the state it returns.
+sag is read from them (`SolveContext.sag`).  Diagnostics run only where
+they are read: the load continuation computes the tangent's condition
+number of its first state, and `solve_membrane` evaluates the equilibrium
+defect `delta` once, on the state it returns.
 """
 
 from __future__ import annotations
@@ -141,8 +141,13 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
     return at_probes, float(np.max(equilibrium_defect(state, mat, grid)))
 
 
-def _newton(ctx: SolveContext, x0, tol: float, max_iter: int,
-            f_target: float | None = None):
+# Newton converges at a residual max-norm of NEWTON_TOL, within
+# NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 25
+
+
+def _newton(ctx: SolveContext, x0, f_target: float | None = None):
     """Newton iteration on g(x; c) = 0 at the load of `ctx`.
 
     With `f_target` the load c is an unknown too: the system is bordered by
@@ -174,7 +179,7 @@ def _newton(ctx: SolveContext, x0, tol: float, max_iter: int,
         if not math.isfinite(gn):
             message = "residual not finite"
             break
-        if gn <= tol:
+        if gn <= NEWTON_TOL:
             converged = True
             break
         if len(hist) > 1 and gn > hist[-2]:
@@ -184,7 +189,7 @@ def _newton(ctx: SolveContext, x0, tol: float, max_iter: int,
                 break
         else:
             growth = 0
-        if steps >= max_iter:
+        if steps >= NEWTON_MAX_ITER:
             message = "max_iter exceeded"
             break
         h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
@@ -216,24 +221,23 @@ def _newton(ctx: SolveContext, x0, tol: float, max_iter: int,
     return ctx.state(x), report
 
 
-def newton_solve(x0, ctx: SolveContext, tol: float = 1e-10,
-                 max_iter: int = 25):
+def newton_solve(x0, ctx: SolveContext):
     """Plain Newton iteration at the fixed load of `ctx`.
 
     Returns (state, report); the equilibrium defect is left to
     `solve_membrane`.
     """
-    return _newton(ctx, x0, tol, max_iter)
+    return _newton(ctx, x0)
 
 
-def initial_guess(ctx: SolveContext, tol: float = 1e-10) -> np.ndarray:
+def initial_guess(ctx: SolveContext) -> np.ndarray:
     """Starting coefficients from the two-unknown (m = 1) subproblem.
 
     The m = 1 solve is seeded so the pole moves with the load (positive c,
     positive sag) and its two coefficients are embedded as components 1 and
-    m+1 of the full vector.  If the direct solve fails the load is ramped
-    in quarters; if that fails too the load is likely beyond a limit point
-    and the caller should sweep instead.
+    m+1 of the full vector.  If it fails, or its sag has the wrong sign,
+    the load is likely beyond a limit point of the small system and
+    `SolveFailure` asks the caller to sweep up to it instead.
     """
     m = ctx.spec.m
     x0 = np.zeros(2 * m)
@@ -247,28 +251,18 @@ def initial_guess(ctx: SolveContext, tol: float = 1e-10) -> np.ndarray:
     sag0 = math.copysign(min(0.5, abs(c) / (1.0 + ctx.load.d)), c)
     seed = np.array([sag0 / u0, 0.0])
 
-    state, rep = newton_solve(seed, sub, tol=tol)
+    state, rep = newton_solve(seed, sub)
     if not (rep.converged and sub.sag(state.x) * c > 0.0):
-        x = np.zeros(2)
-        ok = True
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            state, rep = newton_solve(x, sub.with_load(frac * c), tol=tol)
-            if not rep.converged:
-                ok = False
-                break
-            x = state.x
-        if not (ok and sub.sag(state.x) * c > 0.0):
-            raise SolveFailure(
-                "could not start from the small-system guess; reduce the load "
-                "or sweep up to it"
-            )
+        raise SolveFailure(
+            "could not start from the small-system guess; reduce the load "
+            "or sweep up to it"
+        )
     x0[0] = state.x[0]
     x0[m] = state.x[1]
     return x0
 
 
-def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float,
-                 tol: float = 1e-10, max_iter: int = 25):
+def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
     """Equilibrium with prescribed pole sag; the load c is an unknown.
 
     Newton on the bordered system {g(x; c) = 0, z(0) - f = 0}, starting
@@ -276,18 +270,18 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float,
     the load, so this is the fold-crossing workhorse.  Returns
     (state, c, report).
     """
-    state, report = _newton(ctx.with_load(float(c0)), x0, tol, max_iter,
-                            f_target)
+    state, report = _newton(ctx.with_load(float(c0)), x0, f_target)
     return state, state.load.c, report
 
 
 # Continuation step control.  The step halves on failure and grows by GROW
 # after EASY_STREAK solves of at most EASY_ITERS iterations, up to MAX_STEP.
-# More than SWITCH_ITERS iterations or a tangent condition number above
-# SWITCH_COND flips the driver into sag parametrization, which it keeps to
-# the end of the sweep; a load step below MIN_STEP does too, and a sag step
-# below it fails the sweep.  A sweep stops at MAX_POINTS points or past a
-# sag of MAX_SAG.
+# A start state that took more than SWITCH_ITERS iterations, or whose
+# tangent condition number exceeds SWITCH_COND, puts the sweep in sag
+# parametrization, which it keeps to the end of the sweep; a load step
+# below MIN_STEP, or a second branch jump since the last accepted step, does
+# too, and a sag step below MIN_STEP fails the sweep.  A sweep stops at
+# MAX_POINTS points or past a sag of MAX_SAG.
 MIN_STEP = 1e-6
 MAX_STEP = 0.25
 GROW = 2.0
@@ -305,6 +299,11 @@ class StepPolicy:
 
     initial: float = 0.05
 
+    def __post_init__(self):
+        if not (math.isfinite(self.initial) and self.initial > 0.0):
+            raise ValueError(
+                f"initial step must be positive and finite, got {self.initial}")
+
 
 def _hints(points: list[ContinuationPoint]) -> None:
     for i, pt in enumerate(points):
@@ -318,14 +317,6 @@ def _hints(points: list[ContinuationPoint]) -> None:
             pt.stability_hint = 0
         else:
             pt.stability_hint = int(np.sign(dc / df))
-
-
-def _hard(ctx: SolveContext, state: SolutionState, rep: SolveReport) -> bool:
-    """Slow Newton, or a near-singular tangent at the accepted state."""
-    if rep.iterations > SWITCH_ITERS:
-        return True
-    h = jacobian(state, ctx.mat, ctx.rule, ctx.tables)
-    return float(np.linalg.cond(h)) > SWITCH_COND
 
 
 def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
@@ -348,7 +339,8 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
 
     dc = direction * policy.initial
     easy = 0
-    sag_mode = _hard(ctx, state, rep)
+    sag_mode = rep.iterations > SWITCH_ITERS or float(np.linalg.cond(
+        jacobian(state, ctx.mat, ctx.rule, ctx.tables))) > SWITCH_COND
     df = None
 
     jumps = 0
@@ -381,13 +373,10 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             if rep.converged and not jumped:
                 jumps = 0
                 points.append(ContinuationPoint(c_next, ctx.sag(state.x), state.x.copy()))
-                if _hard(ctx, state, rep):
-                    sag_mode = True
-                else:
-                    easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
-                    if easy >= EASY_STREAK and abs(dc) < MAX_STEP:
-                        dc = direction * min(abs(dc) * GROW, MAX_STEP)
-                        easy = 0
+                easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
+                if easy >= EASY_STREAK and abs(dc) < MAX_STEP:
+                    dc = direction * min(abs(dc) * GROW, MAX_STEP)
+                    easy = 0
             else:
                 jumps += jumped
                 dc *= 0.5
@@ -463,14 +452,22 @@ def init_p1(prev: SolutionState | None, mat: MaterialParams,
     return math.sqrt(load.d * l1 * l1 * cos_a / t1)
 
 
-def _golden_min(fun, a: float, b: float, rel_tol: float = 1e-4,
-                max_iter: int = 60) -> float:
+# The p search stops at an energy gradient of P_TOL relative to the energy,
+# within MAX_OUTER secant steps; the golden-section backstop narrows its
+# bracket to GOLDEN_REL_TOL within GOLDEN_MAX_ITER steps.
+P_TOL = 1e-6
+MAX_OUTER = 40
+GOLDEN_REL_TOL = 1e-4
+GOLDEN_MAX_ITER = 60
+
+
+def _golden_min(fun, a: float, b: float) -> float:
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(1.0, abs(a) + abs(b)):
+    for _ in range(GOLDEN_MAX_ITER):
+        if (b - a) <= GOLDEN_REL_TOL * max(1.0, abs(a) + abs(b)):
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -483,15 +480,16 @@ def _golden_min(fun, a: float, b: float, rel_tol: float = 1e-4,
     return 0.5 * (a + b)
 
 
-def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
-                   max_outer: int = 40):
+def optimize_basis(ctx: SolveContext):
     """Tune the steepness p1 of the steep family to the energy-stationary point.
 
-    Inner loop: Newton on the coefficients at fixed p1, warm-started from
-    the best accepted parameter value.  Outer loop: secant on the energy
-    gradient in p1, with steps clamped to half the current value.  If the
-    secant stalls the unimodal energy is bracketed by a golden-section scan
-    instead.  The spec must carry exactly one parameter.
+    Inner loop: Newton on the coefficients at fixed p1, from the
+    small-system guess at the spec's p1, then warm-started from the best
+    accepted parameter value.  Outer loop: secant on the energy gradient in
+    p1, with steps clamped to half the current value.  If the secant stalls
+    the unimodal energy is bracketed by a golden-section scan instead.  The
+    spec must carry exactly one parameter.  Returns the chosen state with
+    the report of the Newton solve that produced it.
     """
     if ctx.spec.family != "adaptive":
         raise ValueError("basis optimization applies to the steep family only")
@@ -513,7 +511,7 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
         return psi, val
 
     p = ctx.spec.p[0]
-    cctx, state, rep = inner(p, np.asarray(x0, dtype=float) if x0 is not None else None)
+    cctx, state, rep = inner(p, None)
     if not rep.converged:
         raise SolveFailure("inner solve failed at the starting parameters")
     inner_counts.append(rep.iterations)
@@ -526,7 +524,7 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
     step_tol = 1e-3
 
     def done(psi1, value):
-        return abs(psi1) <= tol_p * max(1.0, abs(value))
+        return abs(psi1) <= P_TOL * max(1.0, abs(value))
 
     # The warm-started inner Newton can slide onto a different root of g at
     # an aggressive p step (degenerate near-flat shapes also solve g = 0 and
@@ -536,12 +534,12 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
     def slid(value):
         return value > best_val + max(1e-6 * abs(best_val), 1e-14)
 
-    best_val, best_ctx, best_state = val, cctx, state
+    best_val, best_state, best_rep = val, state, rep
     p_prev, psi_prev = p, psi
     p = max(P_MIN, p * 1.05)
 
     stalled = False
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         cctx, state, rep = inner(p, best_state.x)
         bad = not rep.converged
         if not bad:
@@ -556,7 +554,7 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
             continue
         inner_counts.append(rep.iterations)
         if val < best_val:
-            best_val, best_ctx, best_state = val, cctx, state
+            best_val, best_state, best_rep = val, state, rep
         denom = psi - psi_prev
         if denom == 0.0 or p == p_prev:
             stalled = not done(psi, val)
@@ -583,7 +581,7 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
             inner_counts.append(rp.iterations)
             return functional_value(st, c.mat, c.rule, c.tables)
 
-        p_mid = best_ctx.spec.p[0]
+        p_mid = best_state.spec.p[0]
         p = _golden_min(en, max(P_MIN, p_mid / 3.0), 3.0 * p_mid)
         cctx, state, rep = inner(p, best_state.x)
         if not rep.converged:
@@ -591,12 +589,10 @@ def optimize_basis(ctx: SolveContext, x0=None, tol_p: float = 1e-6,
         inner_counts.append(rep.iterations)
         psi, val = measures(cctx, state)
         if slid(val):
-            cctx, state = best_ctx, best_state
+            state, rep = best_state, best_rep
 
-    _, rep = newton_solve(state.x, cctx)
-    rep.final_p = cctx.spec.p
     rep.inner_iterations = inner_counts
-    return cctx.state(state.x), rep
+    return state, rep
 
 
 def _ladder_solve(ctx: SolveContext):

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from ritzmem import solver
 from ritzmem.basis import (
+    MAX_M,
     P_MIN,
     BasisSpec,
     BasisTables,
@@ -18,8 +20,9 @@ from ritzmem.basis import (
     eval_shape,
     shape_p_derivs,
 )
-from ritzmem.cli import MAX_M, PROFILE_POINTS
+from ritzmem.cli import PROFILE_POINTS
 from ritzmem.kinematics import LoadParams
+from ritzmem.material import MaterialParams
 from ritzmem.quadrature import auto_rule, gauss_rule
 from ritzmem.solver import DELTA_GRID
 
@@ -123,6 +126,22 @@ def test_basis_spec_validation():
         BasisSpec("adaptive", 3)  # needs p
     with pytest.raises(ValueError, match="degenerate"):
         BasisSpec("adaptive", 3, (P_MIN / 10.0,))
+
+
+def test_basis_size_capped_before_any_table_is_built(monkeypatch):
+    # a library call used to reach BasisTables.build with any m, and the
+    # tables grow with m times the node count
+    builds = []
+    inner = BasisTables.__dict__["build"].__func__
+    monkeypatch.setattr(BasisTables, "build", classmethod(
+        lambda cls, *args: builds.append(args) or inner(cls, *args)))
+    assert BasisSpec("polynomial", MAX_M).m == MAX_M
+    with pytest.raises(ValueError, match="basis size"):
+        BasisSpec("polynomial", MAX_M + 1)
+    with pytest.raises(ValueError, match="basis size"):
+        solver.solve_membrane(MaterialParams(), LoadParams(0.5), "polynomial",
+                              MAX_M + 1)
+    assert builds == []
 
 
 def test_eval_shape_undeformed():

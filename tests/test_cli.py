@@ -244,6 +244,15 @@ def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_load_range_that_overflows(tmp_path):
+    # the default first step |c_end - c_start| / 20 is infinite here, which
+    # StepPolicy rejects; the range is a config error
+    cfg = write_cfg(tmp_path, GAS_KV + "c_start = -1e308\nc_end = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_exit_code_3_still_writes_report(tmp_path):
     cfg = write_cfg(tmp_path, "c = 60\nm = 3\ngamma1 = 0.02\n")
     out = tmp_path / "out"

@@ -39,11 +39,11 @@ def test_energy_zero_for_random_parameters():
 
 
 def test_energy_derivs_identity_state():
-    assert energy_derivs(3.0, 3.0, LIQ) == (1.0, 0.1, 0.0)
+    assert energy_derivs(3.0, LIQ) == (1.0, 0.1, 0.0)
 
 
 def test_energy_derivs_direct_substitution():
-    w1, _, _ = energy_derivs(4.0, 4.0, GAS)
+    w1, _, _ = energy_derivs(4.0, GAS)
     assert w1 == pytest.approx(0.97075, abs=1e-15)
 
 
@@ -60,7 +60,7 @@ def _fd_energy_derivs(i1, i2, mat, h):
 
 
 def test_energy_derivs_match_finite_differences():
-    got = energy_derivs(3.7, 3.4, GAS)
+    got = energy_derivs(3.7, GAS)
     want = _fd_energy_derivs(3.7, 3.4, GAS, 1e-5)
     assert got[0] == pytest.approx(want[0], rel=1e-6)
     assert got[1] == pytest.approx(want[1], rel=1e-6)
@@ -181,7 +181,7 @@ def test_derivs_match_fd_on_random_states():
     for _ in range(100):
         l1, l2 = rng.uniform(0.5, 3.0, 2)
         i1, i2 = _invariants(l1, l2)
-        got = energy_derivs(i1, i2, GAS)
+        got = energy_derivs(i1, GAS)
         want = _fd_energy_derivs(i1, i2, GAS, 1e-6)
         assert got[0] == pytest.approx(want[0], rel=1e-5)
         assert got[1] == pytest.approx(want[1], rel=1e-5, abs=1e-10)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ritzmem.kinematics import LoadParams
+from ritzmem.material import MaterialParams
 from ritzmem.quadrature import (
     MAX_NODES,
     MIN_NODES,
@@ -14,6 +16,7 @@ from ritzmem.quadrature import (
     gauss_rule,
     two_panel_rule,
 )
+from ritzmem.solver import solve_membrane
 
 
 def _apply(f, rule):
@@ -144,6 +147,24 @@ def test_two_panel_rule():
     assert got == pytest.approx(1.0 / 6.0, rel=1e-13)
     with pytest.raises(ValueError):
         two_panel_rule(16, 1.0)
+
+
+def test_two_panel_rule_checks_the_node_count():
+    for n in (MIN_NODES - 1, MAX_NODES + 1):
+        with pytest.raises(ValueError, match="node count"):
+            two_panel_rule(n, 0.9)
+    # a steep solve on a 2-node composite used to "converge" with delta 0.43
+    with pytest.raises(ValueError, match="node count"):
+        solve_membrane(MaterialParams(gamma1=0.1), LoadParams(0.5, 1e4),
+                       "adaptive", 6, p=(100.0,), quad=1)
+
+
+@pytest.mark.parametrize("family, p1", [
+    ("polynomial", None), ("adaptive", 10.0), ("adaptive", 80.0)])
+def test_auto_rule_takes_only_none_as_the_default(family, p1):
+    # n = 0 used to become the default 64 or 192 nodes
+    with pytest.raises(ValueError, match="node count"):
+        auto_rule(family, p1, 0)
 
 
 def test_auto_rule_policy():

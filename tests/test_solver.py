@@ -354,12 +354,46 @@ def test_solves_compute_no_condition_number(cond_calls, mat, load, family):
     assert cond_calls == []
 
 
-def test_continuation_conditions_only_undecided_accepted_states(cond_calls):
-    # the switch test reads cond only on accepted states that the iteration
-    # count leaves undecided: 13 of the 17 converged Newton solves here
+def test_continuation_conditions_only_the_start_state(cond_calls):
+    # the switch test runs once, on the sweep's first state; accepted load
+    # steps are not conditioned
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    assert len(points) > 2
-    assert 0 < len(cond_calls) <= 13
+    assert len(points) == 24
+    assert len(cond_calls) == 1
+
+
+@pytest.mark.parametrize("mat, d, m, c_start, c_end", [
+    # a hard accepted step used to switch this reverse sweep into sag
+    # parametrization, which then ended at c = -0.046, a wrong-sign load
+    (MaterialParams(gamma1=0.2, gamma2=0.01), 10.0, 8, 1.0, 0.1),
+    # and this one past c_end, at c = 3.33
+    (GAS, 1.0, 4, 0.1, 3.0),
+])
+def test_sweep_in_load_steps_ends_at_c_end(mat, d, m, c_start, c_end):
+    ctx = SolveContext(mat, LoadParams(c_start, d), BasisSpec("polynomial", m),
+                       auto_rule("polynomial"))
+    points = continue_in_load(ctx, c_start, c_end, StepPolicy(initial=0.05))
+    assert points[-1].c_value == c_end
+
+
+@pytest.mark.parametrize("initial", [0.0, -0.05, float("nan"), float("inf")])
+def test_step_policy_rejects_non_positive_or_non_finite_steps(initial):
+    with pytest.raises(ValueError, match="initial step"):
+        StepPolicy(initial=initial)
+
+
+def test_searched_solve_reports_the_newton_solve_of_its_state(liquid_m6):
+    # the report is the one of the inner solve that produced the state, not
+    # of a re-solve from it
+    _, report = liquid_m6
+    assert report.iterations == len(report.residual_history) - 1 == 3
+    assert report.residual_history[-1] <= solver.NEWTON_TOL
+
+
+def test_start_failure_is_stated_not_ramped():
+    # a load ramp once rescued this start and "converged" to a defect of 5e21
+    with pytest.raises(SolveFailure, match="small-system guess"):
+        solve_membrane(GAS, LoadParams(30.0, 10.0), "polynomial", 6)
 
 
 @pytest.fixture
@@ -387,7 +421,7 @@ def tension_calls(monkeypatch):
 
 @pytest.mark.parametrize("mat, load, family, builds, tensions", [
     (GAS, LoadParams(1.7), "polynomial", 1, 11),
-    (LIQ, LoadParams(0.5, 10.0), "adaptive", 12, 78),
+    (LIQ, LoadParams(0.5, 10.0), "adaptive", 12, 77),
 ])
 def test_solves_build_tables_once_per_basis(build_calls, tension_calls, mat,
                                             load, family, builds, tensions):
@@ -410,7 +444,7 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert len(points) > 2
     assert build_calls == []
     assert generator_calls == []
-    assert len(tension_calls) == 182
+    assert len(tension_calls) == 170
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
