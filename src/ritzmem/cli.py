@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import FAMILIES, MAX_M, P_MIN, BasisSpec, eval_shape
+from .basis import FAMILIES, MAX_M, P_MIN, eval_shape
 from .kinematics import LoadParams
 from .material import MaterialParams
-from .quadrature import MAX_NODES, MIN_NODES, auto_rule
+from .quadrature import MAX_NODES, MIN_NODES
 from .solver import (
     SolveContext,
     SolveFailure,
@@ -170,6 +170,8 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError("p must contain at least one value")
         if cfg.p[0] < P_MIN:
             raise ConfigError(f"p[0] must be >= {P_MIN}")
+    if cfg.family == "adaptive" and cfg.p is None and cfg.d <= 0.0:
+        raise ConfigError("steep family with d = 0 needs explicit p")
     if "quad" in vals and str(vals["quad"]).lower() != "auto":
         try:
             cfg.quad = int(vals["quad"])
@@ -204,7 +206,12 @@ def scale_inputs(r0: float, h0: float, c1: float, rho_g: float,
     if rho_g < 0.0:
         raise ConfigError("rho_g must be >= 0")
     denom = 2.0 * c1 * h0
-    return {"c": (p_star - p_ref) * r0 / denom, "d": rho_g * r0 * r0 / denom}
+    if denom == 0.0:
+        raise ConfigError("2 c1 h0 underflows to zero")
+    out = {"c": (p_star - p_ref) * r0 / denom, "d": rho_g * r0 * r0 / denom}
+    if not all(map(math.isfinite, out.values())):
+        raise ConfigError(f"scaled load is not finite: {out}")
+    return out
 
 
 def _fmt(value: float) -> str:
@@ -261,15 +268,11 @@ def _write_json(path: Path, payload: dict) -> None:
 def run_solve(cfg: RunConfig) -> int:
     if cfg.c is None:
         raise ConfigError("solve needs a load value c")
-    if cfg.family == "adaptive" and cfg.p is None and cfg.d <= 0.0:
-        raise ConfigError("steep family with d = 0 needs explicit p")
     cfg.out.mkdir(parents=True, exist_ok=True)
     load = LoadParams(cfg.c, cfg.d)
     try:
-        state, report = solve_membrane(
-            cfg.mat, load, cfg.family, cfg.m, p=cfg.p, quad=cfg.quad,
-            probe=cfg.probes[0] if cfg.probes else None,
-        )
+        state, report = solve_membrane(cfg.mat, load, cfg.family, cfg.m,
+                                       p=cfg.p, quad=cfg.quad)
     except SolveFailure as exc:
         failed = SolveReport(converged=False, iterations=0, residual_history=[],
                              message=str(exc))
@@ -342,16 +345,11 @@ def run_sweep(cfg: RunConfig) -> int:
     step = cfg.c_step
     if step is None:
         step = abs(cfg.c_end - cfg.c_start) / 20.0
-    load = LoadParams(cfg.c_start, cfg.d)
-    if cfg.family == "adaptive":
-        if cfg.p is None:
-            raise ConfigError("sweep on the steep family needs fixed p")
-        spec = BasisSpec("adaptive", cfg.m, cfg.p)
-    else:
-        spec = BasisSpec("polynomial", cfg.m)
-    rule = auto_rule(cfg.family, cfg.p[0] if cfg.p else None, cfg.quad)
-    ctx = SolveContext(cfg.mat, load, spec, rule)
+    if cfg.family == "adaptive" and cfg.p is None:
+        raise ConfigError("sweep on the steep family needs fixed p")
     try:
+        ctx = SolveContext.create(cfg.mat, LoadParams(cfg.c_start, cfg.d),
+                                  cfg.family, cfg.m, cfg.p, cfg.quad)
         points = continue_in_load(ctx, cfg.c_start, cfg.c_end,
                                   StepPolicy(initial=step))
     except SolveFailure as exc:

@@ -7,6 +7,7 @@ circumferential one the radius ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ class LoadParams:
     d: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.c) and math.isfinite(self.d)):
+            raise ValueError(f"load c and d must be finite, got {self.c}, {self.d}")
         if self.d < 0.0:
             raise ValueError("hydrostatic gradient d must be >= 0")
 

@@ -12,6 +12,7 @@ stretch to the in-plane ones, lambda3 = 1/(lambda1*lambda2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ class MaterialParams:
     gamma1: float = 0.0
     gamma2: float = 0.0
     gamma3: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma1, self.gamma2, self.gamma3))):
+            raise ValueError(f"material coefficients must be finite, got {self}")
 
 
 def energy(i1, i2, mat: MaterialParams):

@@ -15,12 +15,13 @@ is unimodal in p1, so a golden-section scan backstops the secant.
 
 Each Newton iterate evaluates the nodal shape and the material once
 (`assembly.node_terms`); the residual, the tangent and dg/dc all read that
-one evaluation.  A context builds its basis tables once: the m = 1 start
-and the basis-size ladder slice them (`SolveContext.head`), and the pole
-sag is read from them (`SolveContext.sag`).  Diagnostics run only where
-they are read: the load continuation computes the tangent's condition
-number of its first state, and `solve_membrane` evaluates the equilibrium
-defect `delta` once, on the state it returns.
+one evaluation.  `SolveContext.create` picks a family's basis and rule and
+builds its tables once.  Every fixed-basis solve, a sweep's start too, runs
+Newton from the m = 1 start, then the basis-size ladder; both slice the
+tables (`SolveContext.head`), and the pole sag is read from them.
+Diagnostics run only where they are read: the load continuation computes
+the tangent's condition number of its first state, and `solve_membrane`
+evaluates the equilibrium defect `delta` once, on the state it returns.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .assembly import (
 from .basis import P_MIN, BasisSpec, BasisTables, SolutionState, eval_shape
 from .kinematics import LoadParams, curvatures, hydro_load, stretches
 from .material import MaterialParams, principal_stresses
-from .quadrature import QuadratureRule, auto_rule
+from .quadrature import MAX_NODES, MIN_NODES, QuadratureRule, auto_rule
 
 DELTA_GRID = 101
 
@@ -63,6 +64,23 @@ class SolveContext:
     def __post_init__(self):
         if self.tables is None:
             self.tables = BasisTables.build(self.spec, self.rule)
+
+    @classmethod
+    def create(cls, mat: MaterialParams, load: LoadParams, family: str, m: int,
+               p=(), quad: int | None = None) -> "SolveContext":
+        """Context of a family's basis on its `auto_rule`: the steep rule
+        follows p1 = p[0], and the polynomial family drops p.  A p1 too
+        steep for the rule's nodes in double precision is a `SolveFailure`."""
+        if family == "polynomial":
+            return cls(mat, load, BasisSpec(family, m), auto_rule(family, n=quad))
+        spec = BasisSpec(family, m, tuple(p))
+        try:
+            rule = auto_rule(family, spec.p[0], quad)
+        except ValueError as exc:
+            if quad is not None and not MIN_NODES <= quad <= MAX_NODES:
+                raise
+            raise SolveFailure(f"quadrature fails at p1 = {spec.p[0]:g}: {exc}") from exc
+        return cls(mat, load, spec, rule)
 
     def with_load(self, c: float) -> "SolveContext":
         return replace(self, load=LoadParams(c, self.load.d))
@@ -204,12 +222,13 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None):
             message = "singular tangent matrix"
             break
         x = x - step[:n]
-        if f_target is not None:
-            ctx = ctx.with_load(ctx.load.c - float(step[-1]))
+        c = ctx.load.c - float(step[-1]) if f_target is not None else ctx.load.c
         steps += 1
-        if not (np.all(np.isfinite(x)) and math.isfinite(ctx.load.c)):
+        if not (np.all(np.isfinite(x)) and math.isfinite(c)):
             message = "iterate not finite"
             break
+        if f_target is not None:
+            ctx = ctx.with_load(c)
 
     report = SolveReport(
         converged=converged,
@@ -230,6 +249,14 @@ def newton_solve(x0, ctx: SolveContext):
     return _newton(ctx, x0)
 
 
+def _resize(x, k: int) -> np.ndarray:
+    """x with its u and v halves truncated or zero-padded to k entries."""
+    m = len(x) // 2
+    out = np.zeros((2, k))
+    out[:, :min(m, k)] = np.reshape(x, (2, m))[:, :k]
+    return out.ravel()
+
+
 def initial_guess(ctx: SolveContext) -> np.ndarray:
     """Starting coefficients from the two-unknown (m = 1) subproblem.
 
@@ -239,11 +266,9 @@ def initial_guess(ctx: SolveContext) -> np.ndarray:
     the load is likely beyond a limit point of the small system and
     `SolveFailure` asks the caller to sweep up to it instead.
     """
-    m = ctx.spec.m
-    x0 = np.zeros(2 * m)
     c = ctx.load.c
     if c == 0.0:
-        return x0
+        return np.zeros(2 * ctx.spec.m)
     sub = ctx.head(1)
     u0 = float(sub.tables.u0[0])
     if u0 == 0.0:
@@ -257,9 +282,7 @@ def initial_guess(ctx: SolveContext) -> np.ndarray:
             "could not start from the small-system guess; reduce the load "
             "or sweep up to it"
         )
-    x0[0] = state.x[0]
-    x0[m] = state.x[1]
-    return x0
+    return _resize(state.x, ctx.spec.m)
 
 
 def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
@@ -306,35 +329,28 @@ class StepPolicy:
 
 
 def _hints(points: list[ContinuationPoint]) -> None:
-    for i, pt in enumerate(points):
-        j = i if i + 1 < len(points) else i - 1
-        if j < 0:
-            pt.stability_hint = 0
-            continue
+    """Sign of dc/df to the next point (from the previous one at the end);
+    a lone point keeps hint 0."""
+    for i, pt in enumerate(points if len(points) > 1 else []):
+        j = min(i, len(points) - 2)
         df = points[j + 1].sag - points[j].sag
         dc = points[j + 1].c_value - points[j].c_value
-        if df == 0.0:
-            pt.stability_hint = 0
-        else:
-            pt.stability_hint = int(np.sign(dc / df))
+        pt.stability_hint = int(np.sign(dc / df)) if df != 0.0 else 0
 
 
 def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
-                     policy: StepPolicy | None = None, x0=None):
+                     policy: StepPolicy | None = None):
     """Sweep the load from c_start toward c_end, returning the whole path.
 
     Points are (c, sag, x) with a stability hint from the local slope
-    dc/df.  Past a fold the sweep keeps increasing the sag, so the load
-    values along the returned path are not monotone.
+    dc/df; the first is the state `solve_membrane` returns at c_start.  Past
+    a fold the sweep keeps increasing the sag, so the load values along the
+    returned path are not monotone.
     """
     policy = policy or StepPolicy()
     direction = 1.0 if c_end >= c_start else -1.0
 
-    if x0 is None:
-        x0 = initial_guess(ctx.with_load(c_start))
-    state, rep = newton_solve(x0, ctx.with_load(c_start))
-    if not rep.converged:
-        raise SolveFailure(f"no equilibrium at the sweep start c = {c_start}")
+    state, rep = _solve_fixed_basis(ctx.with_load(c_start))
     points = [ContinuationPoint(c_start, ctx.sag(state.x), state.x.copy())]
 
     dc = direction * policy.initial
@@ -587,56 +603,32 @@ def optimize_basis(ctx: SolveContext):
         if not rep.converged:
             raise SolveFailure("p search could not recover")
         inner_counts.append(rep.iterations)
-        psi, val = measures(cctx, state)
-        if slid(val):
+        if slid(functional_value(state, cctx.mat, cctx.rule, cctx.tables)):
             state, rep = best_state, best_rep
 
     rep.inner_iterations = inner_counts
     return state, rep
 
 
-def _ladder_solve(ctx: SolveContext):
-    """Walk the basis size up from m = 1, embedding each converged state.
+def _solve_fixed_basis(ctx: SolveContext):
+    """Newton from `initial_guess`, then the basis-size ladder.
 
-    High m shrinks the Newton basin faster than the m = 1 embed can cover,
-    so the coarse solutions serve as predictors for the fine ones.
+    High m shrinks the Newton basin faster than the m = 1 start can cover,
+    so on failure m climbs from 2, each size started from the last one.
+    The report carries no equilibrium defect.
     """
-    x = None
-    state, rep = None, None
-    for mm in range(1, ctx.spec.m + 1):
-        c = ctx.head(mm)
-        if x is None:
-            x0 = initial_guess(c)
-        else:
-            x0 = np.zeros(2 * mm)
-            x0[:mm - 1] = x[:mm - 1]
-            x0[mm:2 * mm - 1] = x[mm - 1:]
-        state, rep = newton_solve(x0, c)
+    x = initial_guess(ctx)
+    state, rep = newton_solve(x, ctx)
+    if rep.converged:
+        return state, rep
+    for mm in range(2, ctx.spec.m + 1):
+        state, rep = newton_solve(_resize(x, mm), ctx.head(mm))
         if not rep.converged:
-            raise SolveFailure(
-                f"no convergence at c = {c.load.c} while stepping m (failed at"
-                f" m = {mm}): {rep.message}"
-            )
+            break
         x = state.x
-    return state, rep
-
-
-def _solve_fixed_basis(mat: MaterialParams, load: LoadParams, family: str,
-                       m: int, p, quad: int | None):
-    """Solve with the basis fixed: polynomial, or steep at the given p.
-
-    Falls back to the basis-size ladder when the direct solve fails.  The
-    report carries no equilibrium defect.
-    """
-    if family == "polynomial":
-        spec = BasisSpec("polynomial", m)
-        ctx = SolveContext(mat, load, spec, auto_rule(family, n=quad))
-    else:
-        spec = BasisSpec("adaptive", m, tuple(p))
-        ctx = SolveContext(mat, load, spec, auto_rule(family, spec.p[0], quad))
-    state, rep = newton_solve(initial_guess(ctx), ctx)
     if not rep.converged:
-        state, rep = _ladder_solve(ctx)
+        raise SolveFailure(f"no convergence at c = {ctx.load.c} while stepping m"
+                           f" (failed at m = {state.spec.m}): {rep.message}")
     return state, rep
 
 
@@ -652,16 +644,17 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
     given, `delta_at` there.
     """
     if family == "polynomial" or p is not None:
-        state, rep = _solve_fixed_basis(mat, load, family, m, p, quad)
+        state, rep = _solve_fixed_basis(
+            SolveContext.create(mat, load, family, m, p, quad))
     else:
         try:
-            prev, _ = _solve_fixed_basis(mat, load, "polynomial", m, None, quad)
+            prev, _ = _solve_fixed_basis(
+                SolveContext.create(mat, load, "polynomial", m, quad=quad))
         except SolveFailure:
             prev = None
         p1 = init_p1(prev, mat, load)
-        spec = BasisSpec("adaptive", m, (p1,))
-        ctx = SolveContext(mat, load, spec, auto_rule(family, p1, quad))
-        state, rep = optimize_basis(ctx)
+        state, rep = optimize_basis(
+            SolveContext.create(mat, load, family, m, (p1,), quad))
     if rep.converged and load.c != 0.0:
         at, rep.delta_max = delta_diagnostic(
             state, mat, [probe] if probe is not None else [])

@@ -236,6 +236,8 @@ def test_exit_code_2_on_config_errors(tmp_path):
     ("converge", "m_max = 100000000", []),
     ("sweep", "c_start = 0.1\nc_end = 1.0\nc_step = 0", []),
     ("sweep", "c_start = 0.1\nc_end = 1.0\nc_step = -0.1", []),
+    # the steep family at d = 0 without p, which solve already rejected
+    ("converge", "family = adaptive", []),
 ])
 def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
     cfg = write_cfg(tmp_path, GAS_KV + extra + "\n")
@@ -251,6 +253,15 @@ def test_sweep_rejects_a_load_range_that_overflows(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_steep_solve_beyond_double_precision_exits_3(tmp_path):
+    # the steepness start at d = 1e30 is p1 ~ 1e15, too steep for the
+    # quadrature; this used to end in a traceback
+    cfg = write_cfg(tmp_path, "gamma1 = 0.1\nc = 0.5\nd = 1e30\nfamily = adaptive\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert "p1 = " in json.loads((out / "report.json").read_text())["message"]
 
 
 def test_exit_code_3_still_writes_report(tmp_path):
@@ -390,6 +401,19 @@ def test_scale_rejects_nonpositive_geometry():
     with pytest.raises(ConfigError):
         scale_inputs(r0=0.0, h0=0.001, c1=2e5, rho_g=0.0,
                      p_star=1.0, p_ref=0.0)
+
+
+@pytest.mark.parametrize("flags", [
+    # 2 c1 h0 underflows to zero, which divided by zero
+    ["--r0", "1e200", "--h0", "1e-200", "--c1", "1e-200", "--rho-g", "1",
+     "--p-star", "1", "--p-ref", "0"],
+    # c and d overflow, which printed "c": Infinity with exit code 0
+    ["--r0", "1e308", "--h0", "1", "--c1", "1", "--rho-g", "1",
+     "--p-star", "1e308", "--p-ref", "0"],
+])
+def test_scale_rejects_a_zero_denominator_or_a_non_finite_result(capsys, flags):
+    assert main(["scale"] + flags) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_outputs_byte_reproducible(tmp_path):

@@ -22,6 +22,17 @@ def test_load_params_reject_negative_d():
         LoadParams(1.0, -0.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: LoadParams(v), lambda v: LoadParams(0.5, v),
+    lambda v: MaterialParams(gamma1=v), lambda v: MaterialParams(gamma2=v),
+    lambda v: MaterialParams(gamma3=v)], ids=["c", "d", "gamma1", "gamma2", "gamma3"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_load_and_material_reject_non_finite_fields(make, value):
+    # a NaN load or coefficient used to fail a solve as a start failure
+    with pytest.raises(ValueError, match="must be finite"):
+        make(value)
+
+
 def test_boundary_layer_width():
     # The steep family starts at p1 = sqrt(d), the inverse layer width of
     # the linearised problem: one width in from the rim the profile

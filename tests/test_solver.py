@@ -130,7 +130,7 @@ def test_sweep_reverse_path_independence():
     ctx = gas_context(6)
     policy = StepPolicy(initial=0.1)
     fwd = continue_in_load(ctx, 0.2, 0.8, policy)
-    back = continue_in_load(ctx, 0.8, 0.2, policy, x0=fwd[-1].x)
+    back = continue_in_load(ctx, 0.8, 0.2, policy)
     fwd_by_c = {round(pt.c_value, 9): pt for pt in fwd}
     matched = 0
     for pt in back:
@@ -360,6 +360,45 @@ def test_continuation_conditions_only_the_start_state(cond_calls):
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
     assert len(points) == 24
     assert len(cond_calls) == 1
+
+
+def test_sweep_starts_on_the_state_solve_membrane_returns():
+    # the direct start fails here and only the basis-size ladder converges;
+    # the sweep used to fail with "no equilibrium at the sweep start"
+    mat, load = MaterialParams(gamma1=0.08), LoadParams(0.22, 10.0)
+    state, _ = solve_membrane(mat, load, "polynomial", 6)
+    ctx = SolveContext.create(mat, load, "polynomial", 6)
+    points = continue_in_load(ctx, 0.22, 0.32)
+    assert np.array_equal(points[0].x, state.x)
+    assert points[-1].c_value == 0.32
+
+
+def test_create_maps_the_family_to_its_spec_and_rule():
+    poly = SolveContext.create(GAS, LoadParams(1.7), "polynomial", 6, (17.1,))
+    assert poly.spec == BasisSpec("polynomial", 6)
+    assert poly.rule.n == 64
+    steep = SolveContext.create(LIQ, LoadParams(0.5, 10.0), "adaptive", 6,
+                                (80.0,), quad=32)
+    assert steep.spec == BasisSpec("adaptive", 6, (80.0,))
+    assert np.array_equal(steep.rule.nodes, auto_rule("adaptive", 80.0, 32).nodes)
+
+
+def test_bordered_newton_reports_a_non_finite_load(monkeypatch, gas_m6):
+    # LoadParams rejects a NaN load, so the step tests c before it moves
+    state, _ = gas_m6
+    monkeypatch.setattr(solver, "load_derivative",
+                        lambda *args, **kwargs: np.full(state.x.size, np.nan))
+    _, _, report = solve_at_sag(gas_context(6), state.sag() + 0.01, state.x, 1.7)
+    assert not report.converged
+    assert report.message == "iterate not finite"
+
+
+@pytest.mark.parametrize("d", [1e30, 1e35])
+def test_steepness_beyond_double_precision_is_a_solve_failure(d):
+    # the layer panel (1 - 6/p1, 1) is too thin for distinct nodes in double
+    # precision; this used to escape as the quadrature's ValueError
+    with pytest.raises(SolveFailure, match="p1 = "):
+        solve_membrane(LIQ, LoadParams(0.5, d), "adaptive", 6)
 
 
 @pytest.mark.parametrize("mat, d, m, c_start, c_end", [
