@@ -1,0 +1,7 @@
+"""`python -m ritzmem` runs the command line."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

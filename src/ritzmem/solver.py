@@ -2,12 +2,15 @@
 
 The discrete equilibrium g(x) = 0 is solved by plain Newton iteration on
 the analytic tangent matrix.  Load sweeps walk the load parameter c with a
-secant predictor; when the start state is hard (slow Newton or a
-near-singular tangent) or a fold makes c-stepping fail, the driver
-switches to prescribing the pole sag f and treating c as an unknown in a
-bordered system, which passes through limit points without drama.  Both
-solves, at fixed c (`newton_solve`) and at prescribed f (`solve_at_sag`),
-run the one Newton loop `_newton`.
+secant predictor.  A load step that has not converged within
+LOAD_STEP_ITERS Newton iterations has failed and is retried at half the
+step, so a slowly converging corrector cannot carry the sweep onto another
+branch past a fold pair; every other solve gets NEWTON_MAX_ITER.  When the
+start state is hard (slow Newton or a near-singular tangent) or a fold
+makes c-stepping fail, the driver switches to prescribing the pole sag f
+and treating c as an unknown in a bordered system, which passes through
+limit points without drama.  Both solves, at fixed c (`newton_solve`) and
+at prescribed f (`solve_at_sag`), run the one Newton loop `_newton`.
 
 For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
@@ -160,19 +163,21 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
 
 
 # Newton converges at a residual max-norm of NEWTON_TOL, within
-# NEWTON_MAX_ITER steps.
+# NEWTON_MAX_ITER steps unless the caller gives a smaller budget.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
 
 
-def _newton(ctx: SolveContext, x0, f_target: float | None = None):
+def _newton(ctx: SolveContext, x0, f_target: float | None = None,
+            max_iter: int = NEWTON_MAX_ITER):
     """Newton iteration on g(x; c) = 0 at the load of `ctx`.
 
     With `f_target` the load c is an unknown too: the system is bordered by
     the sag row e.x - f = 0 and the column dg/dc, starting from c of `ctx`.
     Stops on the max-norm of the (bordered) residual.  Divergence (three
-    consecutive residual increases) and non-finite iterates abort with
-    converged=False; callers decide whether that is fatal.
+    consecutive residual increases), non-finite iterates and `max_iter`
+    steps without convergence abort with converged=False; callers decide
+    whether that is fatal.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -207,7 +212,7 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None):
                 break
         else:
             growth = 0
-        if steps >= NEWTON_MAX_ITER:
+        if steps >= max_iter:
             message = "max_iter exceeded"
             break
         h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
@@ -240,13 +245,14 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None):
     return ctx.state(x), report
 
 
-def newton_solve(x0, ctx: SolveContext):
-    """Plain Newton iteration at the fixed load of `ctx`.
+def newton_solve(x0, ctx: SolveContext, max_iter: int = NEWTON_MAX_ITER):
+    """Plain Newton iteration at the fixed load of `ctx`, within `max_iter`
+    steps.
 
     Returns (state, report); the equilibrium defect is left to
     `solve_membrane`.
     """
-    return _newton(ctx, x0)
+    return _newton(ctx, x0, max_iter=max_iter)
 
 
 def _resize(x, k: int) -> np.ndarray:
@@ -299,18 +305,20 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
 
 # Continuation step control.  The step halves on failure and grows by GROW
 # after EASY_STREAK solves of at most EASY_ITERS iterations, up to MAX_STEP.
-# A start state that took more than SWITCH_ITERS iterations, or whose
-# tangent condition number exceeds SWITCH_COND, puts the sweep in sag
-# parametrization, which it keeps to the end of the sweep; a load step
-# below MIN_STEP, or a second branch jump since the last accepted step, does
-# too, and a sag step below MIN_STEP fails the sweep.  A sweep stops at
-# MAX_POINTS points or past a sag of MAX_SAG.
+# A load step gets LOAD_STEP_ITERS Newton iterations; one that needs more
+# has failed.  A start state that took more than LOAD_STEP_ITERS iterations,
+# or whose tangent condition number exceeds SWITCH_COND, puts the sweep in
+# sag parametrization, which it keeps to the end of the sweep; a load step
+# below MIN_STEP or below the float resolution of c, or a second branch jump
+# since the last accepted step, does too.  Sag steps get NEWTON_MAX_ITER
+# iterations, and a sag step below MIN_STEP fails the sweep.  A sweep stops
+# at MAX_POINTS points or past a sag of MAX_SAG.
 MIN_STEP = 1e-6
 MAX_STEP = 0.25
 GROW = 2.0
 EASY_ITERS = 4
 EASY_STREAK = 3
-SWITCH_ITERS = 8
+LOAD_STEP_ITERS = 8
 SWITCH_COND = 1e10
 MAX_POINTS = 2000
 MAX_SAG = 8.0
@@ -355,7 +363,7 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
 
     dc = direction * policy.initial
     easy = 0
-    sag_mode = rep.iterations > SWITCH_ITERS or float(np.linalg.cond(
+    sag_mode = rep.iterations > LOAD_STEP_ITERS or float(np.linalg.cond(
         jacobian(state, ctx.mat, ctx.rule, ctx.tables))) > SWITCH_COND
     df = None
 
@@ -368,6 +376,9 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             c_next = last.c_value + dc
             if direction * (c_next - c_end) > 0.0:
                 c_next = c_end
+            if c_next == last.c_value:
+                sag_mode = True
+                continue
             if len(points) >= 2:
                 prev = points[-2]
                 t = (c_next - last.c_value) / (last.c_value - prev.c_value)
@@ -376,7 +387,8 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             else:
                 x_pred = last.x
                 df_exp = None
-            state, rep = newton_solve(x_pred, ctx.with_load(c_next))
+            state, rep = newton_solve(x_pred, ctx.with_load(c_next),
+                                      max_iter=LOAD_STEP_ITERS)
             # A converged iterate that leaves the local trend is a root on
             # another branch, typical just past a fold where the nearby
             # solution ceases to exist.  Treat it like a failed step.
@@ -514,7 +526,7 @@ def optimize_basis(ctx: SolveContext):
     inner_counts: list[int] = []
 
     def inner(p1, x_warm):
-        c = ctx.with_spec(ctx.spec.with_p((p1,)))
+        c = ctx if p1 == ctx.spec.p[0] else ctx.with_spec(ctx.spec.with_p((p1,)))
         xw = x_warm if x_warm is not None else initial_guess(c)
         st, rep = newton_solve(xw, c)
         if not rep.converged and x_warm is not None:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +360,17 @@ def test_sweep_short_monotone_leg(tmp_path):
     assert np.all(rows[:, 2] >= 0.0)
 
 
+def test_sweep_with_a_step_below_the_resolution_of_c(tmp_path):
+    # 0.1 + 1e-300 == 0.1: the secant predictor raised ZeroDivisionError,
+    # a traceback with exit code 1
+    cfg = write_cfg(
+        tmp_path,
+        "gamma1 = 0.02\ngamma2 = -0.015\ngamma3 = 0.00025\n"
+        "c_start = 0.1\nc_end = 1.0\nc_step = 1e-300\nm = 6\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) in (0, 3)
+
+
 def test_sweep_empty_range(tmp_path):
     cfg = write_cfg(tmp_path, "c_start = 0.7\nc_end = 0.7\n")
     out = tmp_path / "out"
@@ -377,6 +392,18 @@ def test_scale_trivial_cases(capsys, tmp_path):
     result = json.loads(capsys.readouterr().out)
     assert result["d"] == 0.0
     assert result["c"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_python_m_runs_the_readme_scale_example(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ritzmem", "scale", "--r0", "0.1", "--h0",
+         "0.001", "--c1", "2e5", "--rho-g", "9810", "--p-star", "5000",
+         "--p-ref", "1000"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout)["c"] == 1.0
 
 
 def test_scale_round_trip():

@@ -152,10 +152,9 @@ def test_sweep_fold_structure():
     slopes = np.sign(np.diff(c) / np.diff(f))
     flips = int(np.count_nonzero(np.diff(slopes[slopes != 0.0])))
     assert flips == 2
-    # upper critical load, then the lower one on the unstable leg; the last
-    # point may overshoot c_end on the re-rising branch, so exclude it from
-    # the local-extremum search
-    i_max = int(np.argmax(c[:-1]))
+    # upper critical load at the first slope sign change, then the lower one
+    # on the unstable leg; the re-rising branch may end above the upper one
+    i_max = int(np.argmax(slopes < 0.0))
     assert 0 < i_max < len(c) - 2
     assert c[i_max] == pytest.approx(1.82, abs=0.05)
     c_min_after = np.min(c[i_max:])
@@ -358,7 +357,7 @@ def test_continuation_conditions_only_the_start_state(cond_calls):
     # the switch test runs once, on the sweep's first state; accepted load
     # steps are not conditioned
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    assert len(points) == 24
+    assert len(points) == 48
     assert len(cond_calls) == 1
 
 
@@ -405,14 +404,71 @@ def test_steepness_beyond_double_precision_is_a_solve_failure(d):
     # a hard accepted step used to switch this reverse sweep into sag
     # parametrization, which then ended at c = -0.046, a wrong-sign load
     (MaterialParams(gamma1=0.2, gamma2=0.01), 10.0, 8, 1.0, 0.1),
-    # and this one past c_end, at c = 3.33
-    (GAS, 1.0, 4, 0.1, 3.0),
 ])
 def test_sweep_in_load_steps_ends_at_c_end(mat, d, m, c_start, c_end):
     ctx = SolveContext(mat, LoadParams(c_start, d), BasisSpec("polynomial", m),
                        auto_rule("polynomial"))
     points = continue_in_load(ctx, c_start, c_end, StepPolicy(initial=0.05))
     assert points[-1].c_value == c_end
+
+
+def _fold_count(points):
+    c = np.array([pt.c_value for pt in points])
+    f = np.array([pt.sag for pt in points])
+    slopes = np.sign(np.diff(c) / np.diff(f))
+    return int(np.count_nonzero(np.diff(slopes[slopes != 0.0])))
+
+
+@pytest.fixture
+def newton_reports(monkeypatch):
+    reports = []
+    inner = solver.newton_solve
+
+    def recorded(x0, ctx, **kwargs):
+        state, report = inner(x0, ctx, **kwargs)
+        reports.append((ctx.load.c, report))
+        return state, report
+
+    monkeypatch.setattr(solver, "newton_solve", recorded)
+    return reports
+
+
+def test_load_steps_stop_at_their_iteration_budget(newton_reports):
+    # failed load steps near the folds used to run all NEWTON_MAX_ITER
+    # iterations; only the start solves, at c_start, keep that budget
+    continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
+    steps = [report for c, report in newton_reports if c != 0.1]
+    assert max(report.iterations for report in steps) <= solver.LOAD_STEP_ITERS
+    assert any(report.message == "max_iter exceeded" for report in steps)
+
+
+def test_sag_steps_keep_the_full_iteration_budget():
+    # with the load-step budget on the bordered corrector too, this sweep
+    # failed with "sag continuation stalled near f = 1.711"
+    ctx = SolveContext(GAS, LoadParams(0.1, 1.0), BasisSpec("polynomial", 8),
+                       auto_rule("polynomial"))
+    assert _fold_count(continue_in_load(ctx, 0.1, 3.0)) == 2
+
+
+def test_slow_load_step_does_not_jump_the_fold_pair():
+    # the step from c = 2.525 to 2.775 used to converge after 20 iterations
+    # on the upper branch, past the folds at c ~ 2.55-2.58: 18 points and no
+    # fold
+    ctx = SolveContext(GAS, LoadParams(0.1, 1.0), BasisSpec("polynomial", 4),
+                       auto_rule("polynomial"))
+    points = continue_in_load(ctx, 0.1, 3.0, StepPolicy(initial=0.05))
+    assert _fold_count(points) == 2
+    assert np.all(np.diff([pt.sag for pt in points]) > 0.0)
+    assert points[-1].c_value >= 3.0
+    assert points[-1].stability_hint == 1
+
+
+def test_load_step_below_the_resolution_of_c_switches_to_sag_steps():
+    # 0.1 + 1e-300 == 0.1, so the secant predictor divided by zero
+    points = continue_in_load(gas_context(6, c=0.1), 0.1, 1.0,
+                              StepPolicy(initial=1e-300))
+    assert np.all(np.diff([pt.sag for pt in points]) > 0.0)
+    assert points[-1].c_value >= 1.0
 
 
 @pytest.mark.parametrize("initial", [0.0, -0.05, float("nan"), float("inf")])
@@ -460,12 +516,13 @@ def tension_calls(monkeypatch):
 
 @pytest.mark.parametrize("mat, load, family, builds, tensions", [
     (GAS, LoadParams(1.7), "polynomial", 1, 11),
-    (LIQ, LoadParams(0.5, 10.0), "adaptive", 12, 77),
+    (LIQ, LoadParams(0.5, 10.0), "adaptive", 11, 77),
 ])
 def test_solves_build_tables_once_per_basis(build_calls, tension_calls, mat,
                                             load, family, builds, tensions):
     # the small-system guess and the basis-size ladder slice the tables of
-    # the context they start from; only a new steepness builds new ones
+    # the context they start from, and the p search starts on the tables of
+    # its context; only a new steepness builds new ones
     _, report = solve_membrane(mat, load, family, 6)
     assert report.converged
     assert len(build_calls) == builds
@@ -483,7 +540,7 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert len(points) > 2
     assert build_calls == []
     assert generator_calls == []
-    assert len(tension_calls) == 170
+    assert len(tension_calls) == 384
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
