@@ -163,21 +163,23 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
 
 
 # Newton converges at a residual max-norm of NEWTON_TOL, within
-# NEWTON_MAX_ITER steps unless the caller gives a smaller budget.
+# NEWTON_MAX_ITER steps; a continuation corrector has its own rules below.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
 
 
 def _newton(ctx: SolveContext, x0, f_target: float | None = None,
-            max_iter: int = NEWTON_MAX_ITER):
+            corrector: bool = False):
     """Newton iteration on g(x; c) = 0 at the load of `ctx`.
 
     With `f_target` the load c is an unknown too: the system is bordered by
     the sag row e.x - f = 0 and the column dg/dc, starting from c of `ctx`.
     Stops on the max-norm of the (bordered) residual.  Divergence (three
-    consecutive residual increases), non-finite iterates and `max_iter`
+    consecutive residual increases), non-finite iterates and NEWTON_MAX_ITER
     steps without convergence abort with converged=False; callers decide
-    whether that is fatal.
+    whether that is fatal.  A `corrector` gets LOAD_STEP_ITERS steps and
+    also aborts, with "residual not halving", as soon as an unconverged
+    residual exceeds CONTRACTION times the previous one.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -205,6 +207,9 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
         if gn <= NEWTON_TOL:
             converged = True
             break
+        if corrector and len(hist) > 1 and gn > CONTRACTION * hist[-2]:
+            message = "residual not halving"
+            break
         if len(hist) > 1 and gn > hist[-2]:
             growth += 1
             if growth >= 3:
@@ -212,7 +217,7 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
                 break
         else:
             growth = 0
-        if steps >= max_iter:
+        if steps >= (LOAD_STEP_ITERS if corrector else NEWTON_MAX_ITER):
             message = "max_iter exceeded"
             break
         h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
@@ -245,14 +250,14 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
     return ctx.state(x), report
 
 
-def newton_solve(x0, ctx: SolveContext, max_iter: int = NEWTON_MAX_ITER):
-    """Plain Newton iteration at the fixed load of `ctx`, within `max_iter`
-    steps.
+def newton_solve(x0, ctx: SolveContext, corrector: bool = False):
+    """Plain Newton iteration at the fixed load of `ctx`; a `corrector`
+    (a continuation load step) gives up early, as in `_newton`.
 
     Returns (state, report); the equilibrium defect is left to
     `solve_membrane`.
     """
-    return _newton(ctx, x0, max_iter=max_iter)
+    return _newton(ctx, x0, corrector=corrector)
 
 
 def _resize(x, k: int) -> np.ndarray:
@@ -319,6 +324,7 @@ GROW = 2.0
 EASY_ITERS = 4
 EASY_STREAK = 3
 LOAD_STEP_ITERS = 8
+CONTRACTION = 0.5
 SWITCH_COND = 1e10
 MAX_POINTS = 2000
 MAX_SAG = 8.0
@@ -388,7 +394,7 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
                 x_pred = last.x
                 df_exp = None
             state, rep = newton_solve(x_pred, ctx.with_load(c_next),
-                                      max_iter=LOAD_STEP_ITERS)
+                                      corrector=True)
             # A converged iterate that leaves the local trend is a root on
             # another branch, typical just past a fold where the nearby
             # solution ceases to exist.  Treat it like a failed step.

@@ -426,7 +426,7 @@ def newton_reports(monkeypatch):
 
     def recorded(x0, ctx, **kwargs):
         state, report = inner(x0, ctx, **kwargs)
-        reports.append((ctx.load.c, report))
+        reports.append((kwargs.get("corrector", False), report))
         return state, report
 
     monkeypatch.setattr(solver, "newton_solve", recorded)
@@ -434,12 +434,17 @@ def newton_reports(monkeypatch):
 
 
 def test_load_steps_stop_at_their_iteration_budget(newton_reports):
-    # failed load steps near the folds used to run all NEWTON_MAX_ITER
-    # iterations; only the start solves, at c_start, keep that budget
+    # failed load steps near the folds used to run the whole budget; a load
+    # step now goes on only while each iteration at least halves the residual
     continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    steps = [report for c, report in newton_reports if c != 0.1]
+    steps = [report for corrector, report in newton_reports if corrector]
     assert max(report.iterations for report in steps) <= solver.LOAD_STEP_ITERS
-    assert any(report.message == "max_iter exceeded" for report in steps)
+    for report in steps:
+        hist = report.residual_history
+        assert all(hist[i] <= solver.CONTRACTION * hist[i - 1]
+                   for i in range(1, len(hist) - 1))
+    assert any(report.message == "residual not halving"
+               and report.iterations < solver.LOAD_STEP_ITERS for report in steps)
 
 
 def test_sag_steps_keep_the_full_iteration_budget():
@@ -540,7 +545,7 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert len(points) > 2
     assert build_calls == []
     assert generator_calls == []
-    assert len(tension_calls) == 384
+    assert len(tension_calls) == 240
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
