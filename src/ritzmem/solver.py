@@ -2,15 +2,15 @@
 
 The discrete equilibrium g(x) = 0 is solved by plain Newton iteration on
 the analytic tangent matrix.  Load sweeps walk the load parameter c with a
-secant predictor.  A load step that has not converged within
-LOAD_STEP_ITERS Newton iterations has failed and is retried at half the
-step, so a slowly converging corrector cannot carry the sweep onto another
-branch past a fold pair; every other solve gets NEWTON_MAX_ITER.  When the
-start state is hard (slow Newton or a near-singular tangent) or a fold
-makes c-stepping fail, the driver switches to prescribing the pole sag f
-and treating c as an unknown in a bordered system, which passes through
-limit points without drama.  Both solves, at fixed c (`newton_solve`) and
-at prescribed f (`solve_at_sag`), run the one Newton loop `_newton`.
+secant predictor.  A load step fails, and is retried at half the step, as
+soon as an iteration fails to halve the residual or after LOAD_STEP_ITERS
+iterations, so a slow corrector cannot carry the sweep onto another branch
+past a fold pair.  When the start state is hard (slow Newton or a
+near-singular tangent) or a fold makes c-stepping fail, the driver switches
+to prescribing the pole sag f and treating c as an unknown in a bordered
+system, which passes through limit points without drama, and lands on
+c_end at fixed c.  Both solves, at fixed c (`newton_solve`) and at
+prescribed f (`solve_at_sag`), run the one Newton loop `_newton`.
 
 For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
@@ -178,8 +178,7 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
     consecutive residual increases), non-finite iterates and NEWTON_MAX_ITER
     steps without convergence abort with converged=False; callers decide
     whether that is fatal.  A `corrector` gets LOAD_STEP_ITERS steps and
-    also aborts, with "residual not halving", as soon as an unconverged
-    residual exceeds CONTRACTION times the previous one.
+    aborts once a residual exceeds CONTRACTION times the last one.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -310,14 +309,16 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
 
 # Continuation step control.  The step halves on failure and grows by GROW
 # after EASY_STREAK solves of at most EASY_ITERS iterations, up to MAX_STEP.
-# A load step gets LOAD_STEP_ITERS Newton iterations; one that needs more
-# has failed.  A start state that took more than LOAD_STEP_ITERS iterations,
-# or whose tangent condition number exceeds SWITCH_COND, puts the sweep in
-# sag parametrization, which it keeps to the end of the sweep; a load step
-# below MIN_STEP or below the float resolution of c, or a second branch jump
-# since the last accepted step, does too.  Sag steps get NEWTON_MAX_ITER
-# iterations, and a sag step below MIN_STEP fails the sweep.  A sweep stops
-# at MAX_POINTS points or past a sag of MAX_SAG.
+# A load step has failed once an iteration leaves more than CONTRACTION of
+# the previous residual or LOAD_STEP_ITERS iterations pass.  A start state
+# that took more than LOAD_STEP_ITERS iterations, or whose tangent condition
+# number exceeds SWITCH_COND, puts the sweep in sag parametrization, which
+# it keeps to the end; a load step below MIN_STEP or the float resolution of
+# c, or a second branch jump since the last accepted step, does too.  Sag
+# steps start in the sweep's direction and get NEWTON_MAX_ITER iterations;
+# one below MIN_STEP fails the sweep.  A sweep stops at MAX_POINTS points,
+# past a sag of MAX_SAG, or at c_end, where the sag step that passed it
+# gives way to a full-budget solve unless that solve fails.
 MIN_STEP = 1e-6
 MAX_STEP = 0.25
 GROW = 2.0
@@ -424,7 +425,7 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             if len(points) >= 2:
                 df = points[-1].sag - points[-2].sag
             if df is None or df == 0.0:
-                df = 0.02 * math.copysign(1.0, points[-1].sag or direction)
+                df = 0.02 * direction
             df = math.copysign(min(max(abs(df), MIN_STEP), MAX_STEP), df)
         if len(points) >= 2:
             prev = points[-2]
@@ -448,6 +449,12 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
                 easy = 0
             rising = c_new > points[-2].c_value
             if direction * (c_new - c_end) >= 0.0 and (direction < 0 or rising):
+                # land on c_end from the secant between the two points
+                t = (c_end - last.c_value) / (c_new - last.c_value)
+                state, rep = newton_solve(last.x + t * (state.x - last.x),
+                                          ctx.with_load(c_end))
+                if rep.converged:
+                    points[-1] = ContinuationPoint(c_end, ctx.sag(state.x), state.x.copy())
                 break
             if abs(points[-1].sag) > MAX_SAG:
                 break

@@ -412,6 +412,23 @@ def test_sweep_in_load_steps_ends_at_c_end(mat, d, m, c_start, c_end):
     assert points[-1].c_value == c_end
 
 
+@pytest.mark.parametrize("d, m, c_start, c_end, step", [
+    # the hard m = 10 start puts this sweep in sag steps at once; its first
+    # sag step took the sign of the sag, raised c, and the sweep "succeeded"
+    # with 34 points ending at c = 46.3, f = 8.13
+    (1.0, 10, 2.5, 0.2, 0.05),
+    # the last sag step used to carry this sweep past c_end to c = 3.74
+    (0.0, 4, 0.1, 2.67, 0.1),
+])
+def test_sweep_in_sag_steps_ends_at_c_end(d, m, c_start, c_end, step):
+    ctx = SolveContext(GAS, LoadParams(c_start, d), BasisSpec("polynomial", m),
+                       auto_rule("polynomial"))
+    points = continue_in_load(ctx, c_start, c_end, StepPolicy(initial=step))
+    assert points[-1].c_value == c_end
+    sags = np.array([pt.sag for pt in points])
+    assert np.all(np.diff(sags) * (c_end - c_start) > 0.0)
+
+
 def _fold_count(points):
     c = np.array([pt.c_value for pt in points])
     f = np.array([pt.sag for pt in points])
@@ -545,7 +562,7 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert len(points) > 2
     assert build_calls == []
     assert generator_calls == []
-    assert len(tension_calls) == 240
+    assert len(tension_calls) == 244
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
