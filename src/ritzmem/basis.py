@@ -251,20 +251,19 @@ class SolutionState:
 def eval_shape(state: SolutionState, s, second: bool = False) -> ShapeEval:
     """Trial shape at points s; second derivatives on request."""
     s = np.asarray(s, dtype=float)
+    return _shape(state, s, eval_generators(state.spec, s), second)
+
+
+def _shape(state: SolutionState, s, gen, second: bool) -> ShapeEval:
+    """Trial shape at points s from the generators `gen` evaluated there."""
     m = state.spec.m
     xu = state.x[:m]
     xv = state.x[m:]
-    u, du, d2u, v, dv, d2v = eval_generators(state.spec, s)
-    tensordot = lambda c, t: np.tensordot(c, t, axes=(0, 0))
-    shape = ShapeEval(
-        z=tensordot(xu, u),
-        r=s + tensordot(xv, v),
-        dz=tensordot(xu, du),
-        dr=1.0 + tensordot(xv, dv),
-    )
+    u, du, d2u, v, dv, d2v = gen
+    shape = ShapeEval(z=xu @ u, r=s + xv @ v, dz=xu @ du, dr=1.0 + xv @ dv)
     if second:
-        shape.d2z = tensordot(xu, d2u)
-        shape.d2r = tensordot(xv, d2v)
+        shape.d2z = xu @ d2u
+        shape.d2r = xv @ d2v
     return shape
 
 

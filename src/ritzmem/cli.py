@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -234,11 +235,10 @@ def profile_rows(state, mat: MaterialParams):
 
 def write_profile(path: Path, state, mat: MaterialParams) -> None:
     rows = profile_rows(state, mat)
+    line = "%.17g," * 9 + "%.17e\n"  # nine cells as `_fmt` writes them, then delta
     with open(path, "w", newline="") as fh:
         fh.write("s,z,r,dz,dr,lambda1,lambda2,T1,T2,delta\n")
-        for row in rows:
-            cells = [_fmt(v) for v in row[:-1]] + [f"{row[-1]:.17e}"]
-            fh.write(",".join(cells) + "\n")
+        fh.write("".join(line % tuple(row) for row in rows.tolist()))
 
 
 def _report_dict(report, state, mat, probes) -> dict:
@@ -384,7 +384,9 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool) -> None:
                      help="probe point in [0, 1]; repeatable")
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ritzmem",
         description="Finite deformation of a clamped circular membrane "
@@ -402,8 +404,11 @@ def main(argv=None) -> int:
     for key in sorted(_SCALE_KEYS):
         scale_p.add_argument(f"--{key.replace('_', '-')}", type=float,
                              dest=key, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         raw = load_config(args.config) if args.config else {}
         # command line flags override file values and pass the same checks

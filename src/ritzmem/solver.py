@@ -9,8 +9,9 @@ past a fold pair.  When the start state is hard (slow Newton or a
 near-singular tangent) or a fold makes c-stepping fail, the driver switches
 to prescribing the pole sag f and treating c as an unknown in a bordered
 system, which passes through limit points without drama, and lands on
-c_end at fixed c.  Both solves, at fixed c (`newton_solve`) and at
-prescribed f (`solve_at_sag`), run the one Newton loop `_newton`.
+c_end at fixed c; a landing that fails is a failed sag step.  Both
+solves, at fixed c (`newton_solve`) and at prescribed f (`solve_at_sag`),
+run the one Newton loop `_newton`.
 
 For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
@@ -19,18 +20,21 @@ is unimodal in p1, so a golden-section scan backstops the secant.
 Each Newton iterate evaluates the nodal shape and the material once
 (`assembly.node_terms`); the residual, the tangent and dg/dc all read that
 one evaluation.  `SolveContext.create` picks a family's basis and rule and
-builds its tables once.  Every fixed-basis solve, a sweep's start too, runs
-Newton from the m = 1 start, then the basis-size ladder; both slice the
-tables (`SolveContext.head`), and the pole sag is read from them.
+builds its tables once, the polynomial ones once per process.  Every
+fixed-basis solve, a sweep's start too, runs Newton from the m = 1 start,
+then the basis-size ladder; both slice the tables (`SolveContext.head`),
+and the pole sag is read from them.
 Diagnostics run only where they are read: the load continuation computes
 the tangent's condition number of its first state, and `solve_membrane`
-evaluates the equilibrium defect `delta` once, on the state it returns.
+evaluates the equilibrium defect `delta` once, on the state it returns, in
+one generator pass over the grid and the probe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,12 +46,14 @@ from .assembly import (
     p_gradient,
     residual,
 )
-from .basis import P_MIN, BasisSpec, BasisTables, SolutionState, eval_shape
-from .kinematics import LoadParams, curvatures, hydro_load, stretches
+from .basis import (P_MIN, BasisSpec, BasisTables, SolutionState, _shape,
+                    eval_generators, eval_shape)
+from .kinematics import LoadParams, ShapeEval, curvatures, hydro_load, stretches
 from .material import MaterialParams, principal_stresses
 from .quadrature import MAX_NODES, MIN_NODES, QuadratureRule, auto_rule
 
 DELTA_GRID = 101
+_GRID = np.linspace(0.0, 1.0, DELTA_GRID + 2)[1:-1]
 
 
 class SolveFailure(RuntimeError):
@@ -73,9 +79,11 @@ class SolveContext:
                p=(), quad: int | None = None) -> "SolveContext":
         """Context of a family's basis on its `auto_rule`: the steep rule
         follows p1 = p[0], and the polynomial family drops p.  A p1 too
-        steep for the rule's nodes in double precision is a `SolveFailure`."""
+        steep for the rule's nodes in double precision is a `SolveFailure`.
+        The polynomial rule and tables are shared, see `_poly_rule_tables`."""
         if family == "polynomial":
-            return cls(mat, load, BasisSpec(family, m), auto_rule(family, n=quad))
+            rule, tables = _poly_rule_tables(m, quad)
+            return cls(mat, load, BasisSpec(family, m), rule, tables)
         spec = BasisSpec(family, m, tuple(p))
         try:
             rule = auto_rule(family, spec.p[0], quad)
@@ -104,6 +112,19 @@ class SolveContext:
         return SolutionState(np.asarray(x, dtype=float), self.spec, self.load)
 
 
+@lru_cache(maxsize=16)
+def _poly_rule_tables(m: int, quad: int | None):
+    """Rule and tables of the polynomial basis of size m, which no load or
+    material changes.  Every caller shares the arrays, so they are read-only;
+    the steep tables change with p and are not kept."""
+    spec = BasisSpec("polynomial", m)
+    rule = auto_rule("polynomial", n=quad)
+    tables = BasisTables.build(spec, rule)
+    for arr in (rule.nodes, rule.weights, *vars(tables).values()):
+        arr.flags.writeable = False
+    return rule, tables
+
+
 @dataclass
 class SolveReport:
     converged: bool
@@ -124,18 +145,28 @@ class ContinuationPoint:
     stability_hint: int = 0
 
 
-def _defect_terms(state: SolutionState, mat: MaterialParams, s):
+def _defect_terms(state: SolutionState, mat: MaterialParams, s,
+                  shape: ShapeEval | None = None):
     """Shape, stretches, tensions and the unscaled normal-equilibrium defect.
 
     Returns (shape, lambda1, lambda2, T1, T2, |k1 T1 + k2 T2 - Q|) at the
-    points s; the pole uses the limit values of lambda2 and k2.
+    points s, from the given `shape` there if any; the pole uses the limit
+    values of lambda2 and k2.
     """
-    shape = eval_shape(state, s, second=True)
+    if shape is None:
+        shape = eval_shape(state, s, second=True)
     l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
     t1, t2 = principal_stresses(l1, l2, mat)
     k1, k2 = curvatures(s, shape)
     q = hydro_load(shape.z, state.load.c, state.load.d)
     return shape, l1, l2, t1, t2, np.abs(k1 * t1 + k2 * t2 - q)
+
+
+def _load_scale(state: SolutionState) -> float:
+    c = state.load.c
+    if c == 0.0:
+        raise ValueError("delta diagnostic undefined at zero load")
+    return abs(c)
 
 
 def equilibrium_defect(state: SolutionState, mat: MaterialParams, s) -> np.ndarray:
@@ -144,22 +175,30 @@ def equilibrium_defect(state: SolutionState, mat: MaterialParams, s) -> np.ndarr
     delta(s) = |k1 T1 + k2 T2 - Q| / |c|.  The pole uses the limit values of
     lambda2 and k2.
     """
-    c = state.load.c
-    if c == 0.0:
-        raise ValueError("delta diagnostic undefined at zero load")
-    return _defect_terms(state, mat, s)[-1] / abs(c)
+    scale = _load_scale(state)
+    return _defect_terms(state, mat, s)[-1] / scale
 
 
 def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
     """Equilibrium defect at the probes and over the interior grid.
 
     Returns (delta at each probe, max over a 101-point interior grid), with
-    delta as in `equilibrium_defect`.
+    delta as in `equilibrium_defect`.  One generator pass serves the grid
+    and the probes.  Each of the two builds its shape from a contiguous
+    copy of its own columns, as a separate `eval_shape` would, because the
+    last bit of a matvec depends on the table it runs on; the stretches,
+    tensions and curvatures then run once, on the joined shape.
     """
-    probes = np.asarray(list(probes), dtype=float)
-    grid = np.linspace(0.0, 1.0, DELTA_GRID + 2)[1:-1]
-    at_probes = equilibrium_defect(state, mat, probes) if probes.size else probes
-    return at_probes, float(np.max(equilibrium_defect(state, mat, grid)))
+    scale = _load_scale(state)
+    s = np.concatenate([_GRID, np.asarray(list(probes), dtype=float)])
+    gen = eval_generators(state.spec, s)
+    blocks = [_shape(state, s[cols], [np.ascontiguousarray(g[:, cols]) for g in gen],
+                     second=True)
+              for cols in (slice(None, DELTA_GRID), slice(DELTA_GRID, None))]
+    shape = ShapeEval(*(np.concatenate([getattr(b, f) for b in blocks])
+                        for f in ("z", "r", "dz", "dr", "d2z", "d2r")))
+    delta = _defect_terms(state, mat, s, shape)[-1] / scale
+    return delta[DELTA_GRID:], float(np.max(delta[:DELTA_GRID]))
 
 
 # Newton converges at a residual max-norm of NEWTON_TOL, within
@@ -198,11 +237,12 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
         g = residual(state, ctx.mat, ctx.rule, ctx.tables, terms)
         if f_target is not None:
             g = np.concatenate([g, [float(e @ x) - f_target]])
-        gn = float(np.max(np.abs(g))) if np.all(np.isfinite(g)) else math.inf
-        hist.append(gn)
+        gn = float(np.max(np.abs(g)))  # NaN or inf if any entry is
         if not math.isfinite(gn):
+            hist.append(math.inf)
             message = "residual not finite"
             break
+        hist.append(gn)
         if gn <= NEWTON_TOL:
             converged = True
             break
@@ -233,7 +273,7 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
         x = x - step[:n]
         c = ctx.load.c - float(step[-1]) if f_target is not None else ctx.load.c
         steps += 1
-        if not (np.all(np.isfinite(x)) and math.isfinite(c)):
+        if not (np.isfinite(x).all() and math.isfinite(c)):
             message = "iterate not finite"
             break
         if f_target is not None:
@@ -318,7 +358,8 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
 # steps start in the sweep's direction and get NEWTON_MAX_ITER iterations;
 # one below MIN_STEP fails the sweep.  A sweep stops at MAX_POINTS points,
 # past a sag of MAX_SAG, or at c_end, where the sag step that passed it
-# gives way to a full-budget solve unless that solve fails.
+# gives way to a full-budget solve; if that solve fails, the sag step has
+# failed.
 MIN_STEP = 1e-6
 MAX_STEP = 0.25
 GROW = 2.0
@@ -442,29 +483,30 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             5.0 * abs(c_pred - last.c_value), 0.25 * (1.0 + abs(last.c_value))
         )
         if rep.converged and not jumped:
-            points.append(ContinuationPoint(c_new, ctx.sag(state.x), state.x.copy()))
-            easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
-            if easy >= EASY_STREAK and abs(df) < MAX_STEP:
-                df *= GROW
-                easy = 0
-            rising = c_new > points[-2].c_value
-            if direction * (c_new - c_end) >= 0.0 and (direction < 0 or rising):
-                # land on c_end from the secant between the two points
-                t = (c_end - last.c_value) / (c_new - last.c_value)
-                state, rep = newton_solve(last.x + t * (state.x - last.x),
-                                          ctx.with_load(c_end))
-                if rep.converged:
-                    points[-1] = ContinuationPoint(c_end, ctx.sag(state.x), state.x.copy())
+            rising = c_new > last.c_value
+            if direction * (c_new - c_end) < 0.0 or (direction > 0 and not rising):
+                points.append(ContinuationPoint(c_new, ctx.sag(state.x), state.x.copy()))
+                easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
+                if easy >= EASY_STREAK and abs(df) < MAX_STEP:
+                    df *= GROW
+                    easy = 0
+                if abs(points[-1].sag) > MAX_SAG:
+                    break
+                continue
+            # land on c_end from the secant between the two points; a
+            # landing that fails is a failed sag step
+            t = (c_end - last.c_value) / (c_new - last.c_value)
+            state, rep = newton_solve(last.x + t * (state.x - last.x),
+                                      ctx.with_load(c_end))
+            if rep.converged:
+                points.append(ContinuationPoint(c_end, ctx.sag(state.x), state.x.copy()))
                 break
-            if abs(points[-1].sag) > MAX_SAG:
-                break
-        else:
-            df *= 0.5
-            easy = 0
-            if abs(df) < MIN_STEP:
-                raise SolveFailure(
-                    f"sag continuation stalled near f = {last.sag + df}"
-                )
+        df *= 0.5
+        easy = 0
+        if abs(df) < MIN_STEP:
+            raise SolveFailure(
+                f"sag continuation stalled near f = {last.sag + df}"
+            )
 
     _hints(points)
     return points

@@ -15,15 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ritzmem.basis import BasisSpec, SolutionState
 from ritzmem.cli import (
     MAX_M,
     ConfigError,
     RunConfig,
+    _fmt,
     build_config,
     load_config,
     main,
+    profile_rows,
     scale_inputs,
+    write_profile,
 )
+from ritzmem.kinematics import LoadParams
+from ritzmem.material import MaterialParams
 
 GAS_KV = """\
 # circular membrane under gas pressure
@@ -451,3 +457,37 @@ def test_outputs_byte_reproducible(tmp_path):
                      "--probe", "0.2"]) == 0
     for name in ("solution.json", "profile.csv", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
+    # the parser is built once per process; a --probe of one call must not
+    # reach the next
+    cfg = write_cfg(tmp_path, GAS_KV)
+    runs = [["--probe", "0.2"], []]
+    for i, flags in enumerate(runs):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / f"in{i}")]
+                    + flags) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for i, flags in enumerate(runs):
+        subprocess.run([sys.executable, "-m", "ritzmem", "solve", "--config", cfg,
+                        "--out", str(tmp_path / f"fresh{i}")] + flags,
+                       env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert json.loads((tmp_path / "in1" / "report.json").read_text())[
+        "delta_probes"] == []
+    for i in range(len(runs)):
+        for name in ("solution.json", "profile.csv", "report.json"):
+            assert ((tmp_path / f"in{i}" / name).read_bytes()
+                    == (tmp_path / f"fresh{i}" / name).read_bytes())
+
+
+@pytest.mark.parametrize("c", [1.7, 0.0])
+def test_profile_cells_are_written_as_formatted_one_by_one(tmp_path, c):
+    x = np.array([0.8, -0.05, 0.01, 0.3, -0.02, 0.004])
+    state = SolutionState(x, BasisSpec("polynomial", 3), LoadParams(c))
+    mat = MaterialParams(0.02, -0.015, 0.00025)
+    write_profile(tmp_path / "profile.csv", state, mat)
+    lines = ["s,z,r,dz,dr,lambda1,lambda2,T1,T2,delta\n"]
+    for row in profile_rows(state, mat):
+        lines.append(",".join([_fmt(v) for v in row[:-1]] + [f"{row[-1]:.17e}"]) + "\n")
+    assert (tmp_path / "profile.csv").read_text() == "".join(lines)

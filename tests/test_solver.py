@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ritzmem import assembly, basis, solver
 from ritzmem.basis import BasisSpec, BasisTables, SolutionState, eval_shape
@@ -307,6 +309,40 @@ def test_pointwise_defect_matches_diagnostic(gas_m6):
         equilibrium_defect(zero, GAS, probes)
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(family=st.sampled_from(["polynomial", "adaptive"]),
+       m=st.integers(1, 12),
+       p1=st.floats(0.5, 120.0),
+       c=st.floats(0.01, 3.0) | st.floats(-3.0, -0.01),
+       d=st.sampled_from([0.0, 1.0, 10.0, 100.0]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       probes=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+                       max_size=4))
+def test_diagnostic_is_the_pointwise_defect_bit_for_bit(family, m, p1, c, d,
+                                                        seed, probes):
+    rng = np.random.default_rng(seed)
+    # |v_k| <= 1, so r(s) >= 0.4 s and no curvature is undefined
+    x = np.concatenate([rng.uniform(-1.0, 1.0, m), rng.uniform(-0.05, 0.05, m)])
+    p = (p1,) if family == "adaptive" else ()
+    state = SolutionState(x, BasisSpec(family, m, p), LoadParams(c, d))
+    at, dmax = delta_diagnostic(state, LIQ, probes)
+    probes = np.asarray(probes, dtype=float)
+    grid = np.linspace(0.0, 1.0, solver.DELTA_GRID + 2)[1:-1]
+    assert at.tobytes() == equilibrium_defect(state, LIQ, probes).tobytes()
+    assert dmax == float(np.max(equilibrium_defect(state, LIQ, grid)))
+
+
+@pytest.mark.parametrize("family, p", [("polynomial", ()), ("adaptive", (17.1,))])
+def test_diagnostic_evaluates_the_generators_once(monkeypatch, family, p):
+    # one pass serves the grid and the probes
+    poly = _counter(monkeypatch, basis, "_poly_uv")
+    steep = _counter(monkeypatch, basis, "_steep_uv")
+    state = SolutionState(np.linspace(0.1, 0.6, 12), BasisSpec(family, 6, p),
+                          LoadParams(0.5, 10.0))
+    delta_diagnostic(state, LIQ, [0.0, 0.2, 1.0])
+    assert len(poly) + len(steep) == 1
+
+
 def _counter(monkeypatch, owner, name):
     calls = []
     inner = getattr(owner, name)
@@ -429,6 +465,18 @@ def test_sweep_in_sag_steps_ends_at_c_end(d, m, c_start, c_end, step):
     assert np.all(np.diff(sags) * (c_end - c_start) > 0.0)
 
 
+def test_failed_landing_is_a_failed_sag_step():
+    # the landing at c_end = 0.2 from the point past it fails; that point,
+    # at c = -0.167, was once returned as the end of a successful sweep
+    ctx = SolveContext(MaterialParams(gamma1=0.1, gamma2=0.01), LoadParams(2.5, 10.0),
+                       BasisSpec("polynomial", 10), auto_rule("polynomial"))
+    points = continue_in_load(ctx, 2.5, 0.2)
+    assert len(points) == 9
+    assert points[-1].c_value == 0.2
+    assert points[-1].sag == pytest.approx(0.0201, abs=1e-4)
+    assert min(pt.c_value for pt in points) == 0.2
+
+
 def _fold_count(points):
     c = np.array([pt.c_value for pt in points])
     f = np.array([pt.sag for pt in points])
@@ -515,6 +563,8 @@ def test_start_failure_is_stated_not_ramped():
 
 @pytest.fixture
 def build_calls(monkeypatch):
+    # count from an empty polynomial table cache, whatever ran before
+    solver._poly_rule_tables.cache_clear()
     calls = []
     inner = BasisTables.__dict__["build"].__func__
 
@@ -549,6 +599,19 @@ def test_solves_build_tables_once_per_basis(build_calls, tension_calls, mat,
     assert report.converged
     assert len(build_calls) == builds
     assert len(tension_calls) == tensions
+
+
+def test_polynomial_tables_are_built_once_per_process(build_calls):
+    # no load or material changes the polynomial tables, so a second solve
+    # at another of each reuses the first one's
+    _, report = solve_membrane(GAS, LoadParams(1.7), "polynomial", 6)
+    _, again = solve_membrane(LIQ, LoadParams(0.5, 1.0), "polynomial", 6)
+    assert report.converged and again.converged
+    assert len(build_calls) == 1
+    ctx = SolveContext.create(LIQ, LoadParams(0.5), "polynomial", 6)
+    for arr in (ctx.tables.u, ctx.tables.left, ctx.tables.u0, ctx.rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
