@@ -6,8 +6,9 @@ secant predictor.  A load step fails, and is retried at half the step, as
 soon as an iteration fails to halve the residual or after LOAD_STEP_ITERS
 iterations, so a slow corrector cannot carry the sweep onto another branch
 past a fold pair.  When the start state is hard (slow Newton or a
-near-singular tangent) or a fold makes c-stepping fail, the driver switches
-to prescribing the pole sag f and treating c as an unknown in a bordered
+near-singular tangent), or once the secant of an accepted load step moves
+f more than c (as it does before a fold), the driver switches to
+prescribing the pole sag f and treating c as an unknown in a bordered
 system, which passes through limit points without drama, and lands on
 c_end at fixed c; a landing that fails is a failed sag step.  Both
 solves, at fixed c (`newton_solve`) and at prescribed f (`solve_at_sag`),
@@ -353,13 +354,15 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
 # the previous residual or LOAD_STEP_ITERS iterations pass.  A start state
 # that took more than LOAD_STEP_ITERS iterations, or whose tangent condition
 # number exceeds SWITCH_COND, puts the sweep in sag parametrization, which
-# it keeps to the end; a load step below MIN_STEP or the float resolution of
-# c, or a second branch jump since the last accepted step, does too.  Sag
-# steps start in the sweep's direction and get NEWTON_MAX_ITER iterations;
-# one below MIN_STEP fails the sweep.  A sweep stops at MAX_POINTS points,
-# past a sag of MAX_SAG, or at c_end, where the sag step that passed it
-# gives way to a full-budget solve; if that solve fails, the sag step has
-# failed.
+# it keeps to the end.  So does an accepted load step short of c_end whose
+# secant moves the sag more than the load, |df| > |dc|, the first sag step
+# being that df; this fires before a fold, so the fallbacks, a load step
+# below MIN_STEP or the float resolution of c and a second branch jump since
+# the last accepted step, rarely do.  Sag steps otherwise start in the
+# sweep's direction and get NEWTON_MAX_ITER iterations; one below MIN_STEP
+# fails the sweep.  A sweep stops at MAX_POINTS points, past a sag of
+# MAX_SAG, or at c_end, where the sag step that passed it gives way to a
+# full-budget solve; if that solve fails, the sag step has failed.
 MIN_STEP = 1e-6
 MAX_STEP = 0.25
 GROW = 2.0
@@ -453,6 +456,10 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
                 if easy >= EASY_STREAK and abs(dc) < MAX_STEP:
                     dc = direction * min(abs(dc) * GROW, MAX_STEP)
                     easy = 0
+                # continue in whichever of c and f the secant moves more; a
+                # step that landed on c_end ends the sweep
+                sag_mode = c_next != c_end and (
+                    abs(points[-1].sag - last.sag) > abs(c_next - last.c_value))
             else:
                 jumps += jumped
                 dc *= 0.5

@@ -393,7 +393,7 @@ def test_continuation_conditions_only_the_start_state(cond_calls):
     # the switch test runs once, on the sweep's first state; accepted load
     # steps are not conditioned
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    assert len(points) == 48
+    assert len(points) == 30
     assert len(cond_calls) == 1
 
 
@@ -541,6 +541,82 @@ def test_load_step_below_the_resolution_of_c_switches_to_sag_steps():
     assert points[-1].c_value >= 1.0
 
 
+@pytest.fixture
+def step_log(monkeypatch):
+    # ("load", converged, c) per load step and ("sag",) per sag step, in order
+    log = []
+    inner_load, inner_sag = solver.newton_solve, solver.solve_at_sag
+
+    def load_step(x0, ctx, **kwargs):
+        state, report = inner_load(x0, ctx, **kwargs)
+        if kwargs.get("corrector", False):
+            log.append(("load", report.converged, ctx.load.c))
+        return state, report
+
+    def sag_step(*args):
+        log.append(("sag",))
+        return inner_sag(*args)
+
+    monkeypatch.setattr(solver, "newton_solve", load_step)
+    monkeypatch.setattr(solver, "solve_at_sag", sag_step)
+    return log
+
+
+def test_sweep_switches_to_sag_steps_once_its_secant_turns_steep(step_log):
+    # the sweep used to halve its load step below MIN_STEP at the first fold,
+    # 21 failed load steps, before it switched
+    points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
+    assert _fold_count(points) == 2
+    assert sum(1 for ev in step_log if ev[0] == "load" and not ev[1]) <= 4
+    steep = next(i for i in range(1, len(points))
+                 if abs(points[i].sag - points[i - 1].sag)
+                 > abs(points[i].c_value - points[i - 1].c_value))
+    accepted = [ev[2] for ev in step_log if ev[0] == "load" and ev[1]]
+    assert accepted == [pt.c_value for pt in points[1:steep + 1]]
+    last_load = max(i for i, ev in enumerate(step_log) if ev[0] == "load")
+    assert step_log[last_load + 1] == ("sag",)
+
+
+@pytest.mark.parametrize("c_end, sag", [
+    (1.80, 0.9700425234527277),
+    (1.81, 1.0000340809281816),
+    (1.815, 1.0223547132216837),
+    (1.818, 1.0437107820548153),
+    (1.819, 1.056168874025136),
+])
+def test_sweep_ending_below_the_first_fold_stays_on_the_lower_branch(c_end, sag):
+    # switching to sag steps on the load step that lands on c_end returned
+    # that point twice (c_end = 1.80) or ran through both folds to f ~ 3.55
+    points = continue_in_load(gas_context(6, c=0.1), 0.1, c_end)
+    assert points[-1].c_value == c_end
+    assert points[-1].sag == pytest.approx(sag, abs=1e-9)
+    assert 0.97 <= points[-1].sag == max(pt.sag for pt in points) <= 1.06
+    assert all((a.c_value, a.sag) != (b.c_value, b.sag)
+               for a, b in zip(points, points[1:]))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(d=st.sampled_from([0.0, 1.0]), m=st.integers(2, 10),
+       step=st.floats(0.02, 0.2),
+       ends=st.tuples(st.just(0.1), st.floats(0.5, 3.0))
+       | st.tuples(st.just(2.5), st.floats(0.2, 2.0)))
+def test_continuation_returns_a_finite_path_to_c_end_or_fails(d, m, step, ends):
+    # gas starts at 2.5 fail without the weight term d; with it they sweep down
+    c_start, c_end = ends
+    ctx = SolveContext(GAS, LoadParams(c_start, d), BasisSpec("polynomial", m),
+                       auto_rule("polynomial"))
+    try:
+        points = continue_in_load(ctx, c_start, c_end, StepPolicy(initial=step))
+    except SolveFailure:
+        return
+    assert all(np.isfinite(pt.x).all() and np.isfinite([pt.c_value, pt.sag]).all()
+               for pt in points)
+    assert all(pt.sag * pt.c_value > 0.0 for pt in points)
+    assert all((a.c_value, a.sag) != (b.c_value, b.sag)
+               for a, b in zip(points, points[1:]))
+    assert points[-1].c_value == c_end or abs(points[-1].sag) > solver.MAX_SAG
+
+
 @pytest.mark.parametrize("initial", [0.0, -0.05, float("nan"), float("inf")])
 def test_step_policy_rejects_non_positive_or_non_finite_steps(initial):
     with pytest.raises(ValueError, match="initial step"):
@@ -625,7 +701,7 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert len(points) > 2
     assert build_calls == []
     assert generator_calls == []
-    assert len(tension_calls) == 244
+    assert len(tension_calls) == 152
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
