@@ -9,8 +9,10 @@ past a fold pair.  When the start state is hard (slow Newton or a
 near-singular tangent), or once the secant of an accepted load step moves
 f more than c (as it does before a fold), the driver switches to
 prescribing the pole sag f and treating c as an unknown in a bordered
-system, which passes through limit points without drama, and lands on
-c_end at fixed c; a landing that fails is a failed sag step.  Both
+system, which passes through limit points without drama; once the secant
+of a sag step moves c toward c_end more than f (as it does before a turn
+in f) it goes back to load steps.  A sweep in sag steps lands on c_end at
+fixed c; a landing that fails is a failed sag step.  Both
 solves, at fixed c (`newton_solve`) and at prescribed f (`solve_at_sag`),
 run the one Newton loop `_newton`.
 
@@ -353,16 +355,18 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
 # A load step has failed once an iteration leaves more than CONTRACTION of
 # the previous residual or LOAD_STEP_ITERS iterations pass.  A start state
 # that took more than LOAD_STEP_ITERS iterations, or whose tangent condition
-# number exceeds SWITCH_COND, puts the sweep in sag parametrization, which
-# it keeps to the end.  So does an accepted load step short of c_end whose
-# secant moves the sag more than the load, |df| > |dc|, the first sag step
-# being that df; this fires before a fold, so the fallbacks, a load step
-# below MIN_STEP or the float resolution of c and a second branch jump since
-# the last accepted step, rarely do.  Sag steps otherwise start in the
-# sweep's direction and get NEWTON_MAX_ITER iterations; one below MIN_STEP
-# fails the sweep.  A sweep stops at MAX_POINTS points, past a sag of
-# MAX_SAG, or at c_end, where the sag step that passed it gives way to a
-# full-budget solve; if that solve fails, the sag step has failed.
+# number exceeds SWITCH_COND, puts the sweep in sag parametrization.  So
+# does an accepted load step short of c_end whose secant moves the sag more
+# than the load, |df| > |dc|, the first sag step being that df; this fires
+# before a fold, so the fallbacks, a load step below MIN_STEP or the float
+# resolution of c and a second branch jump since the last accepted step,
+# rarely do.  An accepted sag step whose secant moves the load toward c_end
+# more than the sag, dc > |df|, puts the sweep back in load steps, the
+# first one being that dc.  Sag steps otherwise start in the sweep's
+# direction and get NEWTON_MAX_ITER iterations; one below MIN_STEP fails
+# the sweep.  A sweep stops at MAX_POINTS points, past a sag of MAX_SAG, or
+# at c_end, where the sag step that passed it gives way to a full-budget
+# solve; if that solve fails, the sag step has failed.
 MIN_STEP = 1e-6
 MAX_STEP = 0.25
 GROW = 2.0
@@ -442,11 +446,14 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
                                       corrector=True)
             # A converged iterate that leaves the local trend is a root on
             # another branch, typical just past a fold where the nearby
-            # solution ceases to exist.  Treat it like a failed step.
+            # solution ceases to exist.  Treat it like a failed step.  A
+            # turn in f that moves f less than the step in c is the path
+            # itself turning, not a jump.
             jumped = False
             if rep.converged and df_exp is not None:
                 df_got = ctx.sag(state.x) - last.sag
-                jumped = (df_got * df_exp < 0.0 and abs(df_got) > 1e-3) or (
+                jumped = (df_got * df_exp < 0.0 and abs(df_got) > max(
+                    1e-3, abs(c_next - last.c_value))) or (
                     abs(df_got) > 4.0 * abs(df_exp) + 0.02
                 )
             if rep.converged and not jumped:
@@ -485,10 +492,12 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             x_pred, c_pred = last.x, last.c_value
         state, c_new, rep = solve_at_sag(ctx, last.sag + df, x_pred, c_pred)
         # Same guard against landing on a different branch: the prescribed
-        # sag pins f, so a jump shows up as c far off the extrapolation.
+        # sag pins f, so a jump shows up as c far off the extrapolation, by
+        # more than five times its move in c and more than the step in f
+        # (0.25 (1 + |c|) on a first step, which has no secant to follow).
+        reach = abs(df) if len(points) >= 2 else 0.25 * (1.0 + abs(last.c_value))
         jumped = rep.converged and abs(c_new - c_pred) > max(
-            5.0 * abs(c_pred - last.c_value), 0.25 * (1.0 + abs(last.c_value))
-        )
+            5.0 * abs(c_pred - last.c_value), reach)
         if rep.converged and not jumped:
             rising = c_new > last.c_value
             if direction * (c_new - c_end) < 0.0 or (direction > 0 and not rising):
@@ -499,6 +508,12 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
                     easy = 0
                 if abs(points[-1].sag) > MAX_SAG:
                     break
+                # back to load steps once the secant moves c toward c_end
+                # more than f, the first one that secant's dc
+                dc_sec = c_new - last.c_value
+                if direction * dc_sec > abs(points[-1].sag - last.sag):
+                    sag_mode, df = False, None
+                    dc = direction * min(max(abs(dc_sec), MIN_STEP), MAX_STEP)
                 continue
             # land on c_end from the secant between the two points; a
             # landing that fails is a failed sag step

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ritzmem import assembly, basis, solver
@@ -393,7 +395,7 @@ def test_continuation_conditions_only_the_start_state(cond_calls):
     # the switch test runs once, on the sweep's first state; accepted load
     # steps are not conditioned
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    assert len(points) == 30
+    assert len(points) == 32
     assert len(cond_calls) == 1
 
 
@@ -466,22 +468,24 @@ def test_sweep_in_sag_steps_ends_at_c_end(d, m, c_start, c_end, step):
 
 
 def test_failed_landing_is_a_failed_sag_step():
-    # the landing at c_end = 0.2 from the point past it fails; that point,
-    # at c = -0.167, was once returned as the end of a successful sweep
+    # the landing at c_end = 0.2 from the point past it failed when this
+    # sweep kept sag steps to the end; that point, at c = -0.167, was once
+    # returned as the end of a successful sweep.  It now goes on in load
+    # steps after its first sag step.
     ctx = SolveContext(MaterialParams(gamma1=0.1, gamma2=0.01), LoadParams(2.5, 10.0),
                        BasisSpec("polynomial", 10), auto_rule("polynomial"))
     points = continue_in_load(ctx, 2.5, 0.2)
-    assert len(points) == 9
+    assert len(points) == 11
     assert points[-1].c_value == 0.2
     assert points[-1].sag == pytest.approx(0.0201, abs=1e-4)
     assert min(pt.c_value for pt in points) == 0.2
 
 
 def _fold_count(points):
-    c = np.array([pt.c_value for pt in points])
-    f = np.array([pt.sag for pt in points])
-    slopes = np.sign(np.diff(c) / np.diff(f))
-    return int(np.count_nonzero(np.diff(slopes[slopes != 0.0])))
+    # a fold is where the load turns back; past its second fold the gas
+    # d = 1 curve also turns in f while c keeps rising, which is not one
+    dc = np.sign(np.diff([pt.c_value for pt in points]))
+    return int(np.count_nonzero(np.diff(dc[dc != 0.0])))
 
 
 @pytest.fixture
@@ -523,14 +527,16 @@ def test_sag_steps_keep_the_full_iteration_budget():
 def test_slow_load_step_does_not_jump_the_fold_pair():
     # the step from c = 2.525 to 2.775 used to converge after 20 iterations
     # on the upper branch, past the folds at c ~ 2.55-2.58: 18 points and no
-    # fold
+    # fold.  The sag is not monotone: past the second fold the curve turns
+    # in f at f ~ 1.733 and 1.663.
     ctx = SolveContext(GAS, LoadParams(0.1, 1.0), BasisSpec("polynomial", 4),
                        auto_rule("polynomial"))
     points = continue_in_load(ctx, 0.1, 3.0, StepPolicy(initial=0.05))
     assert _fold_count(points) == 2
-    assert np.all(np.diff([pt.sag for pt in points]) > 0.0)
     assert points[-1].c_value >= 3.0
     assert points[-1].stability_hint == 1
+    # the traced curve crosses c = 3.0 only there
+    assert points[-1].sag == pytest.approx(1.80865286593, abs=1e-9)
 
 
 def test_load_step_below_the_resolution_of_c_switches_to_sag_steps():
@@ -562,19 +568,43 @@ def step_log(monkeypatch):
     return log
 
 
-def test_sweep_switches_to_sag_steps_once_its_secant_turns_steep(step_log):
+def test_sweep_steps_in_whichever_of_c_and_f_its_secant_moves_more(step_log):
     # the sweep used to halve its load step below MIN_STEP at the first fold,
-    # 21 failed load steps, before it switched
+    # 21 failed load steps, before it switched to sag steps for good
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
     assert _fold_count(points) == 2
-    assert sum(1 for ev in step_log if ev[0] == "load" and not ev[1]) <= 4
-    steep = next(i for i in range(1, len(points))
-                 if abs(points[i].sag - points[i - 1].sag)
-                 > abs(points[i].c_value - points[i - 1].c_value))
-    accepted = [ev[2] for ev in step_log if ev[0] == "load" and ev[1]]
-    assert accepted == [pt.c_value for pt in points[1:steep + 1]]
-    last_load = max(i for i, ev in enumerate(step_log) if ev[0] == "load")
-    assert step_log[last_load + 1] == ("sag",)
+    assert sum(1 for ev in step_log if ev[:2] == ("load", False)) <= 4
+    dc = np.diff([pt.c_value for pt in points])
+    df = np.diff([pt.sag for pt in points])
+    # sag steps from the first accepted load step whose secant moves f more
+    # than c, load steps again from the first sag step whose secant moves c
+    # forward more than f
+    steep = next(i for i in range(len(dc)) if abs(df[i]) > abs(dc[i]))
+    flat = next(i for i in range(steep + 1, len(dc)) if dc[i] > abs(df[i]))
+    runs = [kind for kind, _ in itertools.groupby(ev[0] for ev in step_log)]
+    assert runs == ["load", "sag", "load"]
+    accepted = [ev[2] for ev in step_log if ev[:2] == ("load", True)]
+    assert accepted == [pt.c_value for pt in points[1:steep + 2] + points[flat + 2:]]
+    assert sum(1 for ev in step_log if ev[0] == "sag") == flat - steep
+
+
+@pytest.mark.parametrize("c_end, step, sag", [
+    (2.5973, 0.02, 1.66208177331),
+    (2.7, 0.02, 1.68358598531),
+    (2.8, 0.02, 1.72168352437),
+    (3.0, 0.02, 1.80865286593),
+    (3.0, 0.1, 1.80865286593),
+])
+def test_sweep_past_a_turn_in_f_ends_on_the_traced_curve(c_end, step, sag):
+    # gas d = 1, m = 4 turns in f at f ~ 1.733 (c ~ 2.551) and f ~ 1.663
+    # (c ~ 2.62), just past its second fold; a sag step cannot pass such a
+    # turn, so these sweeps stalled there or ended on roots off the curve.
+    # The traced curve crosses each c_end once, at `sag`.
+    ctx = SolveContext(GAS, LoadParams(0.1, 1.0), BasisSpec("polynomial", 4),
+                       auto_rule("polynomial"))
+    points = continue_in_load(ctx, 0.1, c_end, StepPolicy(initial=step))
+    assert points[-1].c_value == c_end
+    assert points[-1].sag == pytest.approx(sag, abs=1e-9)
 
 
 @pytest.mark.parametrize("c_end, sag", [
@@ -595,26 +625,43 @@ def test_sweep_ending_below_the_first_fold_stays_on_the_lower_branch(c_end, sag)
                for a, b in zip(points, points[1:]))
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(d=st.sampled_from([0.0, 1.0]), m=st.integers(2, 10),
-       step=st.floats(0.02, 0.2),
-       ends=st.tuples(st.just(0.1), st.floats(0.5, 3.0))
-       | st.tuples(st.just(2.5), st.floats(0.2, 2.0)))
-def test_continuation_returns_a_finite_path_to_c_end_or_fails(d, m, step, ends):
-    # gas starts at 2.5 fail without the weight term d; with it they sweep down
-    c_start, c_end = ends
+def _sweep_end(d, m, c_start, c_end, step):
+    # the last point of a gas sweep that meets the path contract, or None
+    # if the sweep fails
     ctx = SolveContext(GAS, LoadParams(c_start, d), BasisSpec("polynomial", m),
                        auto_rule("polynomial"))
     try:
         points = continue_in_load(ctx, c_start, c_end, StepPolicy(initial=step))
     except SolveFailure:
-        return
+        return None
     assert all(np.isfinite(pt.x).all() and np.isfinite([pt.c_value, pt.sag]).all()
                for pt in points)
     assert all(pt.sag * pt.c_value > 0.0 for pt in points)
     assert all((a.c_value, a.sag) != (b.c_value, b.sag)
                for a, b in zip(points, points[1:]))
     assert points[-1].c_value == c_end or abs(points[-1].sag) > solver.MAX_SAG
+    return points[-1]
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(d=st.sampled_from([0.0, 1.0]), m=st.integers(2, 10),
+       steps=st.tuples(st.floats(0.02, 0.2), st.floats(0.02, 0.2)),
+       ends=st.tuples(st.just(0.1), st.floats(0.5, 3.0))
+       | st.tuples(st.just(2.5), st.floats(0.2, 2.0)))
+# these two sweeps once ended at f = 2.110 and 1.809, and with sag steps
+# kept to the end at 1.809 and 2.446; the curve crosses c = 3.0 only at 1.809
+@example(d=1.0, m=4, steps=(0.02, 0.05), ends=(0.1, 3.0))
+def test_continuation_ends_where_the_curve_meets_c_end_whatever_the_step(
+        d, m, steps, ends):
+    # Each sweep fails or returns a finite path that keeps the sign of the
+    # load and ends at c_end or past MAX_SAG.  Two sweeps that both reach
+    # c_end, from different initial steps, end at the same point: a sweep
+    # that jumps to another root lands off the curve, and where it does
+    # depends on its steps.  Gas starts at 2.5 fail without the weight term
+    # d; with it they sweep down.
+    last = [_sweep_end(d, m, *ends, step) for step in steps]
+    if all(pt is not None and pt.c_value == ends[1] for pt in last):
+        assert last[0].sag == pytest.approx(last[1].sag, abs=1e-6)
 
 
 @pytest.mark.parametrize("initial", [0.0, -0.05, float("nan"), float("inf")])
@@ -701,7 +748,7 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert len(points) > 2
     assert build_calls == []
     assert generator_calls == []
-    assert len(tension_calls) == 152
+    assert len(tension_calls) == 156
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
