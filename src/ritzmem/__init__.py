@@ -22,9 +22,8 @@ from .material import (
     energy,
     energy_derivs,
     principal_stresses,
-    stiffness_derivs,
-    stiffness_scalar,
-    tension_terms,
+    tension_partials,
+    tension_values,
 )
 from .quadrature import QuadratureRule, auto_rule, gauss_rule, two_panel_rule
 from .solver import (
@@ -54,7 +53,7 @@ __all__ = [
     "LoadParams", "ShapeEval", "curvatures", "hydro_load", "stretches",
     # material
     "MaterialParams", "energy", "energy_derivs", "principal_stresses",
-    "stiffness_derivs", "stiffness_scalar", "tension_terms",
+    "tension_partials", "tension_values",
     # quadrature
     "QuadratureRule", "auto_rule", "gauss_rule", "two_panel_rule",
     # solver

@@ -10,6 +10,11 @@ coefficients are
 and the tangent matrix is their exact coefficient Jacobian, which is
 symmetric because g is the gradient of a scalar.  All integrals run over
 the open interval, so the 1/s factors never hit the pole.
+
+An iterate's `node_terms` hold the nodal shape and the tension
+coefficients U; the partials of U are evaluated only by `jacobian`, so an
+iterate that assembles no tangent (a converged one, or a corrector that
+gave up) and `p_gradient` evaluate none.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .basis import BasisTables, SolutionState, shape_p_derivs
 from .kinematics import hydro_load
-from .material import MaterialParams, energy, tension_terms
+from .material import MaterialParams, energy, tension_partials, tension_values
 
 
 def _nodal(state: SolutionState, tables: BasisTables):
@@ -47,8 +52,8 @@ class NodeTerms(NamedTuple):
     """Everything the residual, tangent and dg/dc read at one iterate.
 
     The trial shape, stretches and load at the quadrature nodes, and the
-    tension terms of `material.tension_terms`, on the tables they were
-    evaluated with.
+    tension coefficients of `material.tension_values` with the parts their
+    partials reuse, on the tables they were evaluated with.
     """
 
     tables: BasisTables
@@ -61,16 +66,14 @@ class NodeTerms(NamedTuple):
     q: np.ndarray
     su12: np.ndarray
     su21: np.ndarray
-    du1: np.ndarray
-    du2: np.ndarray
-    du1_swap: np.ndarray
+    tension_parts: tuple
 
 
 def node_terms(state: SolutionState, mat: MaterialParams,
                tables: BasisTables) -> NodeTerms:
     """Evaluate the nodal shape and the material once for one iterate."""
     nodal = _nodal(state, tables)
-    return NodeTerms(tables, *nodal, *tension_terms(nodal[4], nodal[5], mat))
+    return NodeTerms(tables, *nodal, *tension_values(nodal[4], nodal[5], mat))
 
 
 def _terms(state, mat, rule, tables, terms):
@@ -103,11 +106,13 @@ def residual(state: SolutionState, mat: MaterialParams, rule,
     `terms` from `node_terms` at the same state skips the nodal and
     material evaluation.
     """
-    t, z, r, dz, dr, l1, l2, q, su12, su21, _, _, _ = _terms(
+    t, z, r, dz, dr, l1, l2, q, su12, su21, _ = _terms(
         state, mat, rule, tables, terms)
     ws = t.ws
-    g_u = t.du @ (ws * su12 * dz) - t.u @ (ws * q * l2 * dr)
-    g_v = t.dv @ (ws * su12 * dr) + t.v @ (t.w * su21 * l2 + ws * q * l2 * dz)
+    wsu = ws * su12
+    wql = ws * q * l2
+    g_u = t.du @ (wsu * dz) - t.u @ (wql * dr)
+    g_v = t.dv @ (wsu * dr) + t.v @ (t.w * su21 * l2 + wql * dz)
     return np.concatenate([g_u, g_v])
 
 
@@ -118,40 +123,43 @@ def jacobian(state: SolutionState, mat: MaterialParams, rule,
 
     Nine row-weighted products A diag(c) B^T, one batched matmul over the
     generator pairs of `BasisTables.left` and `right_t`, summed block by
-    block.  Diagonal blocks are symmetric by construction; the coupling
-    block is built once and mirrored.  The v-v curvature coefficient uses
-    the swap identity dU/db(a,b) = (b/a) dU/db(b,a), so the mirrored matrix
-    equals the exact coefficient Jacobian of `residual` up to quadrature
-    error.
+    block.  The coupling block is built once and set in both places, and
+    the whole matrix is mirrored as (h + h^T) / 2, which symmetrizes the
+    diagonal blocks and leaves the coupling blocks exact.  The v-v curvature
+    coefficient uses the swap identity dU/db(a,b) = (b/a) dU/db(b,a), so
+    the mirrored matrix equals the exact coefficient Jacobian of `residual`
+    up to quadrature error.  The partials of U are evaluated here, once.
     """
-    t, z, r, dz, dr, l1, l2, q, su12, su21, du1, du2, du1_swap = _terms(
+    t, z, r, dz, dr, l1, l2, q, su12, su21, parts = _terms(
         state, mat, rule, tables, terms)
+    du1, du2, du1_swap = tension_partials(parts)
     d = state.load.d
     w, s, ws = t.w, t.s, t.ws
+    wdl = ws * d * l2
+    sq = s * q
     mid = w * du2 * dr
     # one weight row per generator pair (A, B), in the order of the tables
     c = np.array([
         ws * (du1 * dz * dz / l1 + su12),                # u'  u'
-        ws * d * l2 * dr,                                # u   u
+        wdl * dr,                                        # u   u
         ws * du1 * dz * dr / l1,                         # u'  v'
-        w * (du2 * dz + s * q * l2),                     # u'  v
-        ws * d * l2 * dz,                                # u   v
+        w * (du2 * dz + sq * l2),                        # u'  v
+        wdl * dz,                                        # u   v
         ws * (du1 * dr * dr / l1 + su12),                # v'  v'
         mid,                                             # v'  v
         mid,                                             # v   v'
-        w * (l2 * du1_swap + su21 + q * s * dz) / s,     # v   v
+        w * (l2 * du1_swap + su21 + sq * dz) / s,        # v   v
     ])
     p = (t.left * c[:, None, :]) @ t.right_t
-    h_uu = p[0] + p[1]
-    h_uv = p[2] + p[3] - p[4]
-    h_vv = p[5] + (p[6] + p[7]) + p[8]
 
     m = state.spec.m
     h = np.empty((2 * m, 2 * m))
-    h[:m, :m] = 0.5 * (h_uu + h_uu.T)
-    h[:m, m:] = h_uv
-    h[m:, :m] = h_uv.T
-    h[m:, m:] = 0.5 * (h_vv + h_vv.T)
+    h[:m, :m] = p[0] + p[1]
+    h[:m, m:] = p[2] + p[3] - p[4]
+    h[m:, :m] = h[:m, m:].T
+    h[m:, m:] = p[5] + (p[6] + p[7]) + p[8]
+    h += h.T
+    h *= 0.5
     return h
 
 
@@ -168,9 +176,9 @@ def load_derivative(state: SolutionState, mat: MaterialParams, rule,
         z, r, dz, dr, l1, l2, q = _nodal(state, t)
     else:
         t, dz, dr, l2 = terms.tables, terms.dz, terms.dr, terms.l2
-    ws = t.ws
-    gc_u = -(t.u @ (ws * l2 * dr))
-    gc_v = t.v @ (ws * l2 * dz)
+    wl = t.ws * l2
+    gc_u = -(t.u @ (wl * dr))
+    gc_v = t.v @ (wl * dz)
     return np.concatenate([gc_u, gc_v])
 
 
@@ -184,14 +192,16 @@ def p_gradient(state: SolutionState, mat: MaterialParams, rule,
     the optimized family, which is what the outer parameter search zeroes.
     The tension coefficients come from `node_terms`, as for the residual.
     """
-    t, z, r, dz, dr, l1, l2, q, su12, su21, _, _, _ = _terms(
+    t, z, r, dz, dr, l1, l2, q, su12, su21, _ = _terms(
         state, mat, rule, tables, None)
     dz_dp, dr_dp, dzp_dp, drp_dp = shape_p_derivs(state, t.s)
     w, s, ws = t.w, t.s, t.ws
+    wsu = ws * su12
+    wql = ws * q * l2
     out = (
-        dzp_dp @ (ws * su12 * dz)
-        - dz_dp @ (ws * q * l2 * dr)
-        + drp_dp @ (ws * su12 * dr)
+        dzp_dp @ (wsu * dz)
+        - dz_dp @ (wql * dr)
+        + drp_dp @ (wsu * dr)
         + dr_dp @ (w * (su21 * l2 + s * q * l2 * dz))
     )
     return np.asarray(out, dtype=float)

@@ -114,10 +114,11 @@ def _rho_scaled(s, p):
     s = np.asarray(s, dtype=float)
     y, dy, d2y = _poly_y(s, p)
     y1 = float(sum(p))
+    i0, i1 = i0e(y), i1e(y)
     scale = np.exp(np.abs(y) - abs(y1)) / i0e(y1)
-    rho = scale * i0e(y)
-    drho = scale * i1e(y) * dy
-    d2rho = scale * ((i0e(y) - _i1e_over_x(y)) * dy * dy + i1e(y) * d2y)
+    rho = scale * i0
+    drho = scale * i1 * dy
+    d2rho = scale * ((i0 - _i1e_over_x(y)) * dy * dy + i1 * d2y)
     return rho, drho, d2rho
 
 
@@ -130,12 +131,13 @@ def _rho_p_derivs(s, p):
     s = np.asarray(s, dtype=float)
     y, dy, _ = _poly_y(s, p)
     y1 = float(sum(p))
-    scale = np.exp(np.abs(y) - abs(y1)) / i0e(y1)
-    rho = scale * i0e(y)
-    drho = scale * i1e(y) * dy
-    beta = i1e(y) / i0e(y)
-    beta1 = i1e(y1) / i0e(y1)
-    db1 = i0e(y) - _i1e_over_x(y)
+    i0, i1, i0_1 = i0e(y), i1e(y), i0e(y1)
+    scale = np.exp(np.abs(y) - abs(y1)) / i0_1
+    rho = scale * i0
+    drho = scale * i1 * dy
+    beta = i1 / i0
+    beta1 = i1e(y1) / i0_1
+    db1 = i0 - _i1e_over_x(y)
     n = len(p)
     drho_dp = np.empty((n,) + s.shape)
     ddrho_dp = np.empty((n,) + s.shape)
@@ -143,7 +145,7 @@ def _rho_p_derivs(s, p):
         e = 2 * i + 1
         se = s ** e
         drho_dp[i] = rho * (beta * se - beta1)
-        ddrho_dp[i] = scale * (db1 * se * dy + i1e(y) * e * s ** (e - 1)) - drho * beta1
+        ddrho_dp[i] = scale * (db1 * se * dy + i1 * e * s ** (e - 1)) - drho * beta1
     return drho_dp, ddrho_dp
 
 

@@ -68,69 +68,48 @@ def principal_stresses(lambda1, lambda2, mat: MaterialParams):
     return t1, t2
 
 
-def stiffness_scalar(la, lb, mat: MaterialParams):
-    """Tension coefficient U(la, lb) = (1 - la**-4 lb**-2) (W1 + lb**2 W2).
+def tension_values(l1, l2, mat: MaterialParams):
+    """Tension coefficients U(l1, l2) and U(l2, l1), and the intermediates
+    their partials reuse.
 
-    The argument order is significant: U(lambda1, lambda2) weighs the
-    meridional terms of the equilibrium forms, U(lambda2, lambda1) the
-    circumferential ones.  Related to the tension by
-    T1 = (lambda1/lambda2) * U(lambda1, lambda2).
-    """
-    la = np.asarray(la, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    las = la * la
-    lbs = lb * lb
-    i1 = las + lbs + 1.0 / (las * lbs)
-    w1, w2, _ = energy_derivs(i1, mat)
-    return (1.0 - 1.0 / (las * las * lbs)) * (w1 + lbs * w2)
-
-
-def stiffness_derivs(la, lb, mat: MaterialParams):
-    """Analytic partials (dU/dla, dU/dlb) of the tension coefficient.
-
-    Obeys the swap identity dU/dlb (la, lb) = (lb/la) * dU/dlb (lb, la),
-    which is what makes the assembled tangent matrix symmetric.
-    """
-    la = np.asarray(la, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    las = la * la
-    lbs = lb * lb
-    i1 = las + lbs + 1.0 / (las * lbs)
-    w1, w2, w11 = energy_derivs(i1, mat)
-    a = 1.0 - 1.0 / (las * las * lbs)
-    b = w1 + lbs * w2
-    di1_dla = 2.0 * la - 2.0 / (las * la * lbs)
-    di1_dlb = 2.0 * lb - 2.0 / (las * lbs * lb)
-    da_dla = 4.0 / (las * las * la * lbs)
-    da_dlb = 2.0 / (las * las * lbs * lb)
-    du_dla = da_dla * b + a * w11 * di1_dla
-    du_dlb = da_dlb * b + a * (w11 * di1_dlb + 2.0 * lb * w2)
-    return du_dla, du_dlb
-
-
-def tension_terms(l1, l2, mat: MaterialParams):
-    """Tension coefficients and their partials for both argument orders.
-
-    Returns (U(l1,l2), U(l2,l1), dU/da(l1,l2), dU/db(l1,l2), dU/da(l2,l1)),
-    the material terms the residual and the tangent read.  The invariants
-    are symmetric in the stretch pair, so one energy evaluation serves both
+    U(a, b) = (1 - a**-4 b**-2) (W1 + b**2 W2).  The argument order is
+    significant: U(lambda1, lambda2) weighs the meridional terms of the
+    equilibrium forms, U(lambda2, lambda1) the circumferential ones, and
+    T1 = (lambda1/lambda2) * U(lambda1, lambda2).  The invariants are
+    symmetric in the stretch pair, so one energy evaluation serves both
     orders, and the two orders run as the rows of one stacked (2, n) pass.
-    Every expression is the one `stiffness_scalar` and `stiffness_derivs`
-    evaluate, so the results agree with them bit for bit.
+
+    Returns (U(l1,l2), U(l2,l1), parts), with `parts` what
+    `tension_partials` reads.
     """
     # row 0 is the order (a, b) = (l1, l2), row 1 the swapped order
     la = np.array([l1, l2], dtype=float)
     las = la * la
-    lbs = las[::-1]
-    l1, l2 = la
-    l1s, l2s = las
-    i1 = l1s + l2s + 1.0 / (l1s * l2s)
+    lbs = las[::-1].copy()  # contiguous: a reversed view is slower to read
+    l12s = las[0] * las[1]
+    i1 = las[0] + las[1] + 1.0 / l12s
     w1, w2, w11 = energy_derivs(i1, mat)
-    a = 1.0 - 1.0 / (las * las * lbs)
+    las2 = las * las
+    den = las2 * lbs
+    a = 1.0 - 1.0 / den
     b = w1 + lbs * w2
-    du_a = (4.0 / (las * las * la * lbs) * b
-            + a * w11 * (2.0 * la - 2.0 / (las * la * lbs)))
-    du2 = (2.0 / (l1s * l1s * l2s * l2) * b[0]
-           + a[0] * (w11 * (2.0 * l2 - 2.0 / (l1s * l2s * l2)) + 2.0 * l2 * w2))
     su = a * b
-    return su[0], su[1], du_a[0], du2, du_a[1]
+    return su[0], su[1], (la, las, lbs, l12s, las2, den, a, b, w2, w11)
+
+
+def tension_partials(parts):
+    """Partials (dU/da(l1,l2), dU/db(l1,l2), dU/da(l2,l1)) from the `parts`
+    of `tension_values` at the same stretches.
+
+    dU/db obeys the swap identity dU/db(a, b) = (b/a) * dU/db(b, a), which
+    is what makes the assembled tangent matrix symmetric, so one order of
+    it serves.  Each partial reuses the products its value already formed.
+    """
+    la, las, lbs, l12s, las2, den, a, b, w2, w11 = parts
+    two_l = 2.0 * la
+    l2 = la[1]
+    du_a = (4.0 / (las2 * la * lbs) * b
+            + a * w11 * (two_l - 2.0 / (las * la * lbs)))
+    du2 = (2.0 / (den[0] * l2) * b[0]
+           + a[0] * (w11 * (two_l[1] - 2.0 / (l12s * l2)) + two_l[1] * w2))
+    return du_a[0], du2, du_a[1]

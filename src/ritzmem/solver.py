@@ -20,9 +20,12 @@ For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
 is unimodal in p1, so a golden-section scan backstops the secant.
 
-Each Newton iterate evaluates the nodal shape and the material once
-(`assembly.node_terms`); the residual, the tangent and dg/dc all read that
-one evaluation.  `SolveContext.create` picks a family's basis and rule and
+Each Newton iterate evaluates the nodal shape and the tension
+coefficients once (`assembly.node_terms`); the residual, the tangent and
+dg/dc all read that one evaluation.  The partials of the tension
+coefficients are evaluated only for an iterate that assembles a tangent,
+so a converged iterate or a corrector that gives up evaluates none.
+`SolveContext.create` picks a family's basis and rule and
 builds its tables once, the polynomial ones once per process.  Every
 fixed-basis solve, a sweep's start too, runs Newton from the m = 1 start,
 then the basis-size ladder; both slice the tables (`SolveContext.head`),
@@ -110,9 +113,6 @@ class SolveContext:
     def sag(self, x) -> float:
         """Pole deflection z(0) of the coefficients x, from the tables."""
         return float(x[: self.spec.m] @ self.tables.u0)
-
-    def state(self, x) -> SolutionState:
-        return SolutionState(np.asarray(x, dtype=float), self.spec, self.load)
 
 
 @lru_cache(maxsize=16)
@@ -229,18 +229,19 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
         e = np.concatenate([ctx.tables.u0, np.zeros(ctx.spec.m)])
         hb = np.zeros((n + 1, n + 1))
         hb[n, :n] = e
+    load = ctx.load
     hist: list[float] = []
     converged = False
     message = ""
     growth = 0
     steps = 0
     while True:
-        state = ctx.state(x)
+        state = SolutionState(x, ctx.spec, load)
         terms = node_terms(state, ctx.mat, ctx.tables)
         g = residual(state, ctx.mat, ctx.rule, ctx.tables, terms)
         if f_target is not None:
             g = np.concatenate([g, [float(e @ x) - f_target]])
-        gn = float(np.max(np.abs(g)))  # NaN or inf if any entry is
+        gn = float(np.abs(g).max())  # NaN or inf if any entry is
         if not math.isfinite(gn):
             hist.append(math.inf)
             message = "residual not finite"
@@ -274,13 +275,13 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
             message = "singular tangent matrix"
             break
         x = x - step[:n]
-        c = ctx.load.c - float(step[-1]) if f_target is not None else ctx.load.c
+        c = load.c - float(step[-1]) if f_target is not None else load.c
         steps += 1
         if not (np.isfinite(x).all() and math.isfinite(c)):
             message = "iterate not finite"
             break
         if f_target is not None:
-            ctx = ctx.with_load(c)
+            load = LoadParams(c, load.d)
 
     report = SolveReport(
         converged=converged,
@@ -289,7 +290,7 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
         final_p=ctx.spec.p if ctx.spec.family == "adaptive" else None,
         message=message,
     )
-    return ctx.state(x), report
+    return SolutionState(x, ctx.spec, load), report
 
 
 def newton_solve(x0, ctx: SolveContext, corrector: bool = False):

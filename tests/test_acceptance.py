@@ -25,6 +25,8 @@ from ritzmem.material import MaterialParams, principal_stresses
 from ritzmem.quadrature import gauss_rule
 from ritzmem.solver import delta_diagnostic, solve_membrane
 
+from reference import fold_count
+
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
 GAS_LOAD = LoadParams(1.7)
@@ -166,14 +168,10 @@ def test_criterion_5_fold_structure(acceptance_log):
                        auto_rule("polynomial"))
     points = continue_in_load(ctx, 0.1, 1.9)
     elapsed = time.perf_counter() - t0
-    c = np.array([pt.c_value for pt in points])
-    f = np.array([pt.sag for pt in points])
-    slopes = np.sign(np.diff(c) / np.diff(f))
-    slopes = slopes[slopes != 0]
-    flips = int(np.count_nonzero(np.diff(slopes)))
-    ok = flips == 2 and elapsed < 60.0
+    folds = fold_count(points)
+    ok = folds == 2 and elapsed < 60.0
     record(acceptance_log, 5, "load-sag curve has two folds", ok,
-           f"{len(points)} points, {flips} slope sign changes (want 2), "
+           f"{len(points)} points, {folds} reversals of c (want 2), "
            f"{elapsed:.2f} s")
 
 

@@ -11,10 +11,11 @@ from ritzmem.material import (
     energy,
     energy_derivs,
     principal_stresses,
-    stiffness_derivs,
-    stiffness_scalar,
-    tension_terms,
+    tension_partials,
+    tension_values,
 )
+
+from reference import stiffness_derivs, stiffness_scalar
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
@@ -97,14 +98,24 @@ def test_stress_equibiaxial_closed_form():
     assert t2 == pytest.approx(want, rel=1e-14)
 
 
+def _u(la, lb, mat):
+    """U(la, lb) from the kernel."""
+    return tension_values(la, lb, mat)[0]
+
+
+def _du(la, lb, mat):
+    """(dU/dla, dU/dlb) at (la, lb) from the kernel."""
+    return tension_partials(tension_values(la, lb, mat)[2])[:2]
+
+
 def test_stiffness_vanishes_at_identity():
-    assert stiffness_scalar(1.0, 1.0, GAS) == 0.0
-    assert stiffness_scalar(1.0, 1.0, LIQ) == 0.0
+    assert _u(1.0, 1.0, GAS) == 0.0
+    assert _u(1.0, 1.0, LIQ) == 0.0
 
 
 def test_stiffness_direct_substitution():
     want = (1.0 - 1.2**-6) * (1.0 + 0.1 * 1.44)
-    assert stiffness_scalar(1.2, 1.2, LIQ) == pytest.approx(want, rel=1e-14)
+    assert _u(1.2, 1.2, LIQ) == pytest.approx(want, rel=1e-14)
 
 
 def test_stiffness_tension_relation():
@@ -114,20 +125,18 @@ def test_stiffness_tension_relation():
     for _ in range(5):
         l1, l2 = rng.uniform(0.7, 2.0, 2)
         t1, _ = principal_stresses(l1, l2, GAS)
-        u = stiffness_scalar(l1, l2, GAS)
+        u = _u(l1, l2, GAS)
         assert t1 == pytest.approx(l1 / l2 * u, rel=1e-12)
 
 
 def _fd_stiffness(la, lb, mat, h=1e-6):
-    dua = (stiffness_scalar(la + h, lb, mat)
-           - stiffness_scalar(la - h, lb, mat)) / (2 * h)
-    dub = (stiffness_scalar(la, lb + h, mat)
-           - stiffness_scalar(la, lb - h, mat)) / (2 * h)
+    dua = (_u(la + h, lb, mat) - _u(la - h, lb, mat)) / (2 * h)
+    dub = (_u(la, lb + h, mat) - _u(la, lb - h, mat)) / (2 * h)
     return dua, dub
 
 
 def test_stiffness_derivs_match_finite_differences():
-    got = stiffness_derivs(1.3, 1.1, GAS)
+    got = _du(1.3, 1.1, GAS)
     want = _fd_stiffness(1.3, 1.1, GAS)
     assert got[0] == pytest.approx(want[0], rel=1e-5)
     assert got[1] == pytest.approx(want[1], rel=1e-5)
@@ -135,7 +144,7 @@ def test_stiffness_derivs_match_finite_differences():
 
 def test_stiffness_derivs_nonzero_at_identity():
     # stress-free but not stiffness-free
-    got = stiffness_derivs(1.0, 1.0, GAS)
+    got = _du(1.0, 1.0, GAS)
     want = _fd_stiffness(1.0, 1.0, GAS)
     assert abs(got[0]) > 0.1
     assert got[0] == pytest.approx(want[0], rel=1e-5)
@@ -146,19 +155,21 @@ def test_stiffness_derivs_swapped_arguments():
     rng = np.random.default_rng(19)
     for _ in range(3):
         la, lb = rng.uniform(0.7, 2.0, 2)
-        got = stiffness_derivs(lb, la, GAS)
+        got = _du(lb, la, GAS)
         want = _fd_stiffness(lb, la, GAS)
         assert got[0] == pytest.approx(want[0], rel=1e-5)
         assert got[1] == pytest.approx(want[1], rel=1e-5)
 
 
-def test_tension_terms_equal_stiffness_functions_exactly():
-    # the one-pass evaluation keeps every expression of the reference
-    # functions, so the assembled residual and tangent stay bit-identical
+def test_tension_values_and_partials_equal_stiffness_functions_exactly():
+    # the stacked evaluation keeps every expression of the reference
+    # functions, and the partials reuse products the values formed, so the
+    # assembled residual and tangent stay bit-identical
     rng = np.random.default_rng(31)
     l1, l2 = rng.uniform(0.5, 3.0, (2, 200))
     for mat in (GAS, LIQ):
-        su12, su21, du1, du2, du1_swap = tension_terms(l1, l2, mat)
+        su12, su21, parts = tension_values(l1, l2, mat)
+        du1, du2, du1_swap = tension_partials(parts)
         assert np.array_equal(su12, stiffness_scalar(l1, l2, mat))
         assert np.array_equal(su21, stiffness_scalar(l2, l1, mat))
         assert np.array_equal(du1, stiffness_derivs(l1, l2, mat)[0])
@@ -187,7 +198,7 @@ def test_derivs_match_fd_on_random_states():
         assert got[1] == pytest.approx(want[1], rel=1e-5, abs=1e-10)
         wide = _fd_energy_derivs(i1, i2, GAS, 1e-3)
         assert got[2] == pytest.approx(wide[2], rel=1e-5, abs=1e-7)
-        got_u = stiffness_derivs(l1, l2, GAS)
+        got_u = _du(l1, l2, GAS)
         want_u = _fd_stiffness(l1, l2, GAS)
         assert got_u[0] == pytest.approx(want_u[0], rel=1e-5, abs=1e-6)
         assert got_u[1] == pytest.approx(want_u[1], rel=1e-5, abs=1e-6)

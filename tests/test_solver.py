@@ -29,6 +29,8 @@ from ritzmem.solver import (
     solve_membrane,
 )
 
+from reference import fold_count
+
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
 
@@ -107,7 +109,7 @@ def test_initial_guess_zero_load():
 def test_initial_guess_sign():
     ctx = gas_context(6)
     x0 = initial_guess(ctx)
-    assert ctx.state(x0).sag() > 0.0
+    assert ctx.sag(x0) > 0.0
 
 
 def test_initial_guess_converges_fast():
@@ -481,13 +483,6 @@ def test_failed_landing_is_a_failed_sag_step():
     assert min(pt.c_value for pt in points) == 0.2
 
 
-def _fold_count(points):
-    # a fold is where the load turns back; past its second fold the gas
-    # d = 1 curve also turns in f while c keeps rising, which is not one
-    dc = np.sign(np.diff([pt.c_value for pt in points]))
-    return int(np.count_nonzero(np.diff(dc[dc != 0.0])))
-
-
 @pytest.fixture
 def newton_reports(monkeypatch):
     reports = []
@@ -521,7 +516,7 @@ def test_sag_steps_keep_the_full_iteration_budget():
     # failed with "sag continuation stalled near f = 1.711"
     ctx = SolveContext(GAS, LoadParams(0.1, 1.0), BasisSpec("polynomial", 8),
                        auto_rule("polynomial"))
-    assert _fold_count(continue_in_load(ctx, 0.1, 3.0)) == 2
+    assert fold_count(continue_in_load(ctx, 0.1, 3.0)) == 2
 
 
 def test_slow_load_step_does_not_jump_the_fold_pair():
@@ -532,7 +527,7 @@ def test_slow_load_step_does_not_jump_the_fold_pair():
     ctx = SolveContext(GAS, LoadParams(0.1, 1.0), BasisSpec("polynomial", 4),
                        auto_rule("polynomial"))
     points = continue_in_load(ctx, 0.1, 3.0, StepPolicy(initial=0.05))
-    assert _fold_count(points) == 2
+    assert fold_count(points) == 2
     assert points[-1].c_value >= 3.0
     assert points[-1].stability_hint == 1
     # the traced curve crosses c = 3.0 only there
@@ -572,7 +567,7 @@ def test_sweep_steps_in_whichever_of_c_and_f_its_secant_moves_more(step_log):
     # the sweep used to halve its load step below MIN_STEP at the first fold,
     # 21 failed load steps, before it switched to sag steps for good
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    assert _fold_count(points) == 2
+    assert fold_count(points) == 2
     assert sum(1 for ev in step_log if ev[:2] == ("load", False)) <= 4
     dc = np.diff([pt.c_value for pt in points])
     df = np.diff([pt.sag for pt in points])
@@ -706,7 +701,10 @@ def generator_calls(monkeypatch):
 
 @pytest.fixture
 def tension_calls(monkeypatch):
-    return _counter(monkeypatch, assembly, "tension_terms")
+    # tension values, tension partials and tangents, one list of calls each
+    return (_counter(monkeypatch, assembly, "tension_values"),
+            _counter(monkeypatch, assembly, "tension_partials"),
+            _counter(monkeypatch, solver, "jacobian"))
 
 
 @pytest.mark.parametrize("mat, load, family, builds, tensions", [
@@ -717,11 +715,15 @@ def test_solves_build_tables_once_per_basis(build_calls, tension_calls, mat,
                                             load, family, builds, tensions):
     # the small-system guess and the basis-size ladder slice the tables of
     # the context they start from, and the p search starts on the tables of
-    # its context; only a new steepness builds new ones
+    # its context; only a new steepness builds new ones.  Every iterate
+    # evaluates the tension values, and only one that assembles a tangent
+    # their partials: not a converged one, nor the p gradient
     _, report = solve_membrane(mat, load, family, 6)
     assert report.converged
     assert len(build_calls) == builds
-    assert len(tension_calls) == tensions
+    values, partials, tangents = tension_calls
+    assert len(values) == tensions
+    assert len(partials) == len(tangents) < tensions
 
 
 def test_polynomial_tables_are_built_once_per_process(build_calls):
@@ -748,7 +750,9 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert len(points) > 2
     assert build_calls == []
     assert generator_calls == []
-    assert len(tension_calls) == 156
+    values, partials, tangents = tension_calls
+    assert len(values) == 156
+    assert len(partials) == len(tangents) < 156
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
