@@ -40,6 +40,7 @@ from .solver import (
     newton_solve,
     optimize_basis,
     solve_at_sag,
+    solve_ladder,
     solve_membrane,
 )
 
@@ -60,6 +61,6 @@ __all__ = [
     "ContinuationPoint", "SolveContext", "SolveFailure", "SolveReport",
     "StepPolicy", "continue_in_load", "delta_diagnostic", "equilibrium_defect",
     "init_p1", "initial_guess", "newton_solve", "optimize_basis",
-    "solve_at_sag", "solve_membrane",
+    "solve_at_sag", "solve_ladder", "solve_membrane",
 ]
 __version__ = "0.1.0"

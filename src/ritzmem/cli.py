@@ -36,6 +36,7 @@ from .solver import (
     _defect_terms,
     continue_in_load,
     equilibrium_defect,
+    solve_ladder,
     solve_membrane,
 )
 
@@ -307,18 +308,17 @@ def run_convergence(cfg: RunConfig) -> int:
     load = LoadParams(cfg.c, cfg.d)
     header = "m,z,r,dz,dr,d2z,d2r,delta\n"
     any_ok = False
+    sizes = range(m_lo, m_hi + 1)
+    rungs = solve_ladder(cfg.mat, load, cfg.family, sizes, p=cfg.p,
+                         quad=cfg.quad, probe=probe)
     with open(cfg.out / "table.csv", "w", newline="") as fh:
         fh.write(header)
-        for m in range(m_lo, m_hi + 1):
-            try:
-                state, report = solve_membrane(
-                    cfg.mat, load, cfg.family, m, p=cfg.p, quad=cfg.quad,
-                    probe=probe,
-                )
-            except SolveFailure as exc:
-                print(f"m = {m}: {exc}", file=sys.stderr)
+        for m, rung in zip(sizes, rungs):
+            if isinstance(rung, SolveFailure):
+                print(f"m = {m}: {rung}", file=sys.stderr)
                 fh.write(f"{m}," + ",".join(["nan"] * 7) + "\n")
                 continue
+            state, report = rung
             any_ok = True
             shape = eval_shape(state, np.array(probe), second=True)
             cells = [_fmt(float(val)) for val in

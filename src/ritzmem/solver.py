@@ -29,7 +29,9 @@ so a converged iterate or a corrector that gives up evaluates none.
 builds its tables once, the polynomial ones once per process.  Every
 fixed-basis solve, a sweep's start too, runs Newton from the m = 1 start,
 then the basis-size ladder; both slice the tables (`SolveContext.head`),
-and the pole sag is read from them.
+and the pole sag is read from them.  The m = 1 start does not depend on
+m, so `solve_ladder`, `solve_membrane` at several basis sizes, solves it
+once and shares it; each rung equals `solve_membrane` at its m bit for bit.
 Diagnostics run only where they are read: the load continuation computes
 the tangent's condition number of its first state, and `solve_membrane`
 evaluates the equilibrium defect `delta` once, on the state it returns, in
@@ -311,18 +313,19 @@ def _resize(x, k: int) -> np.ndarray:
     return out.ravel()
 
 
-def initial_guess(ctx: SolveContext) -> np.ndarray:
-    """Starting coefficients from the two-unknown (m = 1) subproblem.
+def _start(ctx: SolveContext) -> np.ndarray:
+    """The converged two coefficients of the m = 1 subproblem of `ctx`.
 
-    The m = 1 solve is seeded so the pole moves with the load (positive c,
-    positive sag) and its two coefficients are embedded as components 1 and
-    m+1 of the full vector.  If it fails, or its sag has the wrong sign,
-    the load is likely beyond a limit point of the small system and
-    `SolveFailure` asks the caller to sweep up to it instead.
+    Row 1 of the tables is the same for every basis size, so every size of
+    one (material, load, family, p, rule) shares this start.  The m = 1 solve is
+    seeded so the pole moves with the load (positive c, positive sag).  If
+    it fails, or its sag has the wrong sign, the load is likely beyond a
+    limit point of the small system and `SolveFailure` asks the caller to
+    sweep up to it instead.  At zero load the start is zero, without a solve.
     """
     c = ctx.load.c
     if c == 0.0:
-        return np.zeros(2 * ctx.spec.m)
+        return np.zeros(2)
     sub = ctx.head(1)
     u0 = float(sub.tables.u0[0])
     if u0 == 0.0:
@@ -336,7 +339,17 @@ def initial_guess(ctx: SolveContext) -> np.ndarray:
             "could not start from the small-system guess; reduce the load "
             "or sweep up to it"
         )
-    return _resize(state.x, ctx.spec.m)
+    return state.x
+
+
+def initial_guess(ctx: SolveContext) -> np.ndarray:
+    """Starting coefficients from the two-unknown (m = 1) subproblem.
+
+    The m = 1 start (`_start`) is embedded as components 1 and m+1 of the
+    full vector; at zero load the guess is zero.  A start that fails raises
+    `SolveFailure`.
+    """
+    return _resize(_start(ctx), ctx.spec.m)
 
 
 def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
@@ -700,14 +713,18 @@ def optimize_basis(ctx: SolveContext):
     return state, rep
 
 
-def _solve_fixed_basis(ctx: SolveContext):
-    """Newton from `initial_guess`, then the basis-size ladder.
+def _solve_fixed_basis(ctx: SolveContext, start=None):
+    """Newton from the m = 1 start, then the basis-size ladder.
 
-    High m shrinks the Newton basin faster than the m = 1 start can cover,
-    so on failure m climbs from 2, each size started from the last one.
-    The report carries no equilibrium defect.
+    `start` is the m = 1 start of `ctx` as `_start` gives it, coefficients
+    or the `SolveFailure` it raised; it is solved here if None.  High m
+    shrinks the Newton basin faster than the m = 1 start can cover, so on
+    failure m climbs from 2, each size started from the last one.  The
+    report carries no equilibrium defect.
     """
-    x = initial_guess(ctx)
+    if isinstance(start, SolveFailure):
+        raise start
+    x = initial_guess(ctx) if start is None else _resize(start, ctx.spec.m)
     state, rep = newton_solve(x, ctx)
     if rep.converged:
         return state, rep
@@ -722,6 +739,29 @@ def _solve_fixed_basis(ctx: SolveContext):
     return state, rep
 
 
+def _solve(mat, load, family, m, p, quad, probe, start=None):
+    """`solve_membrane`, whose fixed basis (the steep family's polynomial
+    predictor, if p is searched) starts from `start` as in
+    `_solve_fixed_basis`."""
+    if family == "polynomial" or p is not None:
+        state, rep = _solve_fixed_basis(
+            SolveContext.create(mat, load, family, m, p, quad), start)
+    else:
+        try:
+            prev, _ = _solve_fixed_basis(
+                SolveContext.create(mat, load, "polynomial", m, quad=quad), start)
+        except SolveFailure:
+            prev = None
+        p1 = init_p1(prev, mat, load)
+        state, rep = optimize_basis(
+            SolveContext.create(mat, load, family, m, (p1,), quad))
+    if rep.converged and load.c != 0.0:
+        at, rep.delta_max = delta_diagnostic(
+            state, mat, [probe] if probe is not None else [])
+        rep.delta_at = float(at[0]) if probe is not None else None
+    return state, rep
+
+
 def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
                    p=None, quad: int | None = None, probe: float | None = None):
     """One-call driver: pick rule, build guess, solve, tune p if steep.
@@ -733,20 +773,31 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
     returned state: its grid maximum `delta_max` and, if a probe point is
     given, `delta_at` there.
     """
-    if family == "polynomial" or p is not None:
-        state, rep = _solve_fixed_basis(
-            SolveContext.create(mat, load, family, m, p, quad))
-    else:
+    return _solve(mat, load, family, m, p, quad, probe)
+
+
+def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
+                 p=None, quad: int | None = None, probe: float | None = None):
+    """`solve_membrane` at each basis size m in `sizes`, one load.
+
+    Returns one entry per size, in order: (state, report) exactly as
+    `solve_membrane` returns them at that m, or the `SolveFailure` it
+    raises.  The m = 1 start does not depend on m, so it is solved once and
+    shared by every size: the fixed basis's start, or, when the steep
+    family searches p, the start of its polynomial predictor.  A start that
+    fails does at every size what it does one size at a time: it fails a
+    fixed basis, and leaves a p search without its predictor.
+    """
+    fixed = family == "polynomial" or p is not None
+    try:
+        start = _start(SolveContext.create(
+            mat, load, family if fixed else "polynomial", 1, p if fixed else None, quad))
+    except SolveFailure as exc:
+        start = exc
+    results = []
+    for m in sizes:
         try:
-            prev, _ = _solve_fixed_basis(
-                SolveContext.create(mat, load, "polynomial", m, quad=quad))
-        except SolveFailure:
-            prev = None
-        p1 = init_p1(prev, mat, load)
-        state, rep = optimize_basis(
-            SolveContext.create(mat, load, family, m, (p1,), quad))
-    if rep.converged and load.c != 0.0:
-        at, rep.delta_max = delta_diagnostic(
-            state, mat, [probe] if probe is not None else [])
-        rep.delta_at = float(at[0]) if probe is not None else None
-    return state, rep
+            results.append(_solve(mat, load, family, m, p, quad, probe, start))
+        except SolveFailure as exc:
+            results.append(exc)
+    return results

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ritzmem.basis import BasisSpec, SolutionState
+from ritzmem.basis import BasisSpec, SolutionState, eval_shape
 from ritzmem.cli import (
     MAX_M,
     ConfigError,
@@ -30,6 +30,7 @@ from ritzmem.cli import (
 )
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
+from ritzmem.solver import solve_membrane
 
 GAS_KV = """\
 # circular membrane under gas pressure
@@ -311,6 +312,24 @@ def test_converge_gas_ladder(tmp_path):
     # cross zero close to the probe, so allow half an order of slack
     for a, b in zip(delta, delta[1:]):
         assert b <= a * math.sqrt(10.0)
+
+
+def test_converge_table_equals_the_per_size_solves(tmp_path):
+    # the ladder shares its m = 1 start; each row is still the bytes that
+    # solve_membrane at that m formats to
+    cfg = write_cfg(tmp_path, GAS_KV + "m_min = 1\nm_max = 6\n")
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out),
+                 "--probe", "0.2"]) == 0
+    mat = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
+    lines = ["m,z,r,dz,dr,d2z,d2r,delta\n"]
+    for m in range(1, 7):
+        state, report = solve_membrane(mat, LoadParams(1.7), "polynomial", m,
+                                       probe=0.2)
+        sh = eval_shape(state, np.array(0.2), second=True)
+        cells = [_fmt(float(v)) for v in (sh.z, sh.r, sh.dz, sh.dr, sh.d2z, sh.d2r)]
+        lines.append(f"{m}," + ",".join(cells) + f",{report.delta_at:.17e}\n")
+    assert (out / "table.csv").read_bytes() == "".join(lines).encode()
 
 
 def test_converge_zero_load(tmp_path):

@@ -26,6 +26,7 @@ from ritzmem.solver import (
     newton_solve,
     optimize_basis,
     solve_at_sag,
+    solve_ladder,
     solve_membrane,
 )
 
@@ -677,6 +678,57 @@ def test_start_failure_is_stated_not_ramped():
     # a load ramp once rescued this start and "converged" to a defect of 5e21
     with pytest.raises(SolveFailure, match="small-system guess"):
         solve_membrane(GAS, LoadParams(30.0, 10.0), "polynomial", 6)
+
+
+@pytest.mark.parametrize("mat, load, family, p, probe", [
+    (GAS, LoadParams(1.7), "polynomial", None, 0.2),
+    (LIQ, LoadParams(0.5, 10.0), "adaptive", (17.1,), 0.9),
+    (LIQ, LoadParams(0.5, 10.0), "adaptive", None, 0.9),
+    (GAS, LoadParams(0.0), "polynomial", None, 0.3),
+    (GAS, LoadParams(60.0), "polynomial", None, None),
+    (GAS, LoadParams(30.0, 10.0), "polynomial", None, None),
+], ids=["gas", "liquid-fixed-p", "liquid-searched-p", "zero-load",
+        "fails-stepping-m", "start-fails"])
+def test_ladder_rungs_equal_solve_membrane(mat, load, family, p, probe):
+    # the shared m = 1 start is the one each size would solve for itself,
+    # so every rung is that size's solve_membrane bit for bit, a stated
+    # failure included
+    sizes = range(1, 7)
+    rungs = solve_ladder(mat, load, family, sizes, p=p, probe=probe)
+    assert len(rungs) == len(sizes)
+    for m, rung in zip(sizes, rungs):
+        try:
+            want_state, want = solve_membrane(mat, load, family, m, p=p, probe=probe)
+        except SolveFailure as exc:
+            assert isinstance(rung, SolveFailure)
+            assert str(rung) == str(exc)
+            continue
+        state, report = rung
+        assert np.array_equal(state.x, want_state.x)
+        assert (state.spec, state.load) == (want_state.spec, want_state.load)
+        assert report == want
+
+
+def test_ladder_start_failure_is_every_rungs_failure():
+    rungs = solve_ladder(GAS, LoadParams(30.0, 10.0), "polynomial", range(1, 7))
+    assert all(isinstance(r, SolveFailure) and "small-system guess" in str(r)
+               for r in rungs)
+
+
+def test_ladder_solves_its_m1_start_once(monkeypatch):
+    # one at a time, each size solves the m = 1 start before its own
+    # Newton; the ladder solves it once (rung 1 then solves m = 1 again,
+    # from the converged start)
+    newton_calls = _counter(monkeypatch, solver, "newton_solve")
+    sizes = range(1, 7)
+    for m in sizes:
+        solve_membrane(GAS, LoadParams(1.7), "polynomial", m)
+    alone = [args for args in newton_calls if args[1].spec.m == 1]
+    newton_calls.clear()
+    solve_ladder(GAS, LoadParams(1.7), "polynomial", sizes)
+    shared = [args for args in newton_calls if args[1].spec.m == 1]
+    assert (len(alone), len(shared)) == (len(sizes) + 1, 2)
+    assert len(newton_calls) == len(sizes) + 1
 
 
 @pytest.fixture
