@@ -9,7 +9,9 @@ Verbs:
 Configuration is a flat key = value text file (or the same keys as a JSON
 object); command line flags override file values.  Outputs are plain CSV
 and JSON, written deterministically so identical runs produce identical
-bytes.
+bytes.  Each output file is written by `_write`, in one write that
+rewrites it in place; a verb that fails removes the outputs it could not
+produce, so none is left from an earlier run.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cache
@@ -220,6 +223,20 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write(path: Path, text: str, newline: str | None = None) -> None:
+    """Make `text` the whole content of the file at `path`, in one write.
+
+    The file is rewritten in place and then cut to the new length, never
+    truncated to zero first: on ext4 a truncate to zero followed by a
+    rewrite starts writeback at close (auto_da_alloc), several times the
+    cost of the write itself on a rerun into the same directory.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def profile_rows(state, mat: MaterialParams):
     """Profile table on a 201-point grid including both ends.
 
@@ -237,9 +254,8 @@ def profile_rows(state, mat: MaterialParams):
 def write_profile(path: Path, state, mat: MaterialParams) -> None:
     rows = profile_rows(state, mat)
     line = "%.17g," * 9 + "%.17e\n"  # nine cells as `_fmt` writes them, then delta
-    with open(path, "w", newline="") as fh:
-        fh.write("s,z,r,dz,dr,lambda1,lambda2,T1,T2,delta\n")
-        fh.write("".join(line % tuple(row) for row in rows.tolist()))
+    _write(path, "s,z,r,dz,dr,lambda1,lambda2,T1,T2,delta\n"
+           + "".join(line % tuple(row) for row in rows.tolist()), newline="")
 
 
 def _report_dict(report, state, mat, probes) -> dict:
@@ -261,9 +277,7 @@ def _report_dict(report, state, mat, probes) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def run_solve(cfg: RunConfig) -> int:
@@ -279,6 +293,8 @@ def run_solve(cfg: RunConfig) -> int:
                              message=str(exc))
         _write_json(cfg.out / "report.json",
                     _report_dict(failed, None, cfg.mat, cfg.probes))
+        for name in ("solution.json", "profile.csv"):  # no state: no stale one
+            (cfg.out / name).unlink(missing_ok=True)
         print(f"solve failed: {exc}", file=sys.stderr)
         return 3
 
@@ -311,22 +327,22 @@ def run_convergence(cfg: RunConfig) -> int:
     sizes = range(m_lo, m_hi + 1)
     rungs = solve_ladder(cfg.mat, load, cfg.family, sizes, p=cfg.p,
                          quad=cfg.quad, probe=probe)
-    with open(cfg.out / "table.csv", "w", newline="") as fh:
-        fh.write(header)
-        for m, rung in zip(sizes, rungs):
-            if isinstance(rung, SolveFailure):
-                print(f"m = {m}: {rung}", file=sys.stderr)
-                fh.write(f"{m}," + ",".join(["nan"] * 7) + "\n")
-                continue
-            state, report = rung
-            any_ok = True
-            shape = eval_shape(state, np.array(probe), second=True)
-            cells = [_fmt(float(val)) for val in
-                     (shape.z, shape.r, shape.dz, shape.dr, shape.d2z, shape.d2r)]
-            delta = report.delta_at
-            if delta is None:  # zero load: the raw defect, as in profile.csv
-                delta = float(_defect_terms(state, cfg.mat, np.array(probe))[-1])
-            fh.write(f"{m}," + ",".join(cells) + f",{delta:.17e}\n")
+    lines = [header]
+    for m, rung in zip(sizes, rungs):
+        if isinstance(rung, SolveFailure):
+            print(f"m = {m}: {rung}", file=sys.stderr)
+            lines.append(f"{m}," + ",".join(["nan"] * 7) + "\n")
+            continue
+        state, report = rung
+        any_ok = True
+        shape = eval_shape(state, np.array(probe), second=True)
+        cells = [_fmt(float(val)) for val in
+                 (shape.z, shape.r, shape.dz, shape.dr, shape.d2z, shape.d2r)]
+        delta = report.delta_at
+        if delta is None:  # zero load: the raw defect, as in profile.csv
+            delta = float(_defect_terms(state, cfg.mat, np.array(probe))[-1])
+        lines.append(f"{m}," + ",".join(cells) + f",{delta:.17e}\n")
+    _write(cfg.out / "table.csv", "".join(lines), newline="")
     return 0 if any_ok else 3
 
 
@@ -338,9 +354,9 @@ def run_sweep(cfg: RunConfig) -> int:
     if not math.isfinite(cfg.c_end - cfg.c_start):
         raise ConfigError("c_end - c_start must be finite")
     cfg.out.mkdir(parents=True, exist_ok=True)
+    header = "c,f,stability_hint\n"
     if cfg.c_start == cfg.c_end:
-        with open(cfg.out / "loadsag.csv", "w", newline="") as fh:
-            fh.write("c,f,stability_hint\n")
+        _write(cfg.out / "loadsag.csv", header, newline="")
         return 0
     step = cfg.c_step
     if step is None:
@@ -353,12 +369,12 @@ def run_sweep(cfg: RunConfig) -> int:
         points = continue_in_load(ctx, cfg.c_start, cfg.c_end,
                                   StepPolicy(initial=step))
     except SolveFailure as exc:
+        (cfg.out / "loadsag.csv").unlink(missing_ok=True)  # no curve: no stale one
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 3
-    with open(cfg.out / "loadsag.csv", "w", newline="") as fh:
-        fh.write("c,f,stability_hint\n")
-        for pt in points:
-            fh.write(f"{_fmt(pt.c_value)},{_fmt(pt.sag)},{pt.stability_hint}\n")
+    _write(cfg.out / "loadsag.csv", header + "".join(
+        f"{_fmt(pt.c_value)},{_fmt(pt.sag)},{pt.stability_hint}\n" for pt in points),
+        newline="")
     return 0
 
 
@@ -371,7 +387,7 @@ def run_scale(cfg: RunConfig) -> int:
     print(text)
     if cfg.out != Path("results") or (cfg.out.exists() and cfg.out.is_dir()):
         cfg.out.mkdir(parents=True, exist_ok=True)
-        (cfg.out / "scale.json").write_text(text + "\n")
+        _write(cfg.out / "scale.json", text + "\n")
     return 0
 
 

@@ -35,7 +35,8 @@ once and shares it; each rung equals `solve_membrane` at its m bit for bit.
 Diagnostics run only where they are read: the load continuation computes
 the tangent's condition number of its first state, and `solve_membrane`
 evaluates the equilibrium defect `delta` once, on the state it returns, in
-one generator pass over the grid and the probe.
+one generator pass over the grid and the probe; the same pass rejects a
+state whose hoop stretch r/s is not positive on the grid.
 """
 
 from __future__ import annotations
@@ -192,7 +193,10 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
     and the probes.  Each of the two builds its shape from a contiguous
     copy of its own columns, as a separate `eval_shape` would, because the
     last bit of a matvec depends on the table it runs on; the stretches,
-    tensions and curvatures then run once, on the joined shape.
+    tensions and curvatures then run once, on the joined shape.  A state
+    whose hoop stretch lambda2 = r/s is not positive at some grid point has
+    a radius that turns negative, no membrane's; it raises `SolveFailure`
+    naming the minimum lambda2.
     """
     scale = _load_scale(state)
     s = np.concatenate([_GRID, np.asarray(list(probes), dtype=float)])
@@ -202,7 +206,12 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
               for cols in (slice(None, DELTA_GRID), slice(DELTA_GRID, None))]
     shape = ShapeEval(*(np.concatenate([getattr(b, f) for b in blocks])
                         for f in ("z", "r", "dz", "dr", "d2z", "d2r")))
-    delta = _defect_terms(state, mat, s, shape)[-1] / scale
+    _, _, l2, _, _, defect = _defect_terms(state, mat, s, shape)
+    l2_min = float(np.min(l2[:DELTA_GRID]))
+    if not l2_min > 0.0:
+        raise SolveFailure(f"state at c = {state.load.c} has lambda2 = r/s down to"
+                           f" {l2_min:.6g} <= 0 on the defect grid")
+    delta = defect / scale
     return delta[DELTA_GRID:], float(np.max(delta[:DELTA_GRID]))
 
 
@@ -771,7 +780,9 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
     load; optimization then zeroes the energy gradient in p1.  The report of
     a converged solve at nonzero load carries the equilibrium defect of the
     returned state: its grid maximum `delta_max` and, if a probe point is
-    given, `delta_at` there.
+    given, `delta_at` there.  A converged state whose hoop stretch r/s is
+    not positive on the defect grid is no membrane state: it raises
+    `SolveFailure`, as a solve that does not converge does.
     """
     return _solve(mat, load, family, m, p, quad, probe)
 

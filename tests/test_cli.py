@@ -42,6 +42,8 @@ family = polynomial
 m = 6
 """
 
+SWEEP_KV = "gamma1 = 0.02\ngamma2 = -0.015\ngamma3 = 0.00025\n"
+
 LIQ_JSON = {
     "gamma1": 0.1,
     "c": 0.5,
@@ -285,6 +287,53 @@ def test_exit_code_3_still_writes_report(tmp_path):
     assert not (out / "profile.csv").exists()
 
 
+def test_failed_solve_leaves_only_its_report(tmp_path):
+    # a solve that fails removes the solution and profile of an earlier run
+    # into the same directory, so nothing there describes another state
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_cfg(tmp_path, GAS_KV),
+                 "--out", str(out)]) == 0
+    cfg = write_cfg(tmp_path, "c = 60\nm = 3\ngamma1 = 0.02\n", "fail.cfg")
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+    assert json.loads((out / "report.json").read_text())["converged"] is False
+
+
+def test_failed_sweep_removes_an_earlier_curve(tmp_path):
+    out = tmp_path / "out"
+    good = write_cfg(tmp_path, SWEEP_KV + "c_start = 0.2\nc_end = 0.5\n"
+                     "c_step = 0.05\nm = 6\n")
+    assert main(["sweep", "--config", good, "--out", str(out)]) == 0
+    bad = write_cfg(tmp_path, SWEEP_KV + "c_start = 60\nc_end = 61\nm = 3\n",
+                    "fail.cfg")
+    assert main(["sweep", "--config", bad, "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb, first, second, names", [
+    ("solve", json.dumps({**LIQ_JSON, "probes": [0.2, 0.5, 0.9]}),
+     GAS_KV + "probes = 0.2\n", ("solution.json", "profile.csv", "report.json")),
+    ("converge", GAS_KV + "m_min = 1\nm_max = 8\n",
+     GAS_KV + "m_min = 1\nm_max = 3\n", ("table.csv",)),
+    ("sweep", SWEEP_KV + "c_start = 0.1\nc_end = 1.9\nm = 6\n",
+     SWEEP_KV + "c_start = 0.2\nc_end = 0.5\nc_step = 0.05\nm = 6\n",
+     ("loadsag.csv",)),
+], ids=["solve", "converge", "sweep"])
+def test_rerun_over_longer_files_writes_what_a_fresh_run_writes(
+        tmp_path, verb, first, second, names):
+    # outputs are rewritten in place, then cut to their new length
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    first = write_cfg(tmp_path, first, "first.cfg")
+    second = write_cfg(tmp_path, second, "second.cfg")
+    assert main([verb, "--config", first, "--out", str(reused)]) == 0
+    before = {name: (reused / name).stat().st_size for name in names}
+    assert main([verb, "--config", second, "--out", str(fresh)]) == 0
+    assert main([verb, "--config", second, "--out", str(reused)]) == 0
+    for name in names:
+        assert before[name] > (fresh / name).stat().st_size
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_converge_gas_ladder(tmp_path):
     cfg = write_cfg(tmp_path, GAS_KV + "m_min = 1\nm_max = 6\n")
     out = tmp_path / "out"
@@ -330,6 +379,20 @@ def test_converge_table_equals_the_per_size_solves(tmp_path):
         cells = [_fmt(float(v)) for v in (sh.z, sh.r, sh.dz, sh.dr, sh.d2z, sh.d2r)]
         lines.append(f"{m}," + ",".join(cells) + f",{report.delta_at:.17e}\n")
     assert (out / "table.csv").read_bytes() == "".join(lines).encode()
+
+
+def test_converge_rejects_a_negative_radius(tmp_path):
+    # at c = 60 the m = 1 Newton solve converges to a state with r < 0 near
+    # the pole, no membrane state, and m = 2 does not converge
+    cfg = write_cfg(tmp_path, "gamma1 = 0.02\ngamma2 = -0.015\ngamma3 = 0.00025\n"
+                    "c = 60\nm_min = 1\nm_max = 2\n")
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out),
+                 "--probe", "0.2"]) == 3
+    assert (out / "table.csv").read_text() == (
+        "m,z,r,dz,dr,d2z,d2r,delta\n"
+        "1,nan,nan,nan,nan,nan,nan,nan\n"
+        "2,nan,nan,nan,nan,nan,nan,nan\n")
 
 
 def test_converge_zero_load(tmp_path):

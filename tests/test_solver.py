@@ -709,6 +709,15 @@ def test_ladder_rungs_equal_solve_membrane(mat, load, family, p, probe):
         assert report == want
 
 
+def test_negative_radius_state_is_a_solve_failure():
+    # Newton converges on the m = 1 system at c = 60, to a state whose
+    # radius r = s lambda2 turns negative (its delta_max is 2.5e7)
+    with pytest.raises(SolveFailure, match=r"lambda2 = r/s down to -0\.48"):
+        solve_membrane(GAS, LoadParams(60.0), "polynomial", 1)
+    rung = solve_ladder(GAS, LoadParams(60.0), "polynomial", [1])[0]
+    assert isinstance(rung, SolveFailure) and "lambda2" in str(rung)
+
+
 def test_ladder_start_failure_is_every_rungs_failure():
     rungs = solve_ladder(GAS, LoadParams(30.0, 10.0), "polynomial", range(1, 7))
     assert all(isinstance(r, SolveFailure) and "small-system guess" in str(r)
