@@ -1,20 +1,15 @@
 """Newton solution and continuation drivers.
 
 The discrete equilibrium g(x) = 0 is solved by plain Newton iteration on
-the analytic tangent matrix.  Load sweeps walk the load parameter c with a
-secant predictor.  A load step fails, and is retried at half the step, as
-soon as an iteration fails to halve the residual or after LOAD_STEP_ITERS
-iterations, so a slow corrector cannot carry the sweep onto another branch
-past a fold pair.  When the start state is hard (slow Newton or a
-near-singular tangent), or once the secant of an accepted load step moves
-f more than c (as it does before a fold), the driver switches to
-prescribing the pole sag f and treating c as an unknown in a bordered
-system, which passes through limit points without drama; once the secant
-of a sag step moves c toward c_end more than f (as it does before a turn
-in f) it goes back to load steps.  A sweep in sag steps lands on c_end at
-fixed c; a landing that fails is a failed sag step.  Both
-solves, at fixed c (`newton_solve`) and at prescribed f (`solve_at_sag`),
-run the one Newton loop `_newton`.
+the analytic tangent matrix.  An iterate within the tolerance whose hoop
+stretch r/s is not positive at a node is not converged, so no driver
+returns such a state.  Load sweeps follow the load-sag curve by
+pseudo-arclength in the (c, f) plane (Keller 1977; Riks 1979): the load c
+is an unknown of the corrector, bordered by a row normal to the secant of
+the last two points, so the sweep passes limit points in c and turns in f
+alike.  The fixed-load solve (`newton_solve`), the prescribed-sag solve
+(`solve_at_sag`) and the arclength corrector run the one Newton loop
+`_newton`.
 
 For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
@@ -32,11 +27,9 @@ then the basis-size ladder; both slice the tables (`SolveContext.head`),
 and the pole sag is read from them.  The m = 1 start does not depend on
 m, so `solve_ladder`, `solve_membrane` at several basis sizes, solves it
 once and shares it; each rung equals `solve_membrane` at its m bit for bit.
-Diagnostics run only where they are read: the load continuation computes
-the tangent's condition number of its first state, and `solve_membrane`
-evaluates the equilibrium defect `delta` once, on the state it returns, in
-one generator pass over the grid and the probe; the same pass rejects a
-state whose hoop stretch r/s is not positive on the grid.
+The equilibrium defect `delta` runs only where it is read:
+`solve_membrane` evaluates it once, on the state it returns, in one
+generator pass over the grid and the probe.
 """
 
 from __future__ import annotations
@@ -193,10 +186,7 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
     and the probes.  Each of the two builds its shape from a contiguous
     copy of its own columns, as a separate `eval_shape` would, because the
     last bit of a matvec depends on the table it runs on; the stretches,
-    tensions and curvatures then run once, on the joined shape.  A state
-    whose hoop stretch lambda2 = r/s is not positive at some grid point has
-    a radius that turns negative, no membrane's; it raises `SolveFailure`
-    naming the minimum lambda2.
+    tensions and curvatures then run once, on the joined shape.
     """
     scale = _load_scale(state)
     s = np.concatenate([_GRID, np.asarray(list(probes), dtype=float)])
@@ -206,12 +196,7 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
               for cols in (slice(None, DELTA_GRID), slice(DELTA_GRID, None))]
     shape = ShapeEval(*(np.concatenate([getattr(b, f) for b in blocks])
                         for f in ("z", "r", "dz", "dr", "d2z", "d2r")))
-    _, _, l2, _, _, defect = _defect_terms(state, mat, s, shape)
-    l2_min = float(np.min(l2[:DELTA_GRID]))
-    if not l2_min > 0.0:
-        raise SolveFailure(f"state at c = {state.load.c} has lambda2 = r/s down to"
-                           f" {l2_min:.6g} <= 0 on the defect grid")
-    delta = defect / scale
+    delta = _defect_terms(state, mat, s, shape)[-1] / scale
     return delta[DELTA_GRID:], float(np.max(delta[:DELTA_GRID]))
 
 
@@ -221,25 +206,30 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
 
 
-def _newton(ctx: SolveContext, x0, f_target: float | None = None,
+def _newton(ctx: SolveContext, x0, border: tuple | None = None,
             corrector: bool = False):
     """Newton iteration on g(x; c) = 0 at the load of `ctx`.
 
-    With `f_target` the load c is an unknown too: the system is bordered by
-    the sag row e.x - f = 0 and the column dg/dc, starting from c of `ctx`.
-    Stops on the max-norm of the (bordered) residual.  Divergence (three
-    consecutive residual increases), non-finite iterates and NEWTON_MAX_ITER
-    steps without convergence abort with converged=False; callers decide
-    whether that is fatal.  A `corrector` gets LOAD_STEP_ITERS steps and
-    aborts once a residual exceeds CONTRACTION times the last one.
+    With `border = (a, b, rhs)` the load c is an unknown too: the system is
+    bordered by the row a (e.x) + b c = rhs, where e.x is the pole sag, and
+    the column dg/dc, starting from c of `ctx`.  Stops on the max-norm of
+    the (bordered) residual.  Divergence (three consecutive residual
+    increases), non-finite iterates and NEWTON_MAX_ITER steps without
+    convergence abort with converged=False; callers decide whether that is
+    fatal.  A `corrector` gets CORRECTOR_ITERS steps and aborts once a
+    residual exceeds CONTRACTION times the last one.  An iterate within the
+    tolerance whose hoop stretch lambda2 = r/s is not positive at some node
+    has a radius that turns negative, no membrane's: it is not converged.
     """
     x = np.array(x0, dtype=float)
     n = x.size
-    if f_target is not None:
-        # bordered matrix [[H, dg/dc], [e, 0]], refilled in place per step
+    if border is not None:
+        a, b, rhs = border
+        # bordered matrix [[H, dg/dc], [a e, b]], refilled in place per step
         e = np.concatenate([ctx.tables.u0, np.zeros(ctx.spec.m)])
         hb = np.zeros((n + 1, n + 1))
-        hb[n, :n] = e
+        hb[n, :n] = a * e
+        hb[n, n] = b
     load = ctx.load
     hist: list[float] = []
     converged = False
@@ -250,8 +240,8 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
         state = SolutionState(x, ctx.spec, load)
         terms = node_terms(state, ctx.mat, ctx.tables)
         g = residual(state, ctx.mat, ctx.rule, ctx.tables, terms)
-        if f_target is not None:
-            g = np.concatenate([g, [float(e @ x) - f_target]])
+        if border is not None:
+            g = np.concatenate([g, [a * float(e @ x) + b * load.c - rhs]])
         gn = float(np.abs(g).max())  # NaN or inf if any entry is
         if not math.isfinite(gn):
             hist.append(math.inf)
@@ -259,7 +249,11 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
             break
         hist.append(gn)
         if gn <= NEWTON_TOL:
-            converged = True
+            l2_min = float(terms.l2.min())
+            converged = l2_min > 0.0
+            if not converged:
+                message = (f"lambda2 = r/s down to {l2_min:.6g} <= 0 at"
+                           f" c = {load.c}")
             break
         if corrector and len(hist) > 1 and gn > CONTRACTION * hist[-2]:
             message = "residual not halving"
@@ -271,11 +265,11 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
                 break
         else:
             growth = 0
-        if steps >= (LOAD_STEP_ITERS if corrector else NEWTON_MAX_ITER):
+        if steps >= (CORRECTOR_ITERS if corrector else NEWTON_MAX_ITER):
             message = "max_iter exceeded"
             break
         h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
-        if f_target is not None:
+        if border is not None:
             hb[:n, :n] = h
             hb[:n, n] = load_derivative(state, ctx.mat, ctx.rule, ctx.tables,
                                         terms)
@@ -286,12 +280,12 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
             message = "singular tangent matrix"
             break
         x = x - step[:n]
-        c = load.c - float(step[-1]) if f_target is not None else load.c
+        c = load.c - float(step[-1]) if border is not None else load.c
         steps += 1
         if not (np.isfinite(x).all() and math.isfinite(c)):
             message = "iterate not finite"
             break
-        if f_target is not None:
+        if border is not None:
             load = LoadParams(c, load.d)
 
     report = SolveReport(
@@ -306,7 +300,8 @@ def _newton(ctx: SolveContext, x0, f_target: float | None = None,
 
 def newton_solve(x0, ctx: SolveContext, corrector: bool = False):
     """Plain Newton iteration at the fixed load of `ctx`; a `corrector`
-    (a continuation load step) gives up early, as in `_newton`.
+    (a continuation step landing on its end load) gives up early, as in
+    `_newton`.
 
     Returns (state, report); the equilibrium defect is left to
     `solve_membrane`.
@@ -330,7 +325,8 @@ def _start(ctx: SolveContext) -> np.ndarray:
     seeded so the pole moves with the load (positive c, positive sag).  If
     it fails, or its sag has the wrong sign, the load is likely beyond a
     limit point of the small system and `SolveFailure` asks the caller to
-    sweep up to it instead.  At zero load the start is zero, without a solve.
+    sweep up to it instead, with the Newton message if there is one.  At
+    zero load the start is zero, without a solve.
     """
     c = ctx.load.c
     if c == 0.0:
@@ -346,8 +342,7 @@ def _start(ctx: SolveContext) -> np.ndarray:
     if not (rep.converged and sub.sag(state.x) * c > 0.0):
         raise SolveFailure(
             "could not start from the small-system guess; reduce the load "
-            "or sweep up to it"
-        )
+            "or sweep up to it" + (f" ({rep.message})" if rep.message else ""))
     return state.x
 
 
@@ -366,45 +361,37 @@ def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
 
     Newton on the bordered system {g(x; c) = 0, z(0) - f = 0}, starting
     from (x0, c0).  The bordered matrix stays regular at limit points of
-    the load, so this is the fold-crossing workhorse.  Returns
-    (state, c, report).
+    the load, though not at turns of the sag; `continue_in_load` borders by
+    its arclength row instead.  Returns (state, c, report).
     """
-    state, report = _newton(ctx.with_load(float(c0)), x0, f_target)
+    state, report = _newton(ctx.with_load(float(c0)), x0, (1.0, 0.0, f_target))
     return state, state.load.c, report
 
 
-# Continuation step control.  The step halves on failure and grows by GROW
-# after EASY_STREAK solves of at most EASY_ITERS iterations, up to MAX_STEP.
-# A load step has failed once an iteration leaves more than CONTRACTION of
-# the previous residual or LOAD_STEP_ITERS iterations pass.  A start state
-# that took more than LOAD_STEP_ITERS iterations, or whose tangent condition
-# number exceeds SWITCH_COND, puts the sweep in sag parametrization.  So
-# does an accepted load step short of c_end whose secant moves the sag more
-# than the load, |df| > |dc|, the first sag step being that df; this fires
-# before a fold, so the fallbacks, a load step below MIN_STEP or the float
-# resolution of c and a second branch jump since the last accepted step,
-# rarely do.  An accepted sag step whose secant moves the load toward c_end
-# more than the sag, dc > |df|, puts the sweep back in load steps, the
-# first one being that dc.  Sag steps otherwise start in the sweep's
-# direction and get NEWTON_MAX_ITER iterations; one below MIN_STEP fails
-# the sweep.  A sweep stops at MAX_POINTS points, past a sag of MAX_SAG, or
-# at c_end, where the sag step that passed it gives way to a full-budget
-# solve; if that solve fails, the sag step has failed.
+# Continuation step control.  A sweep follows its load-sag curve by
+# pseudo-arclength in the (c, f) plane: each step advances ds along the
+# secant of the last two points, the first one along c, and corrects with c
+# an unknown on the line normal to that secant.  A corrector fails after
+# CORRECTOR_ITERS iterations or as soon as a residual exceeds CONTRACTION
+# times the last one.  A failed step halves ds, and one below MIN_STEP fails
+# the sweep; after EASY_STREAK corrections of at most EASY_ITERS iterations
+# each, ds doubles, up to MAX_STEP.  A step whose predicted c passes c_end
+# lands on c_end instead, with a fixed-load corrector from the secant
+# extrapolation, and a point corrected past c_end is a failed step.  A sweep
+# stops at c_end, after a point with |f| > MAX_SAG, or at MAX_POINTS points.
 MIN_STEP = 1e-6
-MAX_STEP = 0.25
-GROW = 2.0
+MAX_STEP = 0.35
 EASY_ITERS = 4
-EASY_STREAK = 3
-LOAD_STEP_ITERS = 8
+EASY_STREAK = 2
+CORRECTOR_ITERS = 8
 CONTRACTION = 0.5
-SWITCH_COND = 1e10
 MAX_POINTS = 2000
 MAX_SAG = 8.0
 
 
 @dataclass
 class StepPolicy:
-    """Continuation step control: the first load step."""
+    """Continuation step control: the first arclength step."""
 
     initial: float = 0.05
 
@@ -429,129 +416,45 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
     """Sweep the load from c_start toward c_end, returning the whole path.
 
     Points are (c, sag, x) with a stability hint from the local slope
-    dc/df; the first is the state `solve_membrane` returns at c_start.  Past
-    a fold the sweep keeps increasing the sag, so the load values along the
-    returned path are not monotone.
+    dc/df; the first is the state `solve_membrane` returns at c_start.  The
+    path is followed by arclength, so past a fold the load values along it
+    are not monotone.
     """
     policy = policy or StepPolicy()
     direction = 1.0 if c_end >= c_start else -1.0
-
-    state, rep = _solve_fixed_basis(ctx.with_load(c_start))
+    state, _ = _solve_fixed_basis(ctx.with_load(c_start))
     points = [ContinuationPoint(c_start, ctx.sag(state.x), state.x.copy())]
-
-    dc = direction * policy.initial
+    ds = min(max(policy.initial, MIN_STEP), MAX_STEP)
     easy = 0
-    sag_mode = rep.iterations > LOAD_STEP_ITERS or float(np.linalg.cond(
-        jacobian(state, ctx.mat, ctx.rule, ctx.tables))) > SWITCH_COND
-    df = None
-
-    jumps = 0
-    while len(points) < MAX_POINTS:
+    while (len(points) < MAX_POINTS and points[-1].c_value != c_end
+           and abs(points[-1].sag) <= MAX_SAG):
         last = points[-1]
-        if not sag_mode:
-            if direction * (last.c_value - c_end) >= 0.0:
-                break
-            c_next = last.c_value + dc
-            if direction * (c_next - c_end) > 0.0:
-                c_next = c_end
-            if c_next == last.c_value:
-                sag_mode = True
-                continue
-            if len(points) >= 2:
-                prev = points[-2]
-                t = (c_next - last.c_value) / (last.c_value - prev.c_value)
-                x_pred = last.x + t * (last.x - prev.x)
-                df_exp = t * (last.sag - prev.sag)
-            else:
-                x_pred = last.x
-                df_exp = None
-            state, rep = newton_solve(x_pred, ctx.with_load(c_next),
-                                      corrector=True)
-            # A converged iterate that leaves the local trend is a root on
-            # another branch, typical just past a fold where the nearby
-            # solution ceases to exist.  Treat it like a failed step.  A
-            # turn in f that moves f less than the step in c is the path
-            # itself turning, not a jump.
-            jumped = False
-            if rep.converged and df_exp is not None:
-                df_got = ctx.sag(state.x) - last.sag
-                jumped = (df_got * df_exp < 0.0 and abs(df_got) > max(
-                    1e-3, abs(c_next - last.c_value))) or (
-                    abs(df_got) > 4.0 * abs(df_exp) + 0.02
-                )
-            if rep.converged and not jumped:
-                jumps = 0
-                points.append(ContinuationPoint(c_next, ctx.sag(state.x), state.x.copy()))
-                easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
-                if easy >= EASY_STREAK and abs(dc) < MAX_STEP:
-                    dc = direction * min(abs(dc) * GROW, MAX_STEP)
-                    easy = 0
-                # continue in whichever of c and f the secant moves more; a
-                # step that landed on c_end ends the sweep
-                sag_mode = c_next != c_end and (
-                    abs(points[-1].sag - last.sag) > abs(c_next - last.c_value))
-            else:
-                jumps += jumped
-                dc *= 0.5
-                if jumps >= 2 or abs(dc) < MIN_STEP:
-                    sag_mode = True
-                    jumps = 0
-            continue
-
-        # Sag-parametrized leg: step the pole deflection, solve for c.
-        if df is None:
-            if len(points) >= 2:
-                df = points[-1].sag - points[-2].sag
-            if df is None or df == 0.0:
-                df = 0.02 * direction
-            df = math.copysign(min(max(abs(df), MIN_STEP), MAX_STEP), df)
-        if len(points) >= 2:
+        if len(points) > 1:
             prev = points[-2]
-            denom = last.sag - prev.sag
-            t = (df / denom) if denom != 0.0 else 0.0
-            x_pred = last.x + t * (last.x - prev.x)
-            c_pred = last.c_value + t * (last.c_value - prev.c_value)
+            sigma = math.hypot(last.c_value - prev.c_value, last.sag - prev.sag)
+            tc = (last.c_value - prev.c_value) / sigma
+            tf = (last.sag - prev.sag) / sigma
+            dx = (last.x - prev.x) / sigma
         else:
-            x_pred, c_pred = last.x, last.c_value
-        state, c_new, rep = solve_at_sag(ctx, last.sag + df, x_pred, c_pred)
-        # Same guard against landing on a different branch: the prescribed
-        # sag pins f, so a jump shows up as c far off the extrapolation, by
-        # more than five times its move in c and more than the step in f
-        # (0.25 (1 + |c|) on a first step, which has no secant to follow).
-        reach = abs(df) if len(points) >= 2 else 0.25 * (1.0 + abs(last.c_value))
-        jumped = rep.converged and abs(c_new - c_pred) > max(
-            5.0 * abs(c_pred - last.c_value), reach)
-        if rep.converged and not jumped:
-            rising = c_new > last.c_value
-            if direction * (c_new - c_end) < 0.0 or (direction > 0 and not rising):
-                points.append(ContinuationPoint(c_new, ctx.sag(state.x), state.x.copy()))
-                easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
-                if easy >= EASY_STREAK and abs(df) < MAX_STEP:
-                    df *= GROW
-                    easy = 0
-                if abs(points[-1].sag) > MAX_SAG:
-                    break
-                # back to load steps once the secant moves c toward c_end
-                # more than f, the first one that secant's dc
-                dc_sec = c_new - last.c_value
-                if direction * dc_sec > abs(points[-1].sag - last.sag):
-                    sag_mode, df = False, None
-                    dc = direction * min(max(abs(dc_sec), MIN_STEP), MAX_STEP)
-                continue
-            # land on c_end from the secant between the two points; a
-            # landing that fails is a failed sag step
-            t = (c_end - last.c_value) / (c_new - last.c_value)
-            state, rep = newton_solve(last.x + t * (state.x - last.x),
-                                      ctx.with_load(c_end))
-            if rep.converged:
-                points.append(ContinuationPoint(c_end, ctx.sag(state.x), state.x.copy()))
-                break
-        df *= 0.5
-        easy = 0
-        if abs(df) < MIN_STEP:
-            raise SolveFailure(
-                f"sag continuation stalled near f = {last.sag + df}"
-            )
+            tc, tf, dx = direction, 0.0, 0.0
+        if direction * (last.c_value + ds * tc - c_end) > 0.0:
+            state, rep = newton_solve(last.x + (c_end - last.c_value) / tc * dx,
+                                      ctx.with_load(c_end), corrector=True)
+        else:
+            state, rep = _newton(
+                ctx.with_load(last.c_value + ds * tc), last.x + ds * dx,
+                (tf, tc, tf * last.sag + tc * last.c_value + ds), corrector=True)
+        if rep.converged and direction * (state.load.c - c_end) <= 0.0:
+            points.append(ContinuationPoint(state.load.c, ctx.sag(state.x),
+                                            state.x.copy()))
+            easy = easy + 1 if rep.iterations <= EASY_ITERS else 0
+            if easy >= EASY_STREAK:
+                ds, easy = min(2.0 * ds, MAX_STEP), 0
+        else:
+            ds, easy = 0.5 * ds, 0
+            if ds < MIN_STEP:
+                raise SolveFailure(f"arclength continuation stalled at c = "
+                                   f"{last.c_value}, f = {last.sag}")
 
     _hints(points)
     return points
@@ -780,9 +683,9 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
     load; optimization then zeroes the energy gradient in p1.  The report of
     a converged solve at nonzero load carries the equilibrium defect of the
     returned state: its grid maximum `delta_max` and, if a probe point is
-    given, `delta_at` there.  A converged state whose hoop stretch r/s is
-    not positive on the defect grid is no membrane state: it raises
-    `SolveFailure`, as a solve that does not converge does.
+    given, `delta_at` there.  A solve that does not converge, a state whose
+    hoop stretch r/s is not positive at a node included, raises
+    `SolveFailure`.
     """
     return _solve(mat, load, family, m, p, quad, probe)
 

@@ -310,6 +310,16 @@ def test_failed_sweep_removes_an_earlier_curve(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_sweep_from_a_negative_radius_start_exits_3(tmp_path, capsys):
+    # the m = 1 Newton solve at c = 60 meets the tolerance at a state with
+    # lambda2 = r/s down to -0.49; this sweep once exited 0 with that curve
+    cfg = write_cfg(tmp_path, SWEEP_KV + "c_start = 60\nc_end = 59\nm = 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "lambda2 = r/s down to" in capsys.readouterr().err
+    assert not (out / "loadsag.csv").exists()
+
+
 @pytest.mark.parametrize("verb, first, second, names", [
     ("solve", json.dumps({**LIQ_JSON, "probes": [0.2, 0.5, 0.9]}),
      GAS_KV + "probes = 0.2\n", ("solution.json", "profile.csv", "report.json")),

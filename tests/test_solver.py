@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -132,22 +130,24 @@ def test_sweep_easy_leg_iteration_counts():
 
 
 def test_sweep_reverse_path_independence():
-    # match points by load value; both directions clamp their own endpoint,
-    # so the raw lists are not exact mirrors
+    # the two directions place their points at different loads; each ends
+    # where the other starts, and each point of one re-solves, at its load
+    # from the other's nearest point, onto itself
     ctx = gas_context(6)
     policy = StepPolicy(initial=0.1)
     fwd = continue_in_load(ctx, 0.2, 0.8, policy)
     back = continue_in_load(ctx, 0.8, 0.2, policy)
-    fwd_by_c = {round(pt.c_value, 9): pt for pt in fwd}
-    matched = 0
-    for pt in back:
-        mate = fwd_by_c.get(round(pt.c_value, 9))
-        if mate is None:
-            continue
-        matched += 1
-        assert pt.sag == pytest.approx(mate.sag, abs=1e-8)
-        assert np.allclose(pt.x, mate.x, atol=1e-8)
-    assert matched >= 5
+    for one, other in ((fwd, back), (back, fwd)):
+        assert one[-1].c_value == other[0].c_value
+        assert one[-1].sag == pytest.approx(other[0].sag, abs=1e-8)
+        assert np.allclose(one[-1].x, other[0].x, atol=1e-8)
+        assert len(one) >= 5
+        for pt in one:
+            mate = min(other, key=lambda q: abs(q.c_value - pt.c_value))
+            state, report = newton_solve(mate.x, ctx.with_load(pt.c_value))
+            assert report.converged
+            assert ctx.sag(state.x) == pytest.approx(pt.sag, abs=1e-8)
+            assert np.allclose(state.x, pt.x, atol=1e-8)
 
 
 def test_sweep_fold_structure():
@@ -170,10 +170,14 @@ def test_sweep_fold_structure():
     hints = np.array([pt.stability_hint for pt in points])
     hint_flips = int(np.count_nonzero(np.diff(hints[hints != 0])))
     assert hint_flips == 2
-    # whichever variable was stepped obeys its cap (the sag step may grow
-    # once past the cap check before it bites)
-    stepped = np.minimum(np.abs(np.diff(c)), np.abs(np.diff(f)))
-    assert np.max(stepped) <= solver.MAX_STEP * solver.GROW + 1e-12
+    # every point but the landing on c_end lies an arclength step ds along
+    # the secant of the two before it (the first one along c), and ds obeys
+    # its cap
+    cf = np.column_stack([c, f])
+    chords = np.diff(cf, axis=0)
+    secants = chords[:-2] / np.linalg.norm(chords[:-2], axis=1)[:, None]
+    ds = np.concatenate([[chords[0, 0]], np.sum(chords[1:-1] * secants, axis=1)])
+    assert 0.0 < np.min(ds) and np.max(ds) <= solver.MAX_STEP + 1e-9
 
 
 def test_solve_at_sag_matches_load_parametrization():
@@ -394,12 +398,11 @@ def test_solves_compute_no_condition_number(cond_calls, mat, load, family):
     assert cond_calls == []
 
 
-def test_continuation_conditions_only_the_start_state(cond_calls):
-    # the switch test runs once, on the sweep's first state; accepted load
-    # steps are not conditioned
+def test_sweep_computes_no_condition_number(cond_calls):
+    # the start state no longer picks a stepping mode by its conditioning
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    assert len(points) == 32
-    assert len(cond_calls) == 1
+    assert len(points) == 23
+    assert cond_calls == []
 
 
 def test_sweep_starts_on_the_state_solve_membrane_returns():
@@ -445,6 +448,9 @@ def test_steepness_beyond_double_precision_is_a_solve_failure(d):
     # a hard accepted step used to switch this reverse sweep into sag
     # parametrization, which then ended at c = -0.046, a wrong-sign load
     (MaterialParams(gamma1=0.2, gamma2=0.01), 10.0, 8, 1.0, 0.1),
+    # sag steps stalled near f = 0.1933 on this curve, which has no fold;
+    # the arclength corrector reaches c_end at f ~ 0.25637
+    (LIQ, 10.0, 8, 0.1, 3.0),
 ])
 def test_sweep_in_load_steps_ends_at_c_end(mat, d, m, c_start, c_end):
     ctx = SolveContext(mat, LoadParams(c_start, d), BasisSpec("polynomial", m),
@@ -454,11 +460,13 @@ def test_sweep_in_load_steps_ends_at_c_end(mat, d, m, c_start, c_end):
 
 
 @pytest.mark.parametrize("d, m, c_start, c_end, step", [
-    # the hard m = 10 start puts this sweep in sag steps at once; its first
-    # sag step took the sign of the sag, raised c, and the sweep "succeeded"
-    # with 34 points ending at c = 46.3, f = 8.13
+    # with the former load/sag mode switch the hard m = 10 start put this
+    # sweep in sag steps at once; its first sag step took the sign of the
+    # sag, raised c, and the sweep "succeeded" with 34 points ending at
+    # c = 46.3, f = 8.13.  The first arclength step is along c, toward c_end.
     (1.0, 10, 2.5, 0.2, 0.05),
-    # the last sag step used to carry this sweep past c_end to c = 3.74
+    # the last sag step used to carry this sweep past c_end to c = 3.74; a
+    # point corrected past c_end is now a failed step
     (0.0, 4, 0.1, 2.67, 0.1),
 ])
 def test_sweep_in_sag_steps_ends_at_c_end(d, m, c_start, c_end, step):
@@ -470,15 +478,14 @@ def test_sweep_in_sag_steps_ends_at_c_end(d, m, c_start, c_end, step):
     assert np.all(np.diff(sags) * (c_end - c_start) > 0.0)
 
 
-def test_failed_landing_is_a_failed_sag_step():
-    # the landing at c_end = 0.2 from the point past it failed when this
-    # sweep kept sag steps to the end; that point, at c = -0.167, was once
-    # returned as the end of a successful sweep.  It now goes on in load
-    # steps after its first sag step.
+def test_failed_landing_is_a_failed_step():
+    # a sag-step sweep once returned the point past c_end = 0.2, at
+    # c = -0.167, as its end when the landing from it failed.  A landing
+    # that fails now halves the step, and no point past c_end is kept.
     ctx = SolveContext(MaterialParams(gamma1=0.1, gamma2=0.01), LoadParams(2.5, 10.0),
                        BasisSpec("polynomial", 10), auto_rule("polynomial"))
     points = continue_in_load(ctx, 2.5, 0.2)
-    assert len(points) == 11
+    assert len(points) == 12
     assert points[-1].c_value == 0.2
     assert points[-1].sag == pytest.approx(0.0201, abs=1e-4)
     assert min(pt.c_value for pt in points) == 0.2
@@ -487,41 +494,43 @@ def test_failed_landing_is_a_failed_sag_step():
 @pytest.fixture
 def newton_reports(monkeypatch):
     reports = []
-    inner = solver.newton_solve
+    inner = solver._newton
 
-    def recorded(x0, ctx, **kwargs):
-        state, report = inner(x0, ctx, **kwargs)
-        reports.append((kwargs.get("corrector", False), report))
+    def recorded(ctx, x0, border=None, corrector=False):
+        state, report = inner(ctx, x0, border, corrector)
+        reports.append((corrector, report))
         return state, report
 
-    monkeypatch.setattr(solver, "newton_solve", recorded)
+    monkeypatch.setattr(solver, "_newton", recorded)
     return reports
 
 
-def test_load_steps_stop_at_their_iteration_budget(newton_reports):
-    # failed load steps near the folds used to run the whole budget; a load
-    # step now goes on only while each iteration at least halves the residual
+def test_correctors_stop_at_their_iteration_budget(newton_reports):
+    # failed load steps near the folds used to run the whole budget; an
+    # arclength corrector, and the landing on c_end, go on only while each
+    # iteration at least halves the residual
     continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
     steps = [report for corrector, report in newton_reports if corrector]
-    assert max(report.iterations for report in steps) <= solver.LOAD_STEP_ITERS
+    assert max(report.iterations for report in steps) <= solver.CORRECTOR_ITERS
     for report in steps:
         hist = report.residual_history
         assert all(hist[i] <= solver.CONTRACTION * hist[i - 1]
                    for i in range(1, len(hist) - 1))
     assert any(report.message == "residual not halving"
-               and report.iterations < solver.LOAD_STEP_ITERS for report in steps)
+               and report.iterations < solver.CORRECTOR_ITERS for report in steps)
 
 
-def test_sag_steps_keep_the_full_iteration_budget():
-    # with the load-step budget on the bordered corrector too, this sweep
-    # failed with "sag continuation stalled near f = 1.711"
+def test_gas_d1_m8_sweep_passes_both_folds():
+    # a bordered sag-step corrector on the load-step budget failed this
+    # sweep with "sag continuation stalled near f = 1.711"; the arclength
+    # corrector passes on that budget
     ctx = SolveContext(GAS, LoadParams(0.1, 1.0), BasisSpec("polynomial", 8),
                        auto_rule("polynomial"))
     assert fold_count(continue_in_load(ctx, 0.1, 3.0)) == 2
 
 
 def test_slow_load_step_does_not_jump_the_fold_pair():
-    # the step from c = 2.525 to 2.775 used to converge after 20 iterations
+    # a load step from c = 2.525 to 2.775 once converged after 20 iterations
     # on the upper branch, past the folds at c ~ 2.55-2.58: 18 points and no
     # fold.  The sag is not monotone: past the second fold the curve turns
     # in f at f ~ 1.733 and 1.663.
@@ -535,53 +544,14 @@ def test_slow_load_step_does_not_jump_the_fold_pair():
     assert points[-1].sag == pytest.approx(1.80865286593, abs=1e-9)
 
 
-def test_load_step_below_the_resolution_of_c_switches_to_sag_steps():
-    # 0.1 + 1e-300 == 0.1, so the secant predictor divided by zero
+def test_first_step_below_the_resolution_of_c_is_min_step():
+    # 0.1 + 1e-300 == 0.1, so a load-step secant predictor once divided by
+    # zero; the first step is clamped to MIN_STEP
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 1.0,
                               StepPolicy(initial=1e-300))
+    assert points[1].c_value - 0.1 == pytest.approx(solver.MIN_STEP, rel=1e-6)
     assert np.all(np.diff([pt.sag for pt in points]) > 0.0)
-    assert points[-1].c_value >= 1.0
-
-
-@pytest.fixture
-def step_log(monkeypatch):
-    # ("load", converged, c) per load step and ("sag",) per sag step, in order
-    log = []
-    inner_load, inner_sag = solver.newton_solve, solver.solve_at_sag
-
-    def load_step(x0, ctx, **kwargs):
-        state, report = inner_load(x0, ctx, **kwargs)
-        if kwargs.get("corrector", False):
-            log.append(("load", report.converged, ctx.load.c))
-        return state, report
-
-    def sag_step(*args):
-        log.append(("sag",))
-        return inner_sag(*args)
-
-    monkeypatch.setattr(solver, "newton_solve", load_step)
-    monkeypatch.setattr(solver, "solve_at_sag", sag_step)
-    return log
-
-
-def test_sweep_steps_in_whichever_of_c_and_f_its_secant_moves_more(step_log):
-    # the sweep used to halve its load step below MIN_STEP at the first fold,
-    # 21 failed load steps, before it switched to sag steps for good
-    points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    assert fold_count(points) == 2
-    assert sum(1 for ev in step_log if ev[:2] == ("load", False)) <= 4
-    dc = np.diff([pt.c_value for pt in points])
-    df = np.diff([pt.sag for pt in points])
-    # sag steps from the first accepted load step whose secant moves f more
-    # than c, load steps again from the first sag step whose secant moves c
-    # forward more than f
-    steep = next(i for i in range(len(dc)) if abs(df[i]) > abs(dc[i]))
-    flat = next(i for i in range(steep + 1, len(dc)) if dc[i] > abs(df[i]))
-    runs = [kind for kind, _ in itertools.groupby(ev[0] for ev in step_log)]
-    assert runs == ["load", "sag", "load"]
-    accepted = [ev[2] for ev in step_log if ev[:2] == ("load", True)]
-    assert accepted == [pt.c_value for pt in points[1:steep + 2] + points[flat + 2:]]
-    assert sum(1 for ev in step_log if ev[0] == "sag") == flat - steep
+    assert points[-1].c_value == 1.0
 
 
 @pytest.mark.parametrize("c_end, step, sag", [
@@ -619,6 +589,23 @@ def test_sweep_ending_below_the_first_fold_stays_on_the_lower_branch(c_end, sag)
     assert 0.97 <= points[-1].sag == max(pt.sag for pt in points) <= 1.06
     assert all((a.c_value, a.sag) != (b.c_value, b.sag)
                for a, b in zip(points, points[1:]))
+
+
+def test_sweep_stops_at_the_first_point_past_max_sag():
+    # the sag cap was once tested only after sag steps, and this sweep ran
+    # 259 load steps on to c = 60, f = 9.82
+    points = continue_in_load(gas_context(10, c=0.1), 0.1, 60.0)
+    assert all(abs(pt.sag) <= solver.MAX_SAG for pt in points[:-1])
+    assert points[-1].sag == pytest.approx(8.0095, abs=1e-3)
+    assert points[-1].c_value == pytest.approx(29.74, abs=0.01)
+
+
+def test_sweep_lands_on_c_end_from_its_last_arclength_point():
+    # a load step that stopped just short of c_end once left a sliver,
+    # 2.9975 then 3.0; the step whose prediction passes c_end lands there
+    points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
+    assert points[-1].c_value == 3.0
+    assert points[-2].c_value == pytest.approx(2.784, abs=1e-3)
 
 
 def _sweep_end(d, m, c_start, c_end, step):
@@ -685,7 +672,7 @@ def test_start_failure_is_stated_not_ramped():
     (LIQ, LoadParams(0.5, 10.0), "adaptive", (17.1,), 0.9),
     (LIQ, LoadParams(0.5, 10.0), "adaptive", None, 0.9),
     (GAS, LoadParams(0.0), "polynomial", None, 0.3),
-    (GAS, LoadParams(60.0), "polynomial", None, None),
+    (GAS, LoadParams(2.1), "polynomial", None, None),
     (GAS, LoadParams(30.0, 10.0), "polynomial", None, None),
 ], ids=["gas", "liquid-fixed-p", "liquid-searched-p", "zero-load",
         "fails-stepping-m", "start-fails"])
@@ -710,8 +697,14 @@ def test_ladder_rungs_equal_solve_membrane(mat, load, family, p, probe):
 
 
 def test_negative_radius_state_is_a_solve_failure():
-    # Newton converges on the m = 1 system at c = 60, to a state whose
-    # radius r = s lambda2 turns negative (its delta_max is 2.5e7)
+    # Newton meets the tolerance on the m = 1 system at c = 60 at a state
+    # whose radius r = s lambda2 turns negative (its delta_max is 2.5e7);
+    # that iterate is not converged, so the m = 1 start fails and says why
+    ctx = SolveContext.create(GAS, LoadParams(60.0), "polynomial", 1)
+    _, report = newton_solve(np.array([0.5 / ctx.tables.u0[0], 0.0]), ctx)
+    assert not report.converged
+    assert report.residual_history[-1] <= solver.NEWTON_TOL
+    assert report.message.startswith("lambda2 = r/s down to -0.48")
     with pytest.raises(SolveFailure, match=r"lambda2 = r/s down to -0\.48"):
         solve_membrane(GAS, LoadParams(60.0), "polynomial", 1)
     rung = solve_ladder(GAS, LoadParams(60.0), "polynomial", [1])[0]
@@ -812,8 +805,8 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert build_calls == []
     assert generator_calls == []
     values, partials, tangents = tension_calls
-    assert len(values) == 156
-    assert len(partials) == len(tangents) < 156
+    assert len(values) == 113
+    assert len(partials) == len(tangents) < 113
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
@@ -835,8 +828,10 @@ def test_delta_decreases_with_basis_size():
 
 
 def test_hopeless_load_raises_with_context():
-    with pytest.raises(SolveFailure, match="m = "):
-        solve_membrane(GAS, LoadParams(60.0), "polynomial", 3)
+    # past the upper fold, c1 ~ 1.82, the m = 1 start converges and m = 2
+    # does not
+    with pytest.raises(SolveFailure, match="while stepping m"):
+        solve_membrane(GAS, LoadParams(2.1), "polynomial", 3)
 
 
 def test_package_exports_its_api_not_its_modules():
