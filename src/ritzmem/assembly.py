@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisTables, SolutionState, shape_p_derivs
+from .basis import BasisTables, SolutionState, _shape_p
 from .kinematics import hydro_load
 from .material import MaterialParams, energy, tension_partials, tension_values
 
@@ -190,11 +190,13 @@ def p_gradient(state: SolutionState, mat: MaterialParams, rule,
     replaced by the parameter derivatives of the trial shape.  At a
     converged state this is also the total derivative of the energy along
     the optimized family, which is what the outer parameter search zeroes.
-    The tension coefficients come from `node_terms`, as for the residual.
+    The tension coefficients come from `node_terms`, as for the residual,
+    and the parameter derivatives of the profile from the tables
+    (`BasisTables.rho_p`), which must be those of the state's basis.
     """
     t, z, r, dz, dr, l1, l2, q, su12, su21, _ = _terms(
         state, mat, rule, tables, None)
-    dz_dp, dr_dp, dzp_dp, drp_dp = shape_p_derivs(state, t.s)
+    dz_dp, dr_dp, dzp_dp, drp_dp = _shape_p(state, t.s, t.rho_p)
     w, s, ws = t.w, t.s, t.ws
     wsu = ws * su12
     wql = ws * q * l2

@@ -24,6 +24,14 @@ whose interior-to-edge contrast is controlled by the free parameters p.
 Internally only the ratio phi(s)/phi(1) is ever formed, evaluated as
 exp(|y(s)| - |y(1)|) * i0e(y(s)) / i0e(y(1)) so that arbitrarily steep
 parameters never overflow (I0 alone overflows near y ~ 713).
+
+The scaled Bessel functions i0e and i1e are those of the Cephes Math
+Library (which scipy.special also uses), ported to numpy bit for bit in
+`_i0e_i1e`.  Their Chebyshev coefficients live in `_data`: the order-0
+tables are numpy's own `i0` tables, and the order-1 tables were
+regenerated with mpmath by the recipe given there.  One profile
+evaluation serves the generators and their partials in p; a table build
+forms first derivatives only.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import i0e, i1e
 
+from ._data import I0E_LARGE, I0E_SMALL, I1E_LARGE, I1E_SMALL
 from .kinematics import LoadParams, ShapeEval
 
 FAMILIES = ("polynomial", "adaptive")
@@ -50,26 +58,69 @@ _LEFT = [1, 0, 1, 1, 0, 3, 3, 2, 2]
 _RIGHT = [1, 0, 3, 2, 2, 3, 2, 3, 2]
 
 
-def _i1e_over_x(x):
-    """Exponentially scaled I1(x)/x, finite at x = 0 (limit 1/2)."""
+def _padded(table):
+    """The table led by zeros to the length of the longest, I0E_SMALL; a
+    zero step leaves the recurrence where it starts."""
+    return (0.0,) * (len(I0E_SMALL) - len(table)) + table
+
+
+# Chebyshev coefficients, one row per step and one column per order and
+# argument range: i0e on |x| <= 8 and above, then i1e on the same two.
+_CHEB = np.array([_padded(I0E_SMALL), _padded(I0E_LARGE),
+                  _padded(I1E_SMALL), _padded(I1E_LARGE)]).T.copy()
+
+
+def _i0e_i1e(x):
+    """cephes i0e(x) and i1e(x), bit for bit, as rows 0 and 1 of one array.
+
+    One Clenshaw recurrence (cephes `chbevl`, in its order of roundings)
+    runs both orders at every point, each point on the coefficients of its
+    argument range: t = |x|/2 - 2 up to |x| = 8, t = 32/|x| - 2 above,
+    where the sum is divided by sqrt|x|.  The order-1 sum is multiplied by
+    |x| below 8 and takes the sign of x.
+    """
     x = np.asarray(x, dtype=float)
+    z = np.abs(x).ravel()
+    large = z > 8.0
+    t = np.where(large, 32.0 / np.maximum(z, 8.0) - 2.0, 0.5 * z - 2.0)
+    # the two orders side by side in flat buffers, which numpy's fastest
+    # loops serve; b0, b1, b2 of chbevl trade buffers every step
+    t = np.concatenate([t, t])
+    col = large.astype(np.intp)
+    c = _CHEB[:, np.concatenate([col, col + 2])]
+    b0, b1, b2 = c[0].copy(), np.zeros_like(t), np.empty_like(t)
+    for ck in c[1:]:
+        b0, b1, b2 = b2, b0, b1
+        np.multiply(t, b1, b0)
+        np.subtract(b0, b2, b0)
+        np.add(b0, ck, b0)
+    out = (0.5 * (b0 - b2)).reshape(2, -1)
+    out /= np.where(large, np.sqrt(z), 1.0)
+    i1 = out[1] * np.where(large, 1.0, z)
+    out[1] = np.where(x.ravel() < 0.0, -i1, i1)
+    return out.reshape((2,) + x.shape)
+
+
+def _i1e_over_x(x, i1):
+    """Exponentially scaled I1(x)/x from i1 = i1e(x), finite at x = 0
+    (limit 1/2)."""
     small = np.abs(x) < 1e-4
     xs = np.where(small, 1.0, x)
     series = np.exp(-np.abs(x)) * (0.5 + x * x / 16.0 + x ** 4 / 384.0)
-    return np.where(small, series, i1e(xs) / xs)
+    return np.where(small, series, i1 / xs)
 
 
-def _poly_y(s, p):
-    """Steepness polynomial y(s) = sum p[i] s**(2i+1) and derivatives."""
-    s = np.asarray(s, dtype=float)
+def _poly_y(s, p, second: bool):
+    """Steepness polynomial y(s) = sum p[i] s**(2i+1), y' and, with
+    `second`, y'' (else None)."""
     y = np.zeros_like(s)
     dy = np.zeros_like(s)
-    d2y = np.zeros_like(s)
+    d2y = np.zeros_like(s) if second else None
     for i, pi in enumerate(p):
         e = 2 * i + 1
         y += pi * s ** e
         dy += pi * e * s ** (e - 1)
-        if e >= 2:
+        if second and e >= 2:
             d2y += pi * e * (e - 1) * s ** (e - 2)
     return y, dy, d2y
 
@@ -104,58 +155,63 @@ class BasisSpec:
         return BasisSpec(self.family, self.m, tuple(p))
 
 
-def _rho_scaled(s, p):
-    """phi(s)/phi(1) and its two s-derivatives, overflow safe.
+class _Profile:
+    """rho = phi(s)/phi(1) at points s, with the parts its derivatives share.
 
     rho  = exp(|y| - |y1|) * i0e(y) / i0e(y1)
     rho' = exp(|y| - |y1|) * i1e(y) * y' / i0e(y1)
-    rho'' uses I1'(y) = I0(y) - I1(y)/y in the same scaling.
+    rho'' uses I1'(y) = I0(y) - I1(y)/y in the same scaling; it is formed
+    only with `second` (else None).  One `_i0e_i1e` call serves the points
+    and y1 = y(1).
     """
-    s = np.asarray(s, dtype=float)
-    y, dy, d2y = _poly_y(s, p)
-    y1 = float(sum(p))
-    i0, i1 = i0e(y), i1e(y)
-    scale = np.exp(np.abs(y) - abs(y1)) / i0e(y1)
-    rho = scale * i0
-    drho = scale * i1 * dy
-    d2rho = scale * ((i0 - _i1e_over_x(y)) * dy * dy + i1 * d2y)
-    return rho, drho, d2rho
+
+    def __init__(self, s, p, second: bool):
+        self.s, self.p = s, p
+        self.y, self.dy, d2y = _poly_y(s, p, second)
+        y1 = float(sum(p))
+        bessel = _i0e_i1e(np.append(self.y, y1))
+        self.i0, self.i1 = bessel[:, :-1].reshape((2,) + s.shape)
+        i0_1, i1_1 = bessel[:, -1]
+        self.beta1 = i1_1 / i0_1
+        self.scale = np.exp(np.abs(self.y) - abs(y1)) / i0_1
+        self.rho = self.scale * self.i0
+        self.drho = self.scale * self.i1 * self.dy
+        self.d2rho = None
+        if second:
+            self.d2rho = self.scale * (self._di1() * self.dy * self.dy
+                                       + self.i1 * d2y)
+
+    def _di1(self):
+        """I1'(y) = I0(y) - I1(y)/y in the scaling of i0e."""
+        return self.i0 - _i1e_over_x(self.y, self.i1)
+
+    def p_derivs(self):
+        """Partials of rho and rho' in each steepness parameter.
+
+        d(rho)/dp_i = rho * (beta(s) s**(2i+1) - beta(1)) with
+        beta = I1(y)/I0(y) evaluated from the scaled functions.
+        """
+        s = self.s
+        beta = self.i1 / self.i0
+        db1 = self._di1()
+        n = len(self.p)
+        drho_dp = np.empty((n,) + s.shape)
+        ddrho_dp = np.empty((n,) + s.shape)
+        for i in range(n):
+            e = 2 * i + 1
+            se = s ** e
+            drho_dp[i] = self.rho * (beta * se - self.beta1)
+            ddrho_dp[i] = (self.scale * (db1 * se * self.dy + self.i1 * e * s ** (e - 1))
+                           - self.drho * self.beta1)
+        return drho_dp, ddrho_dp
 
 
-def _rho_p_derivs(s, p):
-    """Partials of rho and rho' in each steepness parameter.
-
-    d(rho)/dp_i = rho * (beta(s) s**(2i+1) - beta(1)) with
-    beta = I1(y)/I0(y) evaluated from the scaled functions.
-    """
-    s = np.asarray(s, dtype=float)
-    y, dy, _ = _poly_y(s, p)
-    y1 = float(sum(p))
-    i0, i1, i0_1 = i0e(y), i1e(y), i0e(y1)
-    scale = np.exp(np.abs(y) - abs(y1)) / i0_1
-    rho = scale * i0
-    drho = scale * i1 * dy
-    beta = i1 / i0
-    beta1 = i1e(y1) / i0_1
-    db1 = i0 - _i1e_over_x(y)
-    n = len(p)
-    drho_dp = np.empty((n,) + s.shape)
-    ddrho_dp = np.empty((n,) + s.shape)
-    for i in range(n):
-        e = 2 * i + 1
-        se = s ** e
-        drho_dp[i] = rho * (beta * se - beta1)
-        ddrho_dp[i] = scale * (db1 * se * dy + i1 * e * s ** (e - 1)) - drho * beta1
-    return drho_dp, ddrho_dp
-
-
-def _poly_uv(spec: BasisSpec, s):
+def _poly_uv(spec: BasisSpec, s, second: bool):
     """Polynomial ladder from one table of the powers s**j, j = 0..2m+1.
 
     Each power is formed once, by the same `s ** j` the per-k formulas
     use, and every generator row is a fixed combination of two of them.
     """
-    s = np.asarray(s, dtype=float)
     m = spec.m
     pw = np.array([s ** j for j in range(2 * m + 2)])
     k2 = np.arange(2, 2 * m + 1, 2).reshape((m,) + (1,) * s.ndim)  # 2k
@@ -163,38 +219,56 @@ def _poly_uv(spec: BasisSpec, s):
     u = even[1:] - even[:-1]
     du = k2 * odd[:-1]
     du[1:] -= (k2[1:] - 2) * odd[:m - 1]
-    d2u = k2 * (k2 - 1) * even[:-1]
-    d2u[1:] -= (k2[1:] - 2) * (k2[1:] - 3) * even[:m - 1]
     v = odd[1:] - odd[:-1]
     dv = (k2 + 1) * even[1:] - (k2 - 1) * even[:-1]
+    if not second:
+        return u, du, None, v, dv, None
+    d2u = k2 * (k2 - 1) * even[:-1]
+    d2u[1:] -= (k2[1:] - 2) * (k2[1:] - 3) * even[:m - 1]
     d2v = k2 * (k2 + 1) * odd[:-1]
     d2v[1:] -= (k2[1:] - 2) * (k2[1:] - 1) * odd[:m - 1]
     return u, du, d2u, v, dv, d2v
 
 
-def _steep_uv(spec: BasisSpec, s):
-    s = np.asarray(s, dtype=float)
+def _steep_uv(spec: BasisSpec, s, prof: _Profile):
+    """Steep ladder from the profile at s; second derivatives if `prof`
+    has rho''."""
     m = spec.m
-    rho, drho, d2rho = _rho_scaled(s, spec.p)
+    rho, drho, d2rho = prof.rho, prof.drho, prof.d2rho
     u = np.empty((m,) + s.shape)
     du = np.empty_like(u)
-    d2u = np.empty_like(u)
+    ss, s2 = s * s, 2.0 * s
+    w = ss - 1.0
     u[0] = 1.0 - rho
     du[0] = -drho
-    d2u[0] = -d2rho
     if m >= 2:
-        w = s * s - 1.0
         u[1] = rho * w
-        du[1] = drho * w + 2.0 * s * rho
-        d2u[1] = d2rho * w + 4.0 * s * drho + 2.0 * rho
+        du[1] = drho * w + s2 * rho
     for k in range(2, m):
-        u[k] = s * s * u[k - 1]
-        du[k] = 2.0 * s * u[k - 1] + s * s * du[k - 1]
-        d2u[k] = 2.0 * u[k - 1] + 4.0 * s * du[k - 1] + s * s * d2u[k - 1]
+        u[k] = ss * u[k - 1]
+        du[k] = s2 * u[k - 1] + ss * du[k - 1]
     v = s * u
     dv = u + s * du
+    if d2rho is None:
+        return u, du, None, v, dv, None
+    d2u = np.empty_like(u)
+    d2u[0] = -d2rho
+    if m >= 2:
+        d2u[1] = d2rho * w + 4.0 * s * drho + 2.0 * rho
+    for k in range(2, m):
+        d2u[k] = 2.0 * u[k - 1] + 4.0 * s * du[k - 1] + ss * d2u[k - 1]
     d2v = 2.0 * du + s * d2u
     return u, du, d2u, v, dv, d2v
+
+
+def _generators(spec: BasisSpec, s, second: bool):
+    """The generators at s, as `eval_generators` returns them but with u''
+    and v'' None and not evaluated without `second`, and the steep
+    family's profile there (None for the polynomial family)."""
+    if spec.family == "polynomial":
+        return _poly_uv(spec, s, second), None
+    prof = _Profile(s, spec.p, second)
+    return _steep_uv(spec, s, prof), prof
 
 
 def eval_generators(spec: BasisSpec, s):
@@ -202,31 +276,25 @@ def eval_generators(spec: BasisSpec, s):
 
     Returns (u, u', u'', v, v', v''), arrays shaped (m,) + s.shape.
     """
-    if spec.family == "polynomial":
-        return _poly_uv(spec, s)
-    return _steep_uv(spec, s)
+    return _generators(spec, np.asarray(s, dtype=float), second=True)[0]
 
 
-def _steep_uv_p_derivs(spec: BasisSpec, s):
-    """Partials of (u_k, u_k', v_k, v_k') in each steepness parameter."""
-    s = np.asarray(s, dtype=float)
-    m, n = spec.m, spec.n_p
-    dP, dPp = _rho_p_derivs(s, spec.p)
-    u_p = np.empty((n, m) + s.shape)
+def _steep_uv_p(m: int, s, drho_dp, ddrho_dp):
+    """Partials of (u_k, u_k', v_k, v_k') in each steepness parameter, from
+    those of rho and rho' at s."""
+    u_p = np.empty((drho_dp.shape[0], m) + s.shape)
     du_p = np.empty_like(u_p)
-    for i in range(n):
-        u_p[i, 0] = -dP[i]
-        du_p[i, 0] = -dPp[i]
-        if m >= 2:
-            w = s * s - 1.0
-            u_p[i, 1] = dP[i] * w
-            du_p[i, 1] = dPp[i] * w + 2.0 * s * dP[i]
-        for k in range(2, m):
-            u_p[i, k] = s * s * u_p[i, k - 1]
-            du_p[i, k] = 2.0 * s * u_p[i, k - 1] + s * s * du_p[i, k - 1]
-    v_p = s * u_p
-    dv_p = u_p + s * du_p
-    return u_p, du_p, v_p, dv_p
+    ss, s2 = s * s, 2.0 * s
+    u_p[:, 0] = -drho_dp
+    du_p[:, 0] = -ddrho_dp
+    if m >= 2:
+        w = ss - 1.0
+        u_p[:, 1] = drho_dp * w
+        du_p[:, 1] = ddrho_dp * w + s2 * drho_dp
+    for k in range(2, m):
+        u_p[:, k] = ss * u_p[:, k - 1]
+        du_p[:, k] = s2 * u_p[:, k - 1] + ss * du_p[:, k - 1]
+    return u_p, du_p, s * u_p, u_p + s * du_p
 
 
 @dataclass
@@ -275,10 +343,16 @@ def shape_p_derivs(state: SolutionState, s):
     Returns (dz_dp, dr_dp, dzp_dp, drp_dp), each shaped (n_p,) + s.shape,
     where dzp_dp is the parameter derivative of dz/ds.
     """
+    s = np.asarray(s, dtype=float)
+    return _shape_p(state, s, _Profile(s, state.spec.p, second=False).p_derivs())
+
+
+def _shape_p(state: SolutionState, s, rho_p):
+    """`shape_p_derivs` at s from the partials (d rho/dp, d rho'/dp) there."""
     if state.spec.family != "adaptive":
         raise ValueError("shape parameter derivatives exist only for the steep family")
     m = state.spec.m
-    u_p, du_p, v_p, dv_p = _steep_uv_p_derivs(state.spec, np.asarray(s, dtype=float))
+    u_p, du_p, v_p, dv_p = _steep_uv_p(m, s, *rho_p)
     xu = state.x[:m]
     xv = state.x[m:]
     dz_dp = np.tensordot(xu, u_p, axes=(0, 1))
@@ -296,12 +370,16 @@ class BasisTables:
     so they are built once per (spec, rule) pair and reused across Newton
     iterations.  The generators u, u', v, v' at the nodes s are (m, n)
     rows of one stack, and `u0` holds the axial generators at the pole.
-    Derived on construction: the weights times the nodes `ws`, and the
-    tangent's nine generator pairs stacked as `left` (9, m, n) and
-    `right_t` (9, n, m, a transposed view).  Row k of every table is the
-    same for any basis size m >= k, in both families, so `head(k)` makes
-    the tables of the first k generators from slices of these, without
-    evaluating a generator.
+    `rho_p` stacks the partials of the steep profile rho and of rho' in
+    the steepness parameters at the nodes, (2, n_p, n), from the profile
+    evaluation of the build, so `p_gradient` evaluates no profile; the
+    polynomial family has no parameters, so its stack is empty.  Derived
+    on construction: the weights times the nodes `ws`, and the tangent's
+    nine generator pairs stacked as `left` (9, m, n) and `right_t`
+    (9, n, m, a transposed view).  Row k of every table is the same for any
+    basis size m >= k, in both families, and `rho_p` does not depend on m,
+    so `head(k)` makes the tables of the first k generators from slices of
+    these, without evaluating a generator.
     """
 
     s: np.ndarray
@@ -311,6 +389,7 @@ class BasisTables:
     v: np.ndarray
     dv: np.ndarray
     u0: np.ndarray = field(repr=False)
+    rho_p: np.ndarray = field(repr=False)
     ws: np.ndarray = field(init=False, repr=False)
     left: np.ndarray = field(init=False, repr=False)
     right_t: np.ndarray = field(init=False, repr=False)
@@ -324,11 +403,17 @@ class BasisTables:
 
     @classmethod
     def build(cls, spec: BasisSpec, rule) -> "BasisTables":
-        # one generator pass over the nodes and the pole; the pole column
-        # is copied out so that dot products with it see contiguous data
-        u, du, _, v, dv, _ = eval_generators(spec, np.append(rule.nodes, 0.0))
+        # one generator pass over the nodes and the pole, first derivatives
+        # only; the pole column is copied out so that dot products with it
+        # see contiguous data
+        (u, du, _, v, dv, _), prof = _generators(
+            spec, np.append(rule.nodes, 0.0), second=False)
+        if prof is None:
+            rho_p = np.empty((2, 0, rule.n))
+        else:
+            rho_p = np.array(prof.p_derivs())[:, :, :-1]
         return cls(s=rule.nodes, w=rule.weights, u=u[:, :-1], du=du[:, :-1],
-                   v=v[:, :-1], dv=dv[:, :-1], u0=u[:, -1].copy())
+                   v=v[:, :-1], dv=dv[:, :-1], u0=u[:, -1].copy(), rho_p=rho_p)
 
     def head(self, k: int) -> "BasisTables":
         """The tables of the first k generators."""

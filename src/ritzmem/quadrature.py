@@ -4,6 +4,10 @@ Endpoints are never sampled: the integrands carry r/s and 1/s factors that
 are only defined as limits at the pole.  For strongly edge-localized
 integrands (steep basis parameter p1) a two-panel composite concentrates
 nodes in the boundary layer.
+
+The 64- and 192-point rules of the defaults are frozen in `_data`, exactly
+as `scipy.special.roots_legendre` returns them, so default runs need numpy
+alone; scipy computes any other node count, and is imported only then.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+
+from ._data import LEGENDRE_HALVES
 
 MIN_NODES = 2
 MAX_NODES = 512
@@ -43,7 +48,13 @@ def _legendre(n: int):
     """
     if not MIN_NODES <= n <= MAX_NODES:
         raise ValueError(f"node count must be in [{MIN_NODES}, {MAX_NODES}], got {n}")
-    x, w = roots_legendre(n)
+    if n in LEGENDRE_HALVES:
+        x, w = (np.array(half) for half in LEGENDRE_HALVES[n])
+        x = np.concatenate([-x[::-1], x])
+        w = np.concatenate([w[::-1], w])
+    else:
+        from scipy.special import roots_legendre
+        x, w = roots_legendre(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

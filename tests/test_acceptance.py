@@ -16,7 +16,7 @@ from ritzmem.assembly import functional_value, jacobian, residual
 from ritzmem.basis import (
     BasisSpec,
     SolutionState,
-    _rho_scaled,
+    _Profile,
     eval_generators,
     eval_shape,
 )
@@ -263,7 +263,8 @@ def test_criterion_7_structural_invariants(acceptance_log):
     bessel_dev = 0.0
     for p1 in (0.5, 5.0, 50.0):
         for s in (0.3, 0.7, 0.95):
-            rho, drho, _ = _rho_scaled(np.array([s - h, s, s + h]), (p1,))
+            prof = _Profile(np.array([s - h, s, s + h]), (p1,), second=False)
+            rho, drho = prof.rho, prof.drho
             want = _i0_series(p1 * s) / _i0_series(p1)
             bessel_dev = max(bessel_dev, abs(rho[1] - want) / want,
                              abs((rho[2] - rho[0]) / (2 * h) - drho[1]) / drho[1])

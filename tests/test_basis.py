@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import i0e, i1e
 
 from ritzmem import solver
 from ritzmem.basis import (
@@ -14,8 +15,9 @@ from ritzmem.basis import (
     BasisSpec,
     BasisTables,
     SolutionState,
-    _rho_p_derivs,
-    _rho_scaled,
+    _i0e_i1e,
+    _Profile,
+    _shape_p,
     eval_generators,
     eval_shape,
     shape_p_derivs,
@@ -39,7 +41,33 @@ def _i0_series(x, terms=30):
 
 def _rho(s, p1):
     """Scaled profile I0(p1 s)/I0(p1) and its two s-derivatives at one s."""
-    return [float(part[0]) for part in _rho_scaled(np.array([s]), (p1,))]
+    prof = _Profile(np.array([s]), (p1,), second=True)
+    return [float(part[0]) for part in (prof.rho, prof.drho, prof.d2rho)]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_scaled_bessel_equals_cephes_bit_for_bit():
+    # the numpy port must reproduce scipy's i0e and i1e exactly, not just
+    # closely: steep-search outcomes turn on the last bit
+    rng = np.random.default_rng(17)
+    mag = np.exp(rng.uniform(-30.0, 12.0, 300_000))
+    edges = [0.0, -0.0, 8.0, -8.0, np.nextafter(8.0, 9.0), np.nextafter(8.0, 0.0),
+             -np.nextafter(8.0, 9.0), 1e300, -1e300, 1e-300, -1e-300, 5e-324,
+             np.inf, -np.inf]
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 400_000), mag, -mag,
+                        rng.uniform(7.99, 8.01, 20_000), edges])
+    for chunk in np.array_split(x, 10):
+        got = _i0e_i1e(chunk)
+        assert np.array_equal(_bits(got[0]), _bits(i0e(chunk)))
+        assert np.array_equal(_bits(got[1]), _bits(i1e(chunk)))
+    # a 0-d argument, as the pole sag evaluates it
+    for v in (0.0, 3.5, -12.0):
+        got = _i0e_i1e(np.array(v))
+        assert got.shape == (2,)
+        assert np.array_equal(_bits(got), _bits([i0e(v), i1e(v)]))
 
 
 def test_bessel_at_zero():
@@ -89,11 +117,11 @@ def test_phi_direct_value():
 def test_phi_parameter_derivative_fd():
     h = 1e-6
     s = np.array([0.7])
-    drho_dp, ddrho_dp = _rho_p_derivs(s, (3.0,))
-    up = _rho_scaled(s, (3.0 + h,))
-    dn = _rho_scaled(s, (3.0 - h,))
-    assert drho_dp[0, 0] == pytest.approx((up[0][0] - dn[0][0]) / (2 * h), rel=1e-6)
-    assert ddrho_dp[0, 0] == pytest.approx((up[1][0] - dn[1][0]) / (2 * h), rel=1e-6)
+    drho_dp, ddrho_dp = _Profile(s, (3.0,), second=False).p_derivs()
+    up = _Profile(s, (3.0 + h,), second=False)
+    dn = _Profile(s, (3.0 - h,), second=False)
+    assert drho_dp[0, 0] == pytest.approx((up.rho[0] - dn.rho[0]) / (2 * h), rel=1e-6)
+    assert ddrho_dp[0, 0] == pytest.approx((up.drho[0] - dn.drho[0]) / (2 * h), rel=1e-6)
 
 
 def test_polynomial_first_functions():
@@ -291,6 +319,22 @@ def test_polynomial_power_table_equals_per_k_formulas():
                 assert np.array_equal(a, b)
 
 
+def test_table_build_equals_the_full_evaluation():
+    # a table build skips u'' and v''; what it does form must be the bits
+    # of eval_generators at the nodes and at the pole
+    specs = [BasisSpec("polynomial", 7), BasisSpec("adaptive", 7, (17.1,)),
+             BasisSpec("adaptive", 3, (150.0,)), BasisSpec("adaptive", 4, (3.0, 0.5))]
+    rule = gauss_rule(64)
+    for spec in specs:
+        tables = BasisTables.build(spec, rule)
+        u, du, _, v, dv, _ = eval_generators(spec, rule.nodes)
+        for got, want in ((tables.u, u), (tables.du, du), (tables.v, v),
+                          (tables.dv, dv)):
+            assert got.tobytes() == want.tobytes()
+        pole = eval_generators(spec, np.array(0.0))[0]
+        assert tables.u0.tobytes() == pole.tobytes()
+
+
 def test_table_head_equals_tables_built_at_that_size():
     cases = [(BasisSpec("polynomial", 12), auto_rule("polynomial")),
              (BasisSpec("adaptive", 12, (17.1,)), auto_rule("adaptive", 17.1)),
@@ -301,5 +345,22 @@ def test_table_head_equals_tables_built_at_that_size():
             head = full.head(k)
             want = BasisTables.build(BasisSpec(spec.family, k, spec.p), rule)
             for name in ("s", "w", "ws", "u", "du", "v", "dv", "u0", "left",
-                         "right_t"):
+                         "right_t", "rho_p"):
                 assert np.array_equal(getattr(head, name), getattr(want, name))
+
+
+def test_table_parameter_partials_equal_shape_p_derivs_at_the_nodes():
+    # p_gradient takes the profile's partials from the table build's
+    # profile evaluation; they must give the bits shape_p_derivs gives
+    rng = np.random.default_rng(5)
+    cases = [(BasisSpec("adaptive", 6, (17.1,)), auto_rule("adaptive", 17.1)),
+             (BasisSpec("adaptive", 6, (150.0,)), auto_rule("adaptive", 150.0)),
+             (BasisSpec("adaptive", 4, (3.0, 0.5)), gauss_rule(96))]
+    for spec, rule in cases:
+        tables = BasisTables.build(spec, rule)
+        for k in range(1, spec.m + 1):
+            state = SolutionState(rng.normal(scale=0.3, size=2 * k),
+                                  BasisSpec(spec.family, k, spec.p), NO_LOAD)
+            got = _shape_p(state, rule.nodes, tables.head(k).rho_p)
+            for a, b in zip(got, shape_p_derivs(state, rule.nodes)):
+                assert a.tobytes() == b.tobytes()

@@ -504,6 +504,36 @@ def test_python_m_runs_the_readme_scale_example(tmp_path):
     assert json.loads(done.stdout)["c"] == 1.0
 
 
+def test_default_runs_need_numpy_alone(tmp_path):
+    # with every scipy import made to fail: the package, a default gas
+    # solve, a liquid d = 10 solve with its p search, and the README solve
+    # (gas and liquid), converge and sweep
+    gas = write_cfg(tmp_path, GAS_KV, "gas.cfg")
+    liquid = write_cfg(tmp_path, json.dumps(LIQ_JSON), "liquid.json")
+    ladder = write_cfg(tmp_path, GAS_KV + "m_min = 1\nm_max = 6\n", "ladder.cfg")
+    sweep = write_cfg(tmp_path, SWEEP_KV + "c_start = 0.1\nc_end = 1.9\nm = 6\n",
+                      "sweep.cfg")
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from ritzmem import LoadParams, MaterialParams, solve_membrane
+from ritzmem.cli import main
+for mat, load, family in ((MaterialParams(0.02, -0.015, 0.00025), LoadParams(1.7), "polynomial"),
+                          (MaterialParams(0.1), LoadParams(0.5, 10.0), "adaptive")):
+    assert solve_membrane(mat, load, family, 6)[1].converged
+for args in (["solve", "--config", {gas!r}, "--out", "gas", "--probe", "0.2"],
+             ["solve", "--config", {liquid!r}, "--out", "liquid", "--probe", "0.9"],
+             ["converge", "--config", {ladder!r}, "--out", "ladder", "--probe", "0.2"],
+             ["sweep", "--config", {sweep!r}, "--out", "sweep"]):
+    assert main(args) == 0, args
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                   env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert (tmp_path / "sweep" / "loadsag.csv").is_file()
+
+
 def test_scale_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(20):

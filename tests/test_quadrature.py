@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
@@ -138,6 +139,27 @@ def test_cached_roots_are_shared_read_only():
     assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         x[0] = 0.0
+
+
+def test_frozen_default_rules_equal_roots_legendre():
+    # the rules of the defaults ship as literals; every bit must be the
+    # one scipy computes, and they are shared and read-only like the rest
+    for n in (64, 192):
+        x, w = _legendre(n)
+        want_x, want_w = roots_legendre(n)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+        assert x is _legendre(n)[0] and w is _legendre(n)[1]
+        assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_other_node_counts_still_solve():
+    # an explicit node count outside the frozen rules takes scipy's roots
+    x, w = _legendre(100)
+    want_x, want_w = roots_legendre(100)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+    state, report = solve_membrane(MaterialParams(0.02, -0.015, 0.00025),
+                                   LoadParams(1.7), "polynomial", 6, quad=100)
+    assert report.converged and state.sag() > 0.0
 
 
 def test_two_panel_rule():
