@@ -230,31 +230,39 @@ def _poly_uv(spec: BasisSpec, s, second: bool):
     return u, du, d2u, v, dv, d2v
 
 
+def _ladder(u1, du1, a, da, s, m: int):
+    """The steep ladder (u, u', v, v') from u_1 = u1 and u_2 = a (s**2 - 1),
+    with their s-derivatives du1 and da: u_k = s**2 u_{k-1} for k >= 3 and
+    v_k = s u_k.  The generators take a = rho, their partials in p the
+    partials of rho, which lead with an axis of their own; k leads both."""
+    u = np.empty((m,) + np.shape(u1))
+    du = np.empty_like(u)
+    ss, s2 = s * s, 2.0 * s
+    u[0] = u1
+    du[0] = du1
+    if m >= 2:
+        w = ss - 1.0
+        u[1] = a * w
+        du[1] = da * w + s2 * a
+    for k in range(2, m):
+        u[k] = ss * u[k - 1]
+        du[k] = s2 * u[k - 1] + ss * du[k - 1]
+    return u, du, s * u, u + s * du
+
+
 def _steep_uv(spec: BasisSpec, s, prof: _Profile):
     """Steep ladder from the profile at s; second derivatives if `prof`
     has rho''."""
     m = spec.m
     rho, drho, d2rho = prof.rho, prof.drho, prof.d2rho
-    u = np.empty((m,) + s.shape)
-    du = np.empty_like(u)
-    ss, s2 = s * s, 2.0 * s
-    w = ss - 1.0
-    u[0] = 1.0 - rho
-    du[0] = -drho
-    if m >= 2:
-        u[1] = rho * w
-        du[1] = drho * w + s2 * rho
-    for k in range(2, m):
-        u[k] = ss * u[k - 1]
-        du[k] = s2 * u[k - 1] + ss * du[k - 1]
-    v = s * u
-    dv = u + s * du
+    u, du, v, dv = _ladder(1.0 - rho, -drho, rho, drho, s, m)
     if d2rho is None:
         return u, du, None, v, dv, None
+    ss = s * s
     d2u = np.empty_like(u)
     d2u[0] = -d2rho
     if m >= 2:
-        d2u[1] = d2rho * w + 4.0 * s * drho + 2.0 * rho
+        d2u[1] = d2rho * (ss - 1.0) + 4.0 * s * drho + 2.0 * rho
     for k in range(2, m):
         d2u[k] = 2.0 * u[k - 1] + 4.0 * s * du[k - 1] + ss * d2u[k - 1]
     d2v = 2.0 * du + s * d2u
@@ -277,24 +285,6 @@ def eval_generators(spec: BasisSpec, s):
     Returns (u, u', u'', v, v', v''), arrays shaped (m,) + s.shape.
     """
     return _generators(spec, np.asarray(s, dtype=float), second=True)[0]
-
-
-def _steep_uv_p(m: int, s, drho_dp, ddrho_dp):
-    """Partials of (u_k, u_k', v_k, v_k') in each steepness parameter, from
-    those of rho and rho' at s."""
-    u_p = np.empty((drho_dp.shape[0], m) + s.shape)
-    du_p = np.empty_like(u_p)
-    ss, s2 = s * s, 2.0 * s
-    u_p[:, 0] = -drho_dp
-    du_p[:, 0] = -ddrho_dp
-    if m >= 2:
-        w = ss - 1.0
-        u_p[:, 1] = drho_dp * w
-        du_p[:, 1] = ddrho_dp * w + s2 * drho_dp
-    for k in range(2, m):
-        u_p[:, k] = ss * u_p[:, k - 1]
-        du_p[:, k] = s2 * u_p[:, k - 1] + ss * du_p[:, k - 1]
-    return u_p, du_p, s * u_p, u_p + s * du_p
 
 
 @dataclass
@@ -352,13 +342,14 @@ def _shape_p(state: SolutionState, s, rho_p):
     if state.spec.family != "adaptive":
         raise ValueError("shape parameter derivatives exist only for the steep family")
     m = state.spec.m
-    u_p, du_p, v_p, dv_p = _steep_uv_p(m, s, *rho_p)
+    drho_dp, ddrho_dp = rho_p
+    u_p, du_p, v_p, dv_p = _ladder(-drho_dp, -ddrho_dp, drho_dp, ddrho_dp, s, m)
     xu = state.x[:m]
     xv = state.x[m:]
-    dz_dp = np.tensordot(xu, u_p, axes=(0, 1))
-    dzp_dp = np.tensordot(xu, du_p, axes=(0, 1))
-    dr_dp = np.tensordot(xv, v_p, axes=(0, 1))
-    drp_dp = np.tensordot(xv, dv_p, axes=(0, 1))
+    dz_dp = np.tensordot(xu, u_p, axes=(0, 0))
+    dzp_dp = np.tensordot(xu, du_p, axes=(0, 0))
+    dr_dp = np.tensordot(xv, v_p, axes=(0, 0))
+    drp_dp = np.tensordot(xv, dv_p, axes=(0, 0))
     return dz_dp, dr_dp, dzp_dp, drp_dp
 
 

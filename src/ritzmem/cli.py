@@ -38,7 +38,6 @@ from .solver import (
     StepPolicy,
     _defect_terms,
     continue_in_load,
-    equilibrium_defect,
     solve_ladder,
     solve_membrane,
 )
@@ -238,15 +237,10 @@ def _write(path: Path, text: str, newline: str | None = None) -> None:
 
 
 def profile_rows(state, mat: MaterialParams):
-    """Profile table on a 201-point grid including both ends.
-
-    delta is normalized by |c| like the solver diagnostic; at zero load the
-    raw defect is reported instead.
-    """
+    """Profile table on a 201-point grid including both ends, with delta
+    as the solver's diagnostic defines it (raw at zero load)."""
     s = np.linspace(0.0, 1.0, PROFILE_POINTS)
-    shape, l1, l2, t1, t2, defect = _defect_terms(state, mat, s)
-    norm = abs(state.load.c) if state.load.c != 0.0 else 1.0
-    delta = defect / norm
+    shape, l1, l2, t1, t2, delta = _defect_terms(state, mat, s)
     return np.column_stack([s, shape.z, shape.r, shape.dz, shape.dr,
                             l1, l2, t1, t2, delta])
 
@@ -258,22 +252,19 @@ def write_profile(path: Path, state, mat: MaterialParams) -> None:
            + "".join(line % tuple(row) for row in rows.tolist()), newline="")
 
 
-def _report_dict(report, state, mat, probes) -> dict:
-    out = {
+def _report_dict(report, probes) -> dict:
+    """report.json of a solve whose report carries the defect at `probes`
+    (none if it failed)."""
+    return {
         "converged": report.converged,
         "iterations": report.iterations,
         "residual_history": list(report.residual_history),
         "delta_max": report.delta_max,
-        "delta_probes": [],
+        "delta_probes": [{"s": sp, "delta": dv}
+                         for sp, dv in zip(probes, report.delta_at or [])],
         "final_p": list(report.final_p) if report.final_p else None,
         "message": report.message,
     }
-    if report.converged and state.load.c != 0.0 and probes:
-        at = equilibrium_defect(state, mat, np.asarray(probes, dtype=float))
-        out["delta_probes"] = [
-            {"s": float(sp), "delta": float(dv)} for sp, dv in zip(probes, at)
-        ]
-    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -287,12 +278,11 @@ def run_solve(cfg: RunConfig) -> int:
     load = LoadParams(cfg.c, cfg.d)
     try:
         state, report = solve_membrane(cfg.mat, load, cfg.family, cfg.m,
-                                       p=cfg.p, quad=cfg.quad)
+                                       p=cfg.p, quad=cfg.quad, probe=cfg.probes)
     except SolveFailure as exc:
         failed = SolveReport(converged=False, iterations=0, residual_history=[],
                              message=str(exc))
-        _write_json(cfg.out / "report.json",
-                    _report_dict(failed, None, cfg.mat, cfg.probes))
+        _write_json(cfg.out / "report.json", _report_dict(failed, cfg.probes))
         for name in ("solution.json", "profile.csv"):  # no state: no stale one
             (cfg.out / name).unlink(missing_ok=True)
         print(f"solve failed: {exc}", file=sys.stderr)
@@ -307,8 +297,7 @@ def run_solve(cfg: RunConfig) -> int:
                      "gamma3": cfg.mat.gamma3},
     })
     write_profile(cfg.out / "profile.csv", state, cfg.mat)
-    _write_json(cfg.out / "report.json",
-                _report_dict(report, state, cfg.mat, cfg.probes))
+    _write_json(cfg.out / "report.json", _report_dict(report, cfg.probes))
     return 0
 
 
@@ -338,10 +327,7 @@ def run_convergence(cfg: RunConfig) -> int:
         shape = eval_shape(state, np.array(probe), second=True)
         cells = [_fmt(float(val)) for val in
                  (shape.z, shape.r, shape.dz, shape.dr, shape.d2z, shape.d2r)]
-        delta = report.delta_at
-        if delta is None:  # zero load: the raw defect, as in profile.csv
-            delta = float(_defect_terms(state, cfg.mat, np.array(probe))[-1])
-        lines.append(f"{m}," + ",".join(cells) + f",{delta:.17e}\n")
+        lines.append(f"{m}," + ",".join(cells) + f",{report.delta_at:.17e}\n")
     _write(cfg.out / "table.csv", "".join(lines), newline="")
     return 0 if any_ok else 3
 

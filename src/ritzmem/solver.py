@@ -7,9 +7,8 @@ returns such a state.  Load sweeps follow the load-sag curve by
 pseudo-arclength in the (c, f) plane (Keller 1977; Riks 1979): the load c
 is an unknown of the corrector, bordered by a row normal to the secant of
 the last two points, so the sweep passes limit points in c and turns in f
-alike.  The fixed-load solve (`newton_solve`), the prescribed-sag solve
-(`solve_at_sag`) and the arclength corrector run the one Newton loop
-`_newton`.
+alike.  The fixed-load solve (`newton_solve`) and the arclength corrector
+run the one Newton loop `_newton`.
 
 For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
@@ -27,9 +26,10 @@ then the basis-size ladder; both slice the tables (`SolveContext.head`),
 and the pole sag is read from them.  The m = 1 start does not depend on
 m, so `solve_ladder`, `solve_membrane` at several basis sizes, solves it
 once and shares it; each rung equals `solve_membrane` at its m bit for bit.
-The equilibrium defect `delta` runs only where it is read:
-`solve_membrane` evaluates it once, on the state it returns, in one
-generator pass over the grid and the probe.
+The equilibrium defect has one formula, `_defect_terms`: scaled by the
+load, raw at zero load.  It runs only where it is read: `solve_membrane`
+evaluates it once, on the state it returns, in one generator pass over
+the grid and the probes (`delta_diagnostic`).
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class SolveReport:
     iterations: int
     residual_history: list
     delta_max: float | None = None
-    delta_at: float | None = None
+    delta_at: float | list | None = None
     final_p: tuple | None = None
     inner_iterations: list | None = None
     message: str = ""
@@ -146,49 +146,34 @@ class ContinuationPoint:
 
 def _defect_terms(state: SolutionState, mat: MaterialParams, s,
                   shape: ShapeEval | None = None):
-    """Shape, stretches, tensions and the unscaled normal-equilibrium defect.
+    """Shape, stretches, tensions and the equilibrium defect at the points s.
 
-    Returns (shape, lambda1, lambda2, T1, T2, |k1 T1 + k2 T2 - Q|) at the
-    points s, from the given `shape` there if any; the pole uses the limit
-    values of lambda2 and k2.
+    Returns (shape, lambda1, lambda2, T1, T2, delta) at the points s, from
+    the given `shape` there if any, with the defect of the normal
+    equilibrium scaled by the load, delta = |k1 T1 + k2 T2 - Q| / |c|; at
+    zero load there is no scale and delta is the raw defect.  The pole uses
+    the limit values of lambda2 and k2.
     """
     if shape is None:
         shape = eval_shape(state, s, second=True)
     l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
     t1, t2 = principal_stresses(l1, l2, mat)
     k1, k2 = curvatures(s, shape)
-    q = hydro_load(shape.z, state.load.c, state.load.d)
-    return shape, l1, l2, t1, t2, np.abs(k1 * t1 + k2 * t2 - q)
-
-
-def _load_scale(state: SolutionState) -> float:
     c = state.load.c
-    if c == 0.0:
-        raise ValueError("delta diagnostic undefined at zero load")
-    return abs(c)
-
-
-def equilibrium_defect(state: SolutionState, mat: MaterialParams, s) -> np.ndarray:
-    """Defect of the normal equilibrium at the points s, scaled by the load.
-
-    delta(s) = |k1 T1 + k2 T2 - Q| / |c|.  The pole uses the limit values of
-    lambda2 and k2.
-    """
-    scale = _load_scale(state)
-    return _defect_terms(state, mat, s)[-1] / scale
+    defect = np.abs(k1 * t1 + k2 * t2 - hydro_load(shape.z, c, state.load.d))
+    return shape, l1, l2, t1, t2, defect / abs(c) if c != 0.0 else defect
 
 
 def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
     """Equilibrium defect at the probes and over the interior grid.
 
     Returns (delta at each probe, max over a 101-point interior grid), with
-    delta as in `equilibrium_defect`.  One generator pass serves the grid
-    and the probes.  Each of the two builds its shape from a contiguous
-    copy of its own columns, as a separate `eval_shape` would, because the
-    last bit of a matvec depends on the table it runs on; the stretches,
-    tensions and curvatures then run once, on the joined shape.
+    delta as in `_defect_terms`.  One generator pass serves the grid and
+    the probes.  Each of the two builds its shape from a contiguous copy of
+    its own columns, as a separate `eval_shape` would, because the last bit
+    of a matvec depends on the table it runs on; the stretches, tensions
+    and curvatures then run once, on the joined shape.
     """
-    scale = _load_scale(state)
     s = np.concatenate([_GRID, np.asarray(list(probes), dtype=float)])
     gen = eval_generators(state.spec, s)
     blocks = [_shape(state, s[cols], [np.ascontiguousarray(g[:, cols]) for g in gen],
@@ -196,7 +181,7 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
               for cols in (slice(None, DELTA_GRID), slice(DELTA_GRID, None))]
     shape = ShapeEval(*(np.concatenate([getattr(b, f) for b in blocks])
                         for f in ("z", "r", "dz", "dr", "d2z", "d2r")))
-    delta = _defect_terms(state, mat, s, shape)[-1] / scale
+    delta = _defect_terms(state, mat, s, shape)[-1]
     return delta[DELTA_GRID:], float(np.max(delta[:DELTA_GRID]))
 
 
@@ -354,18 +339,6 @@ def initial_guess(ctx: SolveContext) -> np.ndarray:
     `SolveFailure`.
     """
     return _resize(_start(ctx), ctx.spec.m)
-
-
-def solve_at_sag(ctx: SolveContext, f_target: float, x0, c0: float):
-    """Equilibrium with prescribed pole sag; the load c is an unknown.
-
-    Newton on the bordered system {g(x; c) = 0, z(0) - f = 0}, starting
-    from (x0, c0).  The bordered matrix stays regular at limit points of
-    the load, though not at turns of the sag; `continue_in_load` borders by
-    its arclength row instead.  Returns (state, c, report).
-    """
-    state, report = _newton(ctx.with_load(float(c0)), x0, (1.0, 0.0, f_target))
-    return state, state.load.c, report
 
 
 # Continuation step control.  A sweep follows its load-sag curve by
@@ -667,23 +640,24 @@ def _solve(mat, load, family, m, p, quad, probe, start=None):
         p1 = init_p1(prev, mat, load)
         state, rep = optimize_basis(
             SolveContext.create(mat, load, family, m, (p1,), quad))
-    if rep.converged and load.c != 0.0:
+    if rep.converged:
         at, rep.delta_max = delta_diagnostic(
-            state, mat, [probe] if probe is not None else [])
-        rep.delta_at = float(at[0]) if probe is not None else None
+            state, mat, np.ravel(() if probe is None else probe))
+        rep.delta_at = None if probe is None else at.reshape(np.shape(probe)).tolist()
     return state, rep
 
 
 def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
-                   p=None, quad: int | None = None, probe: float | None = None):
+                   p=None, quad: int | None = None, probe=None):
     """One-call driver: pick rule, build guess, solve, tune p if steep.
 
     Returns (state, report).  For the steep family without fixed p the
     starting steepness comes from a polynomial predictor solve at the same
     load; optimization then zeroes the energy gradient in p1.  The report of
-    a converged solve at nonzero load carries the equilibrium defect of the
-    returned state: its grid maximum `delta_max` and, if a probe point is
-    given, `delta_at` there.  A solve that does not converge, a state whose
+    a converged solve carries the equilibrium defect of the returned state
+    (see `delta_diagnostic`): its grid maximum `delta_max` and, if `probe`
+    is given, `delta_at` there, a float for one point and a list for a
+    sequence of points.  A solve that does not converge, a state whose
     hoop stretch r/s is not positive at a node included, raises
     `SolveFailure`.
     """
@@ -691,7 +665,7 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
 
 
 def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
-                 p=None, quad: int | None = None, probe: float | None = None):
+                 p=None, quad: int | None = None, probe=None):
     """`solve_membrane` at each basis size m in `sizes`, one load.
 
     Returns one entry per size, in order: (state, report) exactly as

@@ -3,7 +3,9 @@
 `stiffness_scalar` and `stiffness_derivs` evaluate the tension coefficient
 and its partials one argument order at a time, expression by expression;
 `material.tension_values` and `tension_partials` must agree with them bit
-for bit.  `fold_count` counts the folds of a load path.
+for bit.  `defect` is the equilibrium defect of a lone pass over the points
+it is given, which `solver.delta_diagnostic` must give bit for bit at its
+probes and grid.  `fold_count` counts the folds of a load path.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ritzmem.material import MaterialParams, energy_derivs
+from ritzmem.solver import _defect_terms
 
 
 def stiffness_scalar(la, lb, mat: MaterialParams):
@@ -41,6 +44,11 @@ def stiffness_derivs(la, lb, mat: MaterialParams):
     du_dla = da_dla * b + a * w11 * di1_dla
     du_dlb = da_dlb * b + a * (w11 * di1_dlb + 2.0 * lb * w2)
     return du_dla, du_dlb
+
+
+def defect(state, mat: MaterialParams, s):
+    """delta at the points s alone, from a shape evaluated at them only."""
+    return _defect_terms(state, mat, np.asarray(s, dtype=float))[-1]
 
 
 def fold_count(points) -> int:

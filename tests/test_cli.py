@@ -30,7 +30,7 @@ from ritzmem.cli import (
 )
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
-from ritzmem.solver import solve_membrane
+from ritzmem.solver import delta_diagnostic, solve_membrane
 
 GAS_KV = """\
 # circular membrane under gas pressure
@@ -200,12 +200,32 @@ def test_solve_gas_profile(tmp_path):
 def test_solve_zero_load(tmp_path):
     cfg = write_cfg(tmp_path, "c = 0\nm = 4\n")
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 "--probe", "0.5"]) == 0
     _, rows = read_csv(out / "profile.csv")
     assert np.max(np.abs(rows[:, 1])) == 0.0
     assert np.max(np.abs(rows[:, 2] - rows[:, 0])) == 0.0
     assert np.max(np.abs(rows[:, 7])) == 0.0
     assert np.max(np.abs(rows[:, 8])) == 0.0
+    # the raw defect, as in profile.csv: the flat disk has none
+    report = json.loads((out / "report.json").read_text())
+    assert report["delta_max"] == 0.0
+    assert report["delta_probes"] == [{"s": 0.5, "delta": 0.0}]
+
+
+def test_solve_reports_the_defect_of_the_written_state(tmp_path):
+    # the probes ride the solve's one defect pass, bit for bit
+    out, probes = tmp_path / "out", [0.0, 0.2, 1.0]
+    assert main(["solve", "--config", write_cfg(tmp_path, GAS_KV), "--out", str(out)]
+                + [arg for s in probes for arg in ("--probe", str(s))]) == 0
+    sol = json.loads((out / "solution.json").read_text())
+    state = SolutionState(np.array(sol["x"]), BasisSpec("polynomial", 6),
+                          LoadParams(sol["load"]["c"]))
+    at, dmax = delta_diagnostic(state, MaterialParams(0.02, -0.015, 0.00025), probes)
+    report = json.loads((out / "report.json").read_text())
+    assert report["delta_probes"] == [{"s": s, "delta": dv}
+                                      for s, dv in zip(probes, at.tolist())]
+    assert report["delta_max"] == dmax
 
 
 def test_solve_liquid_reports_single_steepness(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ritzmem import assembly, basis, solver
+from ritzmem import assembly, basis, cli, solver
 from ritzmem.basis import BasisSpec, BasisTables, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
@@ -18,17 +18,15 @@ from ritzmem.solver import (
     StepPolicy,
     continue_in_load,
     delta_diagnostic,
-    equilibrium_defect,
     init_p1,
     initial_guess,
     newton_solve,
     optimize_basis,
-    solve_at_sag,
     solve_ladder,
     solve_membrane,
 )
 
-from reference import fold_count
+from reference import defect, fold_count
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
@@ -180,40 +178,6 @@ def test_sweep_fold_structure():
     assert 0.0 < np.min(ds) and np.max(ds) <= solver.MAX_STEP + 1e-9
 
 
-def test_solve_at_sag_matches_load_parametrization():
-    ctx = gas_context(6, c=1.0)
-    state, report = newton_solve(initial_guess(ctx), ctx)
-    assert report.converged
-    f = state.sag()
-    state2, c2, report2 = solve_at_sag(ctx, f, initial_guess(ctx), 0.9)
-    assert report2.converged
-    assert c2 == pytest.approx(1.0, abs=1e-8)
-    assert np.allclose(state2.x, state.x, atol=1e-8)
-
-
-def test_solve_at_sag_zero_target():
-    ctx = gas_context(6)
-    state, c, report = solve_at_sag(ctx, 0.0, np.zeros(12), 0.5)
-    assert report.converged
-    assert abs(c) <= 1e-8
-    assert np.max(np.abs(state.x)) <= 1e-8
-
-
-def test_solve_at_sag_crosses_fold():
-    ctx = gas_context(6, c=1.0)
-    x = initial_guess(ctx)
-    c_path = []
-    c_guess = 1.0
-    for f in np.arange(0.7, 1.45, 0.1):
-        state, c_guess, report = solve_at_sag(ctx, float(f), x, c_guess)
-        assert report.converged
-        x = state.x
-        c_path.append(c_guess)
-    dc_signs = np.sign(np.diff(c_path))
-    assert int(np.count_nonzero(np.diff(dc_signs))) == 1
-    assert dc_signs[0] > 0 > dc_signs[-1]
-
-
 def test_optimize_liquid_case_m6(liquid_m6):
     state, report = liquid_m6
     assert report.final_p is not None and len(report.final_p) == 1
@@ -293,11 +257,12 @@ def test_init_p1_lands_near_optimum(liquid_m6):
     assert p_star / 3 <= guess <= p_star * 3
 
 
-def test_delta_requires_nonzero_load():
+def test_flat_state_at_zero_load_has_no_defect():
+    # no load to scale by: delta is the raw defect, and the flat disk has none
     state = SolutionState(np.zeros(8), BasisSpec("polynomial", 4),
                           LoadParams(0.0))
-    with pytest.raises(ValueError):
-        delta_diagnostic(state, GAS)
+    at, dmax = delta_diagnostic(state, GAS, (0.0, 0.2, 1.0))
+    assert at.tolist() == [0.0, 0.0, 0.0] and dmax == 0.0
 
 
 def test_delta_probes_include_pole(gas_m6):
@@ -312,10 +277,12 @@ def test_pointwise_defect_matches_diagnostic(gas_m6):
     state, report = gas_m6
     probes = np.array([0.0, 0.2, 1.0])
     at, _ = delta_diagnostic(state, GAS, probes)
-    assert np.array_equal(equilibrium_defect(state, GAS, probes), at)
+    assert np.array_equal(defect(state, GAS, probes), at)
+    # at zero load the same state has a raw defect, unscaled
     zero = SolutionState(state.x, state.spec, LoadParams(0.0))
-    with pytest.raises(ValueError):
-        equilibrium_defect(zero, GAS, probes)
+    at0, _ = delta_diagnostic(zero, GAS, probes)
+    assert np.array_equal(defect(zero, GAS, probes), at0)
+    assert np.all(np.isfinite(at0)) and np.max(at0) > 0.0
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -337,8 +304,8 @@ def test_diagnostic_is_the_pointwise_defect_bit_for_bit(family, m, p1, c, d,
     at, dmax = delta_diagnostic(state, LIQ, probes)
     probes = np.asarray(probes, dtype=float)
     grid = np.linspace(0.0, 1.0, solver.DELTA_GRID + 2)[1:-1]
-    assert at.tobytes() == equilibrium_defect(state, LIQ, probes).tobytes()
-    assert dmax == float(np.max(equilibrium_defect(state, LIQ, grid)))
+    assert at.tobytes() == defect(state, LIQ, probes).tobytes()
+    assert dmax == float(np.max(defect(state, LIQ, grid)))
 
 
 @pytest.mark.parametrize("family, p", [("polynomial", ()), ("adaptive", (17.1,))])
@@ -381,6 +348,17 @@ def test_defect_evaluated_once_per_returned_state(delta_calls, family, m, load,
     assert delta_calls[0][0] is state
     at, dmax = delta_diagnostic(state, mat, [probe])
     assert (report.delta_at, report.delta_max) == (float(at[0]), dmax)
+
+
+def test_delta_at_follows_the_shape_of_probe(gas_m6):
+    # one point gives a float, a sequence a list, from the one defect pass
+    state, _ = gas_m6
+    probes = [0.0, 0.2, 1.0]
+    at, dmax = delta_diagnostic(state, GAS, probes)
+    _, one = solve_membrane(GAS, LoadParams(1.7), "polynomial", 6, probe=0.2)
+    _, many = solve_membrane(GAS, LoadParams(1.7), "polynomial", 6, probe=probes)
+    assert type(one.delta_at) is float and one.delta_at == float(at[1])
+    assert many.delta_at == at.tolist() and many.delta_max == dmax == one.delta_max
 
 
 @pytest.fixture
@@ -431,7 +409,8 @@ def test_bordered_newton_reports_a_non_finite_load(monkeypatch, gas_m6):
     state, _ = gas_m6
     monkeypatch.setattr(solver, "load_derivative",
                         lambda *args, **kwargs: np.full(state.x.size, np.nan))
-    _, _, report = solve_at_sag(gas_context(6), state.sag() + 0.01, state.x, 1.7)
+    _, report = solver._newton(gas_context(6).with_load(1.7), state.x,
+                               (1.0, 0.0, state.sag() + 0.01))
     assert not report.converged
     assert report.message == "iterate not finite"
 
@@ -751,6 +730,21 @@ def build_calls(monkeypatch):
 @pytest.fixture
 def generator_calls(monkeypatch):
     return _counter(monkeypatch, basis, "eval_generators")
+
+
+def test_liquid_cli_solve_evaluates_the_profile_three_times(monkeypatch, tmp_path):
+    # the table build, the solve's one defect pass over the grid and the
+    # probes, and the written profile; eval_shape looks the generators up
+    # in basis, the defect pass in solver
+    gen_basis = _counter(monkeypatch, basis, "eval_generators")
+    gen_solver = _counter(monkeypatch, solver, "eval_generators")
+    bessel = _counter(monkeypatch, basis, "_i0e_i1e")
+    path = tmp_path / "liquid.json"
+    path.write_text('{"gamma1": 0.1, "c": 0.5, "d": 10.0, "family": "adaptive",'
+                    ' "m": 6, "p": 17.1}')
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--probe", "0.9"]) == 0
+    assert (len(gen_basis) + len(gen_solver), len(bessel)) == (2, 3)
 
 
 @pytest.fixture
