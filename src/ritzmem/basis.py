@@ -36,7 +36,7 @@ forms first derivatives only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -369,8 +369,8 @@ class BasisTables:
     nine generator pairs stacked as `left` (9, m, n) and `right_t`
     (9, n, m, a transposed view).  Row k of every table is the same for any
     basis size m >= k, in both families, and `rho_p` does not depend on m,
-    so `head(k)` makes the tables of the first k generators from slices of
-    these, without evaluating a generator.
+    so `head(k)` gives the tables of the first k generators as views of
+    these, without evaluating a generator or copying a table.
     """
 
     s: np.ndarray
@@ -407,6 +407,11 @@ class BasisTables:
                    v=v[:, :-1], dv=dv[:, :-1], u0=u[:, -1].copy(), rho_p=rho_p)
 
     def head(self, k: int) -> "BasisTables":
-        """The tables of the first k generators."""
-        return replace(self, u=self.u[:k], du=self.du[:k], v=self.v[:k],
-                       dv=self.dv[:k], u0=self.u0[:k])
+        """The tables of the first k generators as views of these, whose
+        products give the bits of a build at k: each keeps its stride n."""
+        head = object.__new__(BasisTables)
+        head.__dict__.update(
+            self.__dict__, u=self.u[:k], du=self.du[:k], v=self.v[:k],
+            dv=self.dv[:k], u0=self.u0[:k], left=self.left[:, :k],
+            right_t=self.right_t[:, :, :k])
+        return head

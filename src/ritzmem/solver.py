@@ -7,8 +7,8 @@ returns such a state.  Load sweeps follow the load-sag curve by
 pseudo-arclength in the (c, f) plane (Keller 1977; Riks 1979): the load c
 is an unknown of the corrector, bordered by a row normal to the secant of
 the last two points, so the sweep passes limit points in c and turns in f
-alike.  The fixed-load solve (`newton_solve`) and the arclength corrector
-run the one Newton loop `_newton`.
+alike.  Every Newton solve, a fixed-load one, a continuation corrector or
+an inner solve of the p search, runs the one loop `newton_solve`.
 
 For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
@@ -20,12 +20,12 @@ dg/dc all read that one evaluation.  The partials of the tension
 coefficients are evaluated only for an iterate that assembles a tangent,
 so a converged iterate or a corrector that gives up evaluates none.
 `SolveContext.create` picks a family's basis and rule and
-builds its tables once, the polynomial ones once per process.  Every
-fixed-basis solve, a sweep's start too, runs Newton from the m = 1 start,
-then the basis-size ladder; both slice the tables (`SolveContext.head`),
-and the pole sag is read from them.  The m = 1 start does not depend on
-m, so `solve_ladder`, `solve_membrane` at several basis sizes, solves it
-once and shares it; each rung equals `solve_membrane` at its m bit for bit.
+builds its tables once, the polynomial ones once per process.  There is
+one fixed-basis driver, `solve_ladder`; `solve_membrane` is its one-size
+case.  It builds the fixed basis once, at the largest size, solves the
+m = 1 start once (`initial_guess`, which every start calls, a sweep's
+too), and runs each size, then the basis-size ladder on failure, on views
+of those tables (`SolveContext.head`); the pole sag is read from them.
 The equilibrium defect has one formula, `_defect_terms`: scaled by the
 load, raw at zero load.  It runs only where it is read: `solve_membrane`
 evaluates it once, on the state it returns, in one generator pass over
@@ -98,13 +98,14 @@ class SolveContext:
     def with_load(self, c: float) -> "SolveContext":
         return replace(self, load=LoadParams(c, self.load.d))
 
-    def with_spec(self, spec: BasisSpec) -> "SolveContext":
-        return SolveContext(self.mat, self.load, spec, self.rule)
-
     def head(self, k: int) -> "SolveContext":
-        """The same problem on the first k generators, on sliced tables."""
-        return replace(self, spec=BasisSpec(self.spec.family, k, self.spec.p),
-                       tables=self.tables.head(k))
+        """The same problem on the first k generators, on views of the
+        tables; the context itself at its own size."""
+        if k == self.spec.m:
+            return self
+        return SolveContext(self.mat, self.load,
+                            BasisSpec(self.spec.family, k, self.spec.p),
+                            self.rule, self.tables.head(k))
 
     def sag(self, x) -> float:
         """Pole deflection z(0) of the coefficients x, from the tables."""
@@ -191,9 +192,9 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
 
 
-def _newton(ctx: SolveContext, x0, border: tuple | None = None,
-            corrector: bool = False):
-    """Newton iteration on g(x; c) = 0 at the load of `ctx`.
+def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
+                 corrector: bool = False):
+    """Newton iteration on g(x; c) = 0 from x0 at the load of `ctx`.
 
     With `border = (a, b, rhs)` the load c is an unknown too: the system is
     bordered by the row a (e.x) + b c = rhs, where e.x is the pole sag, and
@@ -201,10 +202,14 @@ def _newton(ctx: SolveContext, x0, border: tuple | None = None,
     the (bordered) residual.  Divergence (three consecutive residual
     increases), non-finite iterates and NEWTON_MAX_ITER steps without
     convergence abort with converged=False; callers decide whether that is
-    fatal.  A `corrector` gets CORRECTOR_ITERS steps and aborts once a
-    residual exceeds CONTRACTION times the last one.  An iterate within the
-    tolerance whose hoop stretch lambda2 = r/s is not positive at some node
-    has a radius that turns negative, no membrane's: it is not converged.
+    fatal.  A `corrector` (a continuation step) gets CORRECTOR_ITERS steps
+    and aborts once a residual exceeds CONTRACTION times the last one.  An
+    iterate within the tolerance whose hoop stretch lambda2 = r/s is not
+    positive at some node has a radius that turns negative, no membrane's:
+    it is not converged.
+
+    Returns (state, report); the equilibrium defect is left to
+    `solve_membrane`.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -283,17 +288,6 @@ def _newton(ctx: SolveContext, x0, border: tuple | None = None,
     return SolutionState(x, ctx.spec, load), report
 
 
-def newton_solve(x0, ctx: SolveContext, corrector: bool = False):
-    """Plain Newton iteration at the fixed load of `ctx`; a `corrector`
-    (a continuation step landing on its end load) gives up early, as in
-    `_newton`.
-
-    Returns (state, report); the equilibrium defect is left to
-    `solve_membrane`.
-    """
-    return _newton(ctx, x0, corrector=corrector)
-
-
 def _resize(x, k: int) -> np.ndarray:
     """x with its u and v halves truncated or zero-padded to k entries."""
     m = len(x) // 2
@@ -302,20 +296,21 @@ def _resize(x, k: int) -> np.ndarray:
     return out.ravel()
 
 
-def _start(ctx: SolveContext) -> np.ndarray:
-    """The converged two coefficients of the m = 1 subproblem of `ctx`.
+def initial_guess(ctx: SolveContext) -> np.ndarray:
+    """Starting coefficients from the two-unknown (m = 1) subproblem, as
+    components 1 and m+1 of the full vector.
 
     Row 1 of the tables is the same for every basis size, so every size of
-    one (material, load, family, p, rule) shares this start.  The m = 1 solve is
-    seeded so the pole moves with the load (positive c, positive sag).  If
-    it fails, or its sag has the wrong sign, the load is likely beyond a
-    limit point of the small system and `SolveFailure` asks the caller to
-    sweep up to it instead, with the Newton message if there is one.  At
-    zero load the start is zero, without a solve.
+    one (material, load, family, p, rule) shares this start.  The m = 1
+    solve is seeded so the pole moves with the load (positive c, positive
+    sag).  If it fails, or its sag has the wrong sign, the load is likely
+    beyond a limit point of the small system and `SolveFailure` asks the
+    caller to sweep up to it instead, with the Newton message if there is
+    one.  At zero load the guess is zero, without a solve.
     """
     c = ctx.load.c
     if c == 0.0:
-        return np.zeros(2)
+        return np.zeros(2 * ctx.spec.m)
     sub = ctx.head(1)
     u0 = float(sub.tables.u0[0])
     if u0 == 0.0:
@@ -328,17 +323,7 @@ def _start(ctx: SolveContext) -> np.ndarray:
         raise SolveFailure(
             "could not start from the small-system guess; reduce the load "
             "or sweep up to it" + (f" ({rep.message})" if rep.message else ""))
-    return state.x
-
-
-def initial_guess(ctx: SolveContext) -> np.ndarray:
-    """Starting coefficients from the two-unknown (m = 1) subproblem.
-
-    The m = 1 start (`_start`) is embedded as components 1 and m+1 of the
-    full vector; at zero load the guess is zero.  A start that fails raises
-    `SolveFailure`.
-    """
-    return _resize(_start(ctx), ctx.spec.m)
+    return _resize(state.x, ctx.spec.m)
 
 
 # Continuation step control.  A sweep follows its load-sag curve by
@@ -395,7 +380,8 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
     """
     policy = policy or StepPolicy()
     direction = 1.0 if c_end >= c_start else -1.0
-    state, _ = _solve_fixed_basis(ctx.with_load(c_start))
+    first = ctx.with_load(c_start)
+    state, _ = _solve_fixed_basis(first, initial_guess(first))
     points = [ContinuationPoint(c_start, ctx.sag(state.x), state.x.copy())]
     ds = min(max(policy.initial, MIN_STEP), MAX_STEP)
     easy = 0
@@ -414,8 +400,8 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             state, rep = newton_solve(last.x + (c_end - last.c_value) / tc * dx,
                                       ctx.with_load(c_end), corrector=True)
         else:
-            state, rep = _newton(
-                ctx.with_load(last.c_value + ds * tc), last.x + ds * dx,
+            state, rep = newton_solve(
+                last.x + ds * dx, ctx.with_load(last.c_value + ds * tc),
                 (tf, tc, tf * last.sag + tc * last.c_value + ds), corrector=True)
         if rep.converged and direction * (state.load.c - c_end) <= 0.0:
             points.append(ContinuationPoint(state.load.c, ctx.sag(state.x),
@@ -502,7 +488,8 @@ def optimize_basis(ctx: SolveContext):
     inner_counts: list[int] = []
 
     def inner(p1, x_warm):
-        c = ctx if p1 == ctx.spec.p[0] else ctx.with_spec(ctx.spec.with_p((p1,)))
+        c = ctx if p1 == ctx.spec.p[0] else SolveContext(
+            ctx.mat, ctx.load, ctx.spec.with_p((p1,)), ctx.rule)
         xw = x_warm if x_warm is not None else initial_guess(c)
         st, rep = newton_solve(xw, c)
         if not rep.converged and x_warm is not None:
@@ -598,18 +585,18 @@ def optimize_basis(ctx: SolveContext):
     return state, rep
 
 
-def _solve_fixed_basis(ctx: SolveContext, start=None):
+def _solve_fixed_basis(ctx: SolveContext, start):
     """Newton from the m = 1 start, then the basis-size ladder.
 
-    `start` is the m = 1 start of `ctx` as `_start` gives it, coefficients
-    or the `SolveFailure` it raised; it is solved here if None.  High m
-    shrinks the Newton basin faster than the m = 1 start can cover, so on
-    failure m climbs from 2, each size started from the last one.  The
-    report carries no equilibrium defect.
+    `start` is the start of `ctx` as `initial_guess` gives it, at any basis
+    size, or the `SolveFailure` it raised.  High m shrinks the Newton basin
+    faster than the m = 1 start can cover, so on failure m climbs from 2,
+    each size started from the last one.  The report carries no
+    equilibrium defect.
     """
-    if isinstance(start, SolveFailure):
-        raise start
-    x = initial_guess(ctx) if start is None else _resize(start, ctx.spec.m)
+    if isinstance(start, SolveFailure):  # a copy keeps `start` traceback-free
+        raise SolveFailure(*start.args)
+    x = _resize(start, ctx.spec.m)
     state, rep = newton_solve(x, ctx)
     if rep.converged:
         return state, rep
@@ -621,29 +608,6 @@ def _solve_fixed_basis(ctx: SolveContext, start=None):
     if not rep.converged:
         raise SolveFailure(f"no convergence at c = {ctx.load.c} while stepping m"
                            f" (failed at m = {state.spec.m}): {rep.message}")
-    return state, rep
-
-
-def _solve(mat, load, family, m, p, quad, probe, start=None):
-    """`solve_membrane`, whose fixed basis (the steep family's polynomial
-    predictor, if p is searched) starts from `start` as in
-    `_solve_fixed_basis`."""
-    if family == "polynomial" or p is not None:
-        state, rep = _solve_fixed_basis(
-            SolveContext.create(mat, load, family, m, p, quad), start)
-    else:
-        try:
-            prev, _ = _solve_fixed_basis(
-                SolveContext.create(mat, load, "polynomial", m, quad=quad), start)
-        except SolveFailure:
-            prev = None
-        p1 = init_p1(prev, mat, load)
-        state, rep = optimize_basis(
-            SolveContext.create(mat, load, family, m, (p1,), quad))
-    if rep.converged:
-        at, rep.delta_max = delta_diagnostic(
-            state, mat, np.ravel(() if probe is None else probe))
-        rep.delta_at = None if probe is None else at.reshape(np.shape(probe)).tolist()
     return state, rep
 
 
@@ -659,9 +623,12 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
     is given, `delta_at` there, a float for one point and a list for a
     sequence of points.  A solve that does not converge, a state whose
     hoop stretch r/s is not positive at a node included, raises
-    `SolveFailure`.
+    `SolveFailure`.  It is `solve_ladder` at the one size m.
     """
-    return _solve(mat, load, family, m, p, quad, probe)
+    out = solve_ladder(mat, load, family, [m], p, quad, probe)[0]
+    if isinstance(out, SolveFailure):  # a copy keeps `out` traceback-free
+        raise SolveFailure(*out.args)
+    return out
 
 
 def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
@@ -670,22 +637,47 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
 
     Returns one entry per size, in order: (state, report) exactly as
     `solve_membrane` returns them at that m, or the `SolveFailure` it
-    raises.  The m = 1 start does not depend on m, so it is solved once and
-    shared by every size: the fixed basis's start, or, when the steep
-    family searches p, the start of its polynomial predictor.  A start that
-    fails does at every size what it does one size at a time: it fails a
-    fixed basis, and leaves a p search without its predictor.
+    raises.  The fixed basis (the steep family's polynomial predictor, if p
+    is searched) is built once, at the largest size, and every size solves
+    on its first m generators (`SolveContext.head`).  The m = 1 start does
+    not depend on m, so it is solved once (`initial_guess`) and shared by
+    every size.  A start that fails does at every size what it does one
+    size at a time: it fails a fixed basis, and leaves a p search without
+    its predictor.
     """
+    sizes = list(sizes)
+    if not sizes:
+        return []
     fixed = family == "polynomial" or p is not None
     try:
-        start = _start(SolveContext.create(
-            mat, load, family if fixed else "polynomial", 1, p if fixed else None, quad))
+        top = SolveContext.create(mat, load, family if fixed else "polynomial",
+                                  max(sizes), p if fixed else None, quad)
+    except SolveFailure as exc:  # a steepness beyond the rule's nodes
+        return [exc] * len(sizes)
+    # a failure kept as a value has no traceback: its frames, which hold
+    # it and the tables, would make a reference cycle
+    try:
+        start = initial_guess(top)
     except SolveFailure as exc:
-        start = exc
+        start = exc.with_traceback(None)
     results = []
     for m in sizes:
         try:
-            results.append(_solve(mat, load, family, m, p, quad, probe, start))
+            if fixed:
+                state, rep = _solve_fixed_basis(top.head(m), start)
+            else:
+                try:
+                    prev, _ = _solve_fixed_basis(top.head(m), start)
+                except SolveFailure:
+                    prev = None
+                state, rep = optimize_basis(SolveContext.create(
+                    mat, load, family, m, (init_p1(prev, mat, load),), quad))
         except SolveFailure as exc:
-            results.append(exc)
+            results.append(exc.with_traceback(None))
+            continue
+        if rep.converged:
+            at, rep.delta_max = delta_diagnostic(
+                state, mat, np.ravel(() if probe is None else probe))
+            rep.delta_at = None if probe is None else at.reshape(np.shape(probe)).tolist()
+        results.append((state, rep))
     return results

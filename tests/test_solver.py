@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -409,8 +411,8 @@ def test_bordered_newton_reports_a_non_finite_load(monkeypatch, gas_m6):
     state, _ = gas_m6
     monkeypatch.setattr(solver, "load_derivative",
                         lambda *args, **kwargs: np.full(state.x.size, np.nan))
-    _, report = solver._newton(gas_context(6).with_load(1.7), state.x,
-                               (1.0, 0.0, state.sag() + 0.01))
+    _, report = newton_solve(state.x, gas_context(6).with_load(1.7),
+                             (1.0, 0.0, state.sag() + 0.01))
     assert not report.converged
     assert report.message == "iterate not finite"
 
@@ -473,23 +475,28 @@ def test_failed_landing_is_a_failed_step():
 @pytest.fixture
 def newton_reports(monkeypatch):
     reports = []
-    inner = solver._newton
+    inner = solver.newton_solve
 
-    def recorded(ctx, x0, border=None, corrector=False):
-        state, report = inner(ctx, x0, border, corrector)
-        reports.append((corrector, report))
+    def recorded(x0, ctx, border=None, corrector=False):
+        state, report = inner(x0, ctx, border, corrector)
+        reports.append((corrector, border, ctx.load.c, report))
         return state, report
 
-    monkeypatch.setattr(solver, "_newton", recorded)
+    monkeypatch.setattr(solver, "newton_solve", recorded)
     return reports
 
 
 def test_correctors_stop_at_their_iteration_budget(newton_reports):
     # failed load steps near the folds used to run the whole budget; an
     # arclength corrector, and the landing on c_end, go on only while each
-    # iteration at least halves the residual
+    # iteration at least halves the residual.  Every corrector runs
+    # newton_solve: the arclength ones bordered, the landing at c_end not
     continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
-    steps = [report for corrector, report in newton_reports if corrector]
+    steps = [report for corrector, _, _, report in newton_reports if corrector]
+    borders = [(border is None, c == 3.0)
+               for corrector, border, c, _ in newton_reports if corrector]
+    assert all(unbordered == landing for unbordered, landing in borders)
+    assert (False, False) in borders and (True, True) in borders
     assert max(report.iterations for report in steps) <= solver.CORRECTOR_ITERS
     for report in steps:
         hist = report.residual_history
@@ -690,6 +697,24 @@ def test_negative_radius_state_is_a_solve_failure():
     assert isinstance(rung, SolveFailure) and "lambda2" in str(rung)
 
 
+def test_a_failed_solve_leaves_no_reference_cycle():
+    # a failure kept as a value carries no traceback, whose frames would
+    # hold it, and the ladder's tables, until the next collection
+    load = LoadParams(30.0, 10.0)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(SolveFailure):
+            solve_membrane(LIQ, load, "adaptive", 6, p=(17.1,))
+        for p in [(17.1,), None]:
+            rungs = solve_ladder(LIQ, load, "adaptive", [2, 6], p=p)
+            assert all(isinstance(rung, SolveFailure) for rung in rungs)
+        del rungs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_ladder_start_failure_is_every_rungs_failure():
     rungs = solve_ladder(GAS, LoadParams(30.0, 10.0), "polynomial", range(1, 7))
     assert all(isinstance(r, SolveFailure) and "small-system guess" in str(r)
@@ -725,6 +750,38 @@ def build_calls(monkeypatch):
 
     monkeypatch.setattr(BasisTables, "build", classmethod(counted))
     return calls
+
+
+def test_steep_fixed_p_ladder_builds_its_tables_once(build_calls, monkeypatch):
+    # every size and the m = 1 start run on views of the one m = 6 build
+    rules = _counter(monkeypatch, solver, "auto_rule")
+    rungs = solve_ladder(LIQ, LoadParams(0.5, 10.0), "adaptive", range(1, 7),
+                         p=(17.1,))
+    assert all(not isinstance(rung, SolveFailure) for rung in rungs)
+    assert (len(build_calls), len(rules)) == (1, 1)
+
+
+def test_polynomial_ladder_takes_one_table_from_the_cache():
+    solver._poly_rule_tables.cache_clear()
+    solve_ladder(GAS, LoadParams(1.7), "polynomial", range(1, 7))
+    assert solver._poly_rule_tables.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("driver", [
+    lambda: solve_ladder(GAS, LoadParams(1.7), "polynomial", range(1, 7)),
+    lambda: continue_in_load(gas_context(6, c=0.1), 0.1, 0.6),
+    lambda: solve_membrane(GAS, LoadParams(1.7), "polynomial", 6),
+], ids=["solve_ladder", "continue_in_load", "solve_membrane"])
+def test_every_driver_starts_through_one_initial_guess(monkeypatch, driver):
+    starts = _counter(monkeypatch, solver, "initial_guess")
+    driver()
+    assert len(starts) == 1
+
+
+def test_empty_ladder_solves_nothing(monkeypatch):
+    newton_calls = _counter(monkeypatch, solver, "newton_solve")
+    assert solve_ladder(GAS, LoadParams(1.7), "polynomial", []) == []
+    assert newton_calls == []
 
 
 @pytest.fixture
