@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import FAMILIES, MAX_M, P_MIN, eval_shape
+from .basis import FAMILIES, MAX_M, P_MIN
 from .kinematics import LoadParams
 from .material import MaterialParams
 from .quadrature import MAX_NODES, MIN_NODES
@@ -308,6 +308,8 @@ def run_convergence(cfg: RunConfig) -> int:
     m_hi = cfg.m if cfg.m_max is None else cfg.m_max
     if m_lo > m_hi:
         raise ConfigError("m_min must not exceed m_max")
+    if len(cfg.probes) > 1:
+        raise ConfigError(f"converge takes one probe, got {len(cfg.probes)}")
     probe = cfg.probes[0] if cfg.probes else 0.5
     cfg.out.mkdir(parents=True, exist_ok=True)
     load = LoadParams(cfg.c, cfg.d)
@@ -324,9 +326,7 @@ def run_convergence(cfg: RunConfig) -> int:
             continue
         state, report = rung
         any_ok = True
-        shape = eval_shape(state, np.array(probe), second=True)
-        cells = [_fmt(float(val)) for val in
-                 (shape.z, shape.r, shape.dz, shape.dr, shape.d2z, shape.d2r)]
+        cells = [_fmt(val) for val in report.shape_at]
         lines.append(f"{m}," + ",".join(cells) + f",{report.delta_at:.17e}\n")
     _write(cfg.out / "table.csv", "".join(lines), newline="")
     return 0 if any_ok else 3

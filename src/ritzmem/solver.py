@@ -27,9 +27,12 @@ m = 1 start once (`initial_guess`, which every start calls, a sweep's
 too), and runs each size, then the basis-size ladder on failure, on views
 of those tables (`SolveContext.head`); the pole sag is read from them.
 The equilibrium defect has one formula, `_defect_terms`: scaled by the
-load, raw at zero load.  It runs only where it is read: `solve_membrane`
-evaluates it once, on the state it returns, in one generator pass over
-the grid and the probes (`delta_diagnostic`).
+load, raw at zero load.  It runs only where it is read: `solve_ladder`
+evaluates it once per returned state (`delta_diagnostic`), on a table of
+the generators on the grid and at the probes (`defect_table`).  A fixed
+basis builds that table once per ladder, in one generator pass at the
+largest size, and every size reads its first m rows, which also give the
+shape at the probes (`SolveReport.shape_at`).
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .quadrature import MAX_NODES, MIN_NODES, QuadratureRule, auto_rule
 
 DELTA_GRID = 101
 _GRID = np.linspace(0.0, 1.0, DELTA_GRID + 2)[1:-1]
+_SHAPE_FIELDS = ("z", "r", "dz", "dr", "d2z", "d2r")
 
 
 class SolveFailure(RuntimeError):
@@ -132,6 +136,7 @@ class SolveReport:
     residual_history: list
     delta_max: float | None = None
     delta_at: float | list | None = None
+    shape_at: tuple | None = None
     final_p: tuple | None = None
     inner_iterations: list | None = None
     message: str = ""
@@ -165,24 +170,52 @@ def _defect_terms(state: SolutionState, mat: MaterialParams, s,
     return shape, l1, l2, t1, t2, defect / abs(c) if c != 0.0 else defect
 
 
-def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
+def _points(probes) -> np.ndarray:
+    """Probe points, any iterable of numbers, as a float array."""
+    return np.asarray(list(probes), dtype=float)
+
+
+def defect_table(spec: BasisSpec, probes=()):
+    """The generators on the defect grid and at the probes, for
+    `delta_diagnostic`.
+
+    Returns one list (u, u', u'', v, v', v'') per set of points, the grid
+    first, each array a C-contiguous (m, n) copy of its columns of one
+    `eval_generators` pass.  Row k of the generators is the same at every
+    basis size m >= k, and the first k rows of a C-contiguous block are
+    C-contiguous, so a table built at m gives a state of any size k <= m
+    the bits of a table built at k: the last bit of a matvec depends on the
+    layout of the table it runs on.
+    """
+    gen = eval_generators(spec, np.concatenate([_GRID, _points(probes)]))
+    return tuple([np.ascontiguousarray(g[:, cols]) for g in gen]
+                 for cols in (slice(None, DELTA_GRID), slice(DELTA_GRID, None)))
+
+
+def _table_shape(state: SolutionState, s, gen) -> ShapeEval:
+    """The shape of `state` at the points s of one block of a defect table."""
+    return _shape(state, s, [g[:state.spec.m] for g in gen], second=True)
+
+
+def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=(),
+                     table=None):
     """Equilibrium defect at the probes and over the interior grid.
 
     Returns (delta at each probe, max over a 101-point interior grid), with
-    delta as in `_defect_terms`.  One generator pass serves the grid and
-    the probes.  Each of the two builds its shape from a contiguous copy of
-    its own columns, as a separate `eval_shape` would, because the last bit
-    of a matvec depends on the table it runs on; the stretches, tensions
-    and curvatures then run once, on the joined shape.
+    delta as in `_defect_terms`.  The shape comes from `table`, the
+    `defect_table` of these probes at the basis of `state` or at a larger
+    size of it, built in one generator pass if none is given; each set of
+    points has its own contiguous block, as a separate `eval_shape` would,
+    and the stretches, tensions and curvatures then run once, on the
+    joined shape.
     """
-    s = np.concatenate([_GRID, np.asarray(list(probes), dtype=float)])
-    gen = eval_generators(state.spec, s)
-    blocks = [_shape(state, s[cols], [np.ascontiguousarray(g[:, cols]) for g in gen],
-                     second=True)
-              for cols in (slice(None, DELTA_GRID), slice(DELTA_GRID, None))]
+    probes = _points(probes)
+    if table is None:
+        table = defect_table(state.spec, probes)
+    blocks = [_table_shape(state, s, gen) for s, gen in zip((_GRID, probes), table)]
     shape = ShapeEval(*(np.concatenate([getattr(b, f) for b in blocks])
-                        for f in ("z", "r", "dz", "dr", "d2z", "d2r")))
-    delta = _defect_terms(state, mat, s, shape)[-1]
+                        for f in _SHAPE_FIELDS))
+    delta = _defect_terms(state, mat, np.concatenate([_GRID, probes]), shape)[-1]
     return delta[DELTA_GRID:], float(np.max(delta[:DELTA_GRID]))
 
 
@@ -621,9 +654,11 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
     a converged solve carries the equilibrium defect of the returned state
     (see `delta_diagnostic`): its grid maximum `delta_max` and, if `probe`
     is given, `delta_at` there, a float for one point and a list for a
-    sequence of points.  A solve that does not converge, a state whose
-    hoop stretch r/s is not positive at a node included, raises
-    `SolveFailure`.  It is `solve_ladder` at the one size m.
+    sequence of points, and the shape there, `shape_at` = (z, r, z', r',
+    z'', r''), each entry a float or a list in the same way.  A solve that
+    does not converge, a state whose hoop stretch r/s is not positive at a
+    node included, raises `SolveFailure`.  It is `solve_ladder` at the one
+    size m.
     """
     out = solve_ladder(mat, load, family, [m], p, quad, probe)[0]
     if isinstance(out, SolveFailure):  # a copy keeps `out` traceback-free
@@ -643,7 +678,10 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
     not depend on m, so it is solved once (`initial_guess`) and shared by
     every size.  A start that fails does at every size what it does one
     size at a time: it fails a fixed basis, and leaves a p search without
-    its predictor.
+    its predictor.  The `defect_table` of a fixed basis is built once too,
+    at the largest size when the first size converges, and every converged
+    size reads its defect and its shape at the probes from the first m
+    rows; a searched p builds a table per converged size, on its own p.
     """
     sizes = list(sizes)
     if not sizes:
@@ -660,6 +698,8 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
         start = initial_guess(top)
     except SolveFailure as exc:
         start = exc.with_traceback(None)
+    probes = np.ravel(() if probe is None else probe)
+    table = None
     results = []
     for m in sizes:
         try:
@@ -676,8 +716,13 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
             results.append(exc.with_traceback(None))
             continue
         if rep.converged:
-            at, rep.delta_max = delta_diagnostic(
-                state, mat, np.ravel(() if probe is None else probe))
-            rep.delta_at = None if probe is None else at.reshape(np.shape(probe)).tolist()
+            if table is None or not fixed:
+                table = defect_table(top.spec if fixed else state.spec, probes)
+            at, rep.delta_max = delta_diagnostic(state, mat, probes, table)
+            if probe is not None:
+                rep.delta_at = at.reshape(np.shape(probe)).tolist()
+                shape = _table_shape(state, probes, table[1])
+                rep.shape_at = tuple(np.reshape([getattr(shape, f) for f in _SHAPE_FIELDS],
+                                                (6,) + np.shape(probe)).tolist())
         results.append((state, rep))
     return results

@@ -271,6 +271,8 @@ def test_exit_code_2_on_config_errors(tmp_path):
     ("sweep", "c_start = 0.1\nc_end = 1.0\nc_step = -0.1", []),
     # the steep family at d = 0 without p, which solve already rejected
     ("converge", "family = adaptive", []),
+    # the table has one probe column, so a second probe is an error, not dropped
+    ("converge", "probes = 0.2 0.9", []),
 ])
 def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
     cfg = write_cfg(tmp_path, GAS_KV + extra + "\n")
@@ -393,19 +395,35 @@ def test_converge_gas_ladder(tmp_path):
         assert b <= a * math.sqrt(10.0)
 
 
-def test_converge_table_equals_the_per_size_solves(tmp_path):
-    # the ladder shares its m = 1 start; each row is still the bytes that
-    # solve_membrane at that m formats to
-    cfg = write_cfg(tmp_path, GAS_KV + "m_min = 1\nm_max = 6\n")
+def test_exit_code_2_names_the_probe_count(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GAS_KV + "m_min = 1\nm_max = 2\n")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--probe", "0.2", "--probe", "0.5", "--probe", "0.9"]) == 2
+    assert "got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe", [0.0, 0.2, 1.0], ids=["pole", "inside", "edge"])
+@pytest.mark.parametrize("text, mat, load, family, p", [
+    (GAS_KV, MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025),
+     LoadParams(1.7), "polynomial", None),
+    ("gamma1 = 0.1\nc = 0.5\nd = 10\nfamily = adaptive\np = 17.1\n",
+     MaterialParams(gamma1=0.1), LoadParams(0.5, 10.0), "adaptive", (17.1,)),
+    ("gamma1 = 0.1\nc = 0.5\nd = 10\nfamily = adaptive\n",
+     MaterialParams(gamma1=0.1), LoadParams(0.5, 10.0), "adaptive", None),
+], ids=["gas", "liquid-fixed-p", "liquid-searched-p"])
+def test_converge_table_equals_the_per_size_solves(tmp_path, probe, text, mat,
+                                                   load, family, p):
+    # the ladder shares its m = 1 start and reads its probe cells from the
+    # defect pass; each row is still the bytes that solve_membrane and
+    # eval_shape at that m format to
+    cfg = write_cfg(tmp_path, text + "m_min = 1\nm_max = 6\n")
     out = tmp_path / "out"
     assert main(["converge", "--config", cfg, "--out", str(out),
-                 "--probe", "0.2"]) == 0
-    mat = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
+                 "--probe", str(probe)]) == 0
     lines = ["m,z,r,dz,dr,d2z,d2r,delta\n"]
     for m in range(1, 7):
-        state, report = solve_membrane(mat, LoadParams(1.7), "polynomial", m,
-                                       probe=0.2)
-        sh = eval_shape(state, np.array(0.2), second=True)
+        state, report = solve_membrane(mat, load, family, m, p=p, probe=probe)
+        sh = eval_shape(state, np.array(probe), second=True)
         cells = [_fmt(float(v)) for v in (sh.z, sh.r, sh.dz, sh.dr, sh.d2z, sh.d2r)]
         lines.append(f"{m}," + ",".join(cells) + f",{report.delta_at:.17e}\n")
     assert (out / "table.csv").read_bytes() == "".join(lines).encode()

@@ -361,6 +361,12 @@ def test_delta_at_follows_the_shape_of_probe(gas_m6):
     _, many = solve_membrane(GAS, LoadParams(1.7), "polynomial", 6, probe=probes)
     assert type(one.delta_at) is float and one.delta_at == float(at[1])
     assert many.delta_at == at.tolist() and many.delta_max == dmax == one.delta_max
+    # the shape there too, with the bits of eval_shape at those points
+    for report, s in ((one, 0.2), (many, probes)):
+        sh = eval_shape(state, np.array(s), second=True)
+        assert report.shape_at == tuple(getattr(sh, f).tolist() for f in
+                                        ("z", "r", "dz", "dr", "d2z", "d2r"))
+    assert all(type(v) is float for v in one.shape_at)
 
 
 @pytest.fixture
@@ -753,18 +759,61 @@ def build_calls(monkeypatch):
 
 
 def test_steep_fixed_p_ladder_builds_its_tables_once(build_calls, monkeypatch):
-    # every size and the m = 1 start run on views of the one m = 6 build
+    # every size and the m = 1 start run on views of the one m = 6 build,
+    # and every size's defect and probe shape on rows of one defect table
     rules = _counter(monkeypatch, solver, "auto_rule")
+    passes = _counter(monkeypatch, solver, "eval_generators")
     rungs = solve_ladder(LIQ, LoadParams(0.5, 10.0), "adaptive", range(1, 7),
-                         p=(17.1,))
+                         p=(17.1,), probe=0.9)
     assert all(not isinstance(rung, SolveFailure) for rung in rungs)
-    assert (len(build_calls), len(rules)) == (1, 1)
+    assert (len(build_calls), len(rules), len(passes)) == (1, 1, 1)
 
 
-def test_polynomial_ladder_takes_one_table_from_the_cache():
+def test_polynomial_ladder_takes_one_table_from_the_cache(monkeypatch):
     solver._poly_rule_tables.cache_clear()
-    solve_ladder(GAS, LoadParams(1.7), "polynomial", range(1, 7))
+    passes = _counter(monkeypatch, solver, "eval_generators")
+    rungs = solve_ladder(GAS, LoadParams(1.7), "polynomial", range(1, 7),
+                         probe=0.2)
+    assert all(not isinstance(rung, SolveFailure) for rung in rungs)
     assert solver._poly_rule_tables.cache_info().misses == 1
+    assert len(passes) == 1
+
+
+def test_cli_converge_evaluates_no_shape(monkeypatch, tmp_path):
+    # the probe cells come from the ladder's one defect pass
+    shapes = _counter(monkeypatch, basis, "eval_shape")
+    passes = _counter(monkeypatch, solver, "eval_generators")
+    path = tmp_path / "ladder.cfg"
+    path.write_text("gamma1 = 0.02\ngamma2 = -0.015\ngamma3 = 0.00025\n"
+                    "c = 1.7\nm_min = 1\nm_max = 6\n")
+    assert cli.main(["converge", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--probe", "0.2"]) == 0
+    assert (len(shapes), len(passes)) == (0, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(family=st.sampled_from(["polynomial", "adaptive"]),
+       m=st.integers(1, 12),
+       extra=st.integers(0, 11),
+       p1=st.floats(0.5, 120.0),
+       c=st.floats(0.01, 3.0) | st.floats(-3.0, -0.01) | st.just(0.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       probes=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+                       max_size=4))
+@example(family="polynomial", m=1, extra=11, p1=1.0, c=1.7, seed=0,
+         probes=[0.0, 0.2, 1.0])
+def test_defect_table_of_a_larger_size_gives_the_same_bits(family, m, extra,
+                                                           p1, c, seed, probes):
+    # the first m rows of a table built at m + extra are a table built at m
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, m), rng.uniform(-0.05, 0.05, m)])
+    p = (p1,) if family == "adaptive" else ()
+    state = SolutionState(x, BasisSpec(family, m, p), LoadParams(c, 10.0))
+    table = solver.defect_table(BasisSpec(family, m + extra, p), probes)
+    at, dmax = delta_diagnostic(state, LIQ, probes, table)
+    want_at, want_max = delta_diagnostic(state, LIQ, probes)
+    assert at.tobytes() == want_at.tobytes()
+    assert dmax == want_max or (np.isnan(dmax) and np.isnan(want_max))
 
 
 @pytest.mark.parametrize("driver", [
