@@ -37,12 +37,16 @@ from .solver import (
     SolveReport,
     StepPolicy,
     _defect_terms,
+    _generator_blocks,
+    _table_shape,
     continue_in_load,
     solve_ladder,
     solve_membrane,
 )
 
 PROFILE_POINTS = 201
+_PROFILE_S = np.linspace(0.0, 1.0, PROFILE_POINTS)
+_PROFILE_S.flags.writeable = False
 
 
 class ConfigError(ValueError):
@@ -238,18 +242,33 @@ def _write(path: Path, text: str, newline: str | None = None) -> None:
 
 def profile_rows(state, mat: MaterialParams):
     """Profile table on a 201-point grid including both ends, with delta
-    as the solver's diagnostic defines it (raw at zero load)."""
-    s = np.linspace(0.0, 1.0, PROFILE_POINTS)
-    shape, l1, l2, t1, t2, delta = _defect_terms(state, mat, s)
+    as the solver's diagnostic defines it (raw at zero load).
+
+    The generators on the grid come from one pass at exactly those points,
+    as `eval_shape` makes it (`solver._generator_blocks`): the polynomial
+    ones are kept per process, the steep ones change with p.
+    """
+    s = _PROFILE_S
+    shape = _table_shape(state, s, _generator_blocks(state.spec, [s])[0])
+    shape, l1, l2, t1, t2, delta = _defect_terms(state, mat, s, shape)
     return np.column_stack([s, shape.z, shape.r, shape.dz, shape.dr,
                             l1, l2, t1, t2, delta])
 
 
+@cache
+def _profile_template() -> str:
+    """profile.csv with every s cell written and a slot for each other cell:
+    eight as `_fmt` writes them, then delta.  Built once per process."""
+    line = ",%.17g" * 8 + ",%.17e\n"
+    return ("s,z,r,dz,dr,lambda1,lambda2,T1,T2,delta\n"
+            + "".join("%.17g" % sp + line for sp in _PROFILE_S.tolist()))
+
+
 def write_profile(path: Path, state, mat: MaterialParams) -> None:
+    """Write `profile_rows` to `path`, in one `%` over the template's slots."""
     rows = profile_rows(state, mat)
-    line = "%.17g," * 9 + "%.17e\n"  # nine cells as `_fmt` writes them, then delta
-    _write(path, "s,z,r,dz,dr,lambda1,lambda2,T1,T2,delta\n"
-           + "".join(line % tuple(row) for row in rows.tolist()), newline="")
+    _write(path, _profile_template() % tuple(rows[:, 1:].ravel().tolist()),
+           newline="")
 
 
 def _report_dict(report, probes) -> dict:

@@ -32,7 +32,10 @@ evaluates it once per returned state (`delta_diagnostic`), on a table of
 the generators on the grid and at the probes (`defect_table`).  A fixed
 basis builds that table once per ladder, in one generator pass at the
 largest size, and every size reads its first m rows, which also give the
-shape at the probes (`SolveReport.shape_at`).
+shape at the probes (`SolveReport.shape_at`).  No load, material or state
+changes the polynomial generators at given points, so their tables, the
+defect grid's with its probes and the CLI's profile grid, are kept per
+process like the rule and basis tables (`_generator_blocks`), read-only.
 """
 
 from __future__ import annotations
@@ -171,25 +174,78 @@ def _defect_terms(state: SolutionState, mat: MaterialParams, s,
 
 
 def _points(probes) -> np.ndarray:
-    """Probe points, any iterable of numbers, as a float array."""
-    return np.asarray(list(probes), dtype=float)
+    """Probe points, any iterable of numbers, as a float array.  A point
+    that is not in [0, 1], NaN and inf included, raises `ValueError`
+    naming it: it is not on the membrane, so it has no defect."""
+    if not isinstance(probes, np.ndarray):  # a generator, say
+        probes = list(probes)
+    points = np.asarray(probes, dtype=float)
+    for sp in points.tolist():
+        if not 0.0 <= sp <= 1.0:  # NaN fails the comparison too
+            raise ValueError(f"probe {sp} outside [0, 1]")
+    return points
+
+
+def _eval_blocks(spec: BasisSpec, blocks):
+    """The generators at each set of points in `blocks`, from one
+    `eval_generators` pass over all of them: one tuple (u, u', u'', v, v',
+    v'') per set, each array a C-contiguous (m, n) copy of its columns."""
+    gen = eval_generators(spec, np.concatenate(blocks))
+    cuts = np.cumsum([len(b) for b in blocks])[:-1]
+    return tuple(tuple(np.ascontiguousarray(g) for g in block)
+                 for block in zip(*(np.split(g, cuts, axis=1) for g in gen)))
+
+
+# the most points a kept table spans: the profile grid, or the defect
+# grid with up to 155 probes
+_KEPT_POINTS = 256
+
+
+@lru_cache(maxsize=32)
+def _poly_blocks(m: int, keys: tuple):
+    """`_eval_blocks` of the polynomial basis of size m at the points whose
+    float64 bytes are `keys`, which no load, material or state changes.
+    Every caller shares the arrays, so they are read-only.  Solving and
+    checking each size m = 1..12 at one probe, with the grid defect read
+    again without it, needs 24 tables, so 32 evict none of them.  Each
+    spans at most `_KEPT_POINTS` points, so all of them together hold at
+    most 32 x 6 x 256 x m floats: 4.7 MB at m = 12."""
+    table = _eval_blocks(BasisSpec("polynomial", m), [np.frombuffer(k) for k in keys])
+    for block in table:
+        for arr in block:
+            arr.flags.writeable = False
+    return table
+
+
+def _generator_blocks(spec: BasisSpec, blocks):
+    """`_eval_blocks(spec, blocks)`, kept per process for the polynomial
+    family (`_poly_blocks`), keyed by m and the bits of the points, so
+    -0.0 and 0.0 are distinct keys.  The steep generators change with p,
+    and a table over more than `_KEPT_POINTS` points would hold its memory
+    for the process, so those are evaluated on every call."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    if spec.family == "polynomial" and sum(map(len, blocks)) <= _KEPT_POINTS:
+        return _poly_blocks(spec.m, tuple(b.tobytes() for b in blocks))
+    return _eval_blocks(spec, blocks)
 
 
 def defect_table(spec: BasisSpec, probes=()):
     """The generators on the defect grid and at the probes, for
     `delta_diagnostic`.
 
-    Returns one list (u, u', u'', v, v', v'') per set of points, the grid
+    Returns one tuple (u, u', u'', v, v', v'') per set of points, the grid
     first, each array a C-contiguous (m, n) copy of its columns of one
     `eval_generators` pass.  Row k of the generators is the same at every
     basis size m >= k, and the first k rows of a C-contiguous block are
     C-contiguous, so a table built at m gives a state of any size k <= m
     the bits of a table built at k: the last bit of a matvec depends on the
-    layout of the table it runs on.
+    layout of the table it runs on.  A polynomial table depends on m and
+    the probes alone and is built once per process (`_generator_blocks`),
+    its arrays read-only, unless the probes are too many to keep; a steep
+    one is built on every call.  A probe outside [0, 1] raises
+    `ValueError`.
     """
-    gen = eval_generators(spec, np.concatenate([_GRID, _points(probes)]))
-    return tuple([np.ascontiguousarray(g[:, cols]) for g in gen]
-                 for cols in (slice(None, DELTA_GRID), slice(DELTA_GRID, None)))
+    return _generator_blocks(spec, (_GRID, _points(probes)))
 
 
 def _table_shape(state: SolutionState, s, gen) -> ShapeEval:
@@ -207,7 +263,7 @@ def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=(),
     size of it, built in one generator pass if none is given; each set of
     points has its own contiguous block, as a separate `eval_shape` would,
     and the stretches, tensions and curvatures then run once, on the
-    joined shape.
+    joined shape.  A probe outside [0, 1] raises `ValueError`.
     """
     probes = _points(probes)
     if table is None:
@@ -657,8 +713,9 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
     sequence of points, and the shape there, `shape_at` = (z, r, z', r',
     z'', r''), each entry a float or a list in the same way.  A solve that
     does not converge, a state whose hoop stretch r/s is not positive at a
-    node included, raises `SolveFailure`.  It is `solve_ladder` at the one
-    size m.
+    node included, raises `SolveFailure`, and a probe that is not a point
+    of [0, 1], NaN and inf included, `ValueError`.  It is `solve_ladder` at
+    the one size m.
     """
     out = solve_ladder(mat, load, family, [m], p, quad, probe)[0]
     if isinstance(out, SolveFailure):  # a copy keeps `out` traceback-free
@@ -682,7 +739,12 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
     at the largest size when the first size converges, and every converged
     size reads its defect and its shape at the probes from the first m
     rows; a searched p builds a table per converged size, on its own p.
+    A polynomial table is kept per process (`defect_table`), so a later
+    ladder or solve at the same size and probes evaluates no generator.
+    A probe that is not a point of [0, 1] raises `ValueError` before any
+    solve.
     """
+    probes = _points(np.ravel(() if probe is None else probe))
     sizes = list(sizes)
     if not sizes:
         return []
@@ -698,7 +760,6 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
         start = initial_guess(top)
     except SolveFailure as exc:
         start = exc.with_traceback(None)
-    probes = np.ravel(() if probe is None else probe)
     table = None
     results = []
     for m in sizes:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ritzmem import basis
 from ritzmem.basis import BasisSpec, SolutionState, eval_shape
 from ritzmem.cli import (
     MAX_M,
@@ -619,32 +620,48 @@ def test_outputs_byte_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_calls_in_one_process_write_what_fresh_processes_write(tmp_path):
+def test_calls_in_one_process_write_what_fresh_processes_write(monkeypatch, tmp_path):
     # the parser is built once per process; a --probe of one call must not
-    # reach the next
+    # reach the next.  The third call repeats the first, finds the rule and
+    # the basis, defect and profile tables it kept, and evaluates no
+    # generator
     cfg = write_cfg(tmp_path, GAS_KV)
-    runs = [["--probe", "0.2"], []]
+    runs = [["--probe", "0.2"], [], ["--probe", "0.2"]]
+    passes = []
+    inner = basis._generators
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return inner(*args, **kwargs)
+
     for i, flags in enumerate(runs):
+        if i == 2:
+            monkeypatch.setattr(basis, "_generators", counted)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / f"in{i}")]
                     + flags) == 0
+    assert passes == []
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for i, flags in enumerate(runs):
+    for i, flags in enumerate(runs[:2]):
         subprocess.run([sys.executable, "-m", "ritzmem", "solve", "--config", cfg,
                         "--out", str(tmp_path / f"fresh{i}")] + flags,
                        env={**os.environ, "PYTHONPATH": path}, check=True)
     assert json.loads((tmp_path / "in1" / "report.json").read_text())[
         "delta_probes"] == []
-    for i in range(len(runs)):
+    for i, fresh in enumerate([0, 1, 0]):
         for name in ("solution.json", "profile.csv", "report.json"):
             assert ((tmp_path / f"in{i}" / name).read_bytes()
-                    == (tmp_path / f"fresh{i}" / name).read_bytes())
+                    == (tmp_path / f"fresh{fresh}" / name).read_bytes())
 
 
-@pytest.mark.parametrize("c", [1.7, 0.0])
-def test_profile_cells_are_written_as_formatted_one_by_one(tmp_path, c):
+@pytest.mark.parametrize("spec, c", [
+    pytest.param(BasisSpec("polynomial", 3), 1.7, id="1.7"),
+    pytest.param(BasisSpec("polynomial", 3), 0.0, id="0.0"),
+    pytest.param(BasisSpec("adaptive", 3, (17.1,)), 0.5, id="adaptive-17.1"),
+])
+def test_profile_cells_are_written_as_formatted_one_by_one(tmp_path, spec, c):
     x = np.array([0.8, -0.05, 0.01, 0.3, -0.02, 0.004])
-    state = SolutionState(x, BasisSpec("polynomial", 3), LoadParams(c))
+    state = SolutionState(x, spec, LoadParams(c))
     mat = MaterialParams(0.02, -0.015, 0.00025)
     write_profile(tmp_path / "profile.csv", state, mat)
     lines = ["s,z,r,dz,dr,lambda1,lambda2,T1,T2,delta\n"]

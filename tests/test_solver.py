@@ -310,8 +310,16 @@ def test_diagnostic_is_the_pointwise_defect_bit_for_bit(family, m, p1, c, d,
     assert dmax == float(np.max(defect(state, LIQ, grid)))
 
 
+@pytest.fixture
+def fresh_generator_tables():
+    # count from an empty per-process generator table cache, whatever ran
+    # before
+    solver._poly_blocks.cache_clear()
+
+
 @pytest.mark.parametrize("family, p", [("polynomial", ()), ("adaptive", (17.1,))])
-def test_diagnostic_evaluates_the_generators_once(monkeypatch, family, p):
+def test_diagnostic_evaluates_the_generators_once(monkeypatch, fresh_generator_tables,
+                                                  family, p):
     # one pass serves the grid and the probes
     poly = _counter(monkeypatch, basis, "_poly_uv")
     steep = _counter(monkeypatch, basis, "_steep_uv")
@@ -769,7 +777,8 @@ def test_steep_fixed_p_ladder_builds_its_tables_once(build_calls, monkeypatch):
     assert (len(build_calls), len(rules), len(passes)) == (1, 1, 1)
 
 
-def test_polynomial_ladder_takes_one_table_from_the_cache(monkeypatch):
+def test_polynomial_ladder_takes_one_table_from_the_cache(monkeypatch,
+                                                          fresh_generator_tables):
     solver._poly_rule_tables.cache_clear()
     passes = _counter(monkeypatch, solver, "eval_generators")
     rungs = solve_ladder(GAS, LoadParams(1.7), "polynomial", range(1, 7),
@@ -779,7 +788,8 @@ def test_polynomial_ladder_takes_one_table_from_the_cache(monkeypatch):
     assert len(passes) == 1
 
 
-def test_cli_converge_evaluates_no_shape(monkeypatch, tmp_path):
+def test_cli_converge_evaluates_no_shape(monkeypatch, fresh_generator_tables,
+                                         tmp_path):
     # the probe cells come from the ladder's one defect pass
     shapes = _counter(monkeypatch, basis, "eval_shape")
     passes = _counter(monkeypatch, solver, "eval_generators")
@@ -789,6 +799,99 @@ def test_cli_converge_evaluates_no_shape(monkeypatch, tmp_path):
     assert cli.main(["converge", "--config", str(path), "--out",
                      str(tmp_path / "out"), "--probe", "0.2"]) == 0
     assert (len(shapes), len(passes)) == (0, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(m=st.integers(1, 12),
+       probes=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0]),
+                       max_size=4))
+@example(m=3, probes=[0.0, 1.0])
+@example(m=3, probes=[-0.0, 1.0])
+def test_kept_polynomial_tables_equal_a_fresh_pass(m, probes):
+    # a kept table has the bits of the pass it replaces, the defect grid's
+    # with its probes and the profile's at exactly its points; -0.0 and 0.0
+    # are kept apart, since the sign of a zero derivative can reach the output
+    spec = BasisSpec("polynomial", m)
+    grid = np.linspace(0.0, 1.0, solver.DELTA_GRID + 2)[1:-1]
+    fresh = basis.eval_generators(spec, np.concatenate([grid, probes]))
+    for _ in range(2):  # a build, then a lookup
+        table = solver.defect_table(spec, probes)
+        for block, cols in zip(table, (slice(None, grid.size), slice(grid.size, None))):
+            assert [g.tobytes() for g in block] == [
+                np.ascontiguousarray(g[:, cols]).tobytes() for g in fresh]
+            assert all(g.flags.c_contiguous for g in block)
+    s = np.linspace(0.0, 1.0, cli.PROFILE_POINTS)
+    for _ in range(2):
+        (block,) = solver._generator_blocks(spec, [s])
+        assert [g.tobytes() for g in block] == [
+            g.tobytes() for g in basis.eval_generators(spec, s)]
+    for g in (*table[0], *table[1], *block):
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, :1] = 1.0
+
+
+def test_kept_tables_stay_within_their_bound():
+    bound = solver._poly_blocks.cache_info().maxsize
+    spec = BasisSpec("polynomial", 2)
+    for sp in np.linspace(0.0, 1.0, 2 * bound):
+        solver.defect_table(spec, [sp])
+        assert solver._poly_blocks.cache_info().currsize <= bound
+    assert solver._poly_blocks.cache_info().currsize == bound
+
+
+def test_a_repeated_polynomial_solve_evaluates_no_generator(monkeypatch):
+    # the rule, the basis tables and the defect table are all kept
+    first = solve_membrane(GAS, LoadParams(1.7), "polynomial", 5, probe=0.3)
+    passes = _counter(monkeypatch, basis, "_generators")
+    again = solve_membrane(GAS, LoadParams(1.7), "polynomial", 5, probe=0.3)
+    assert passes == []
+    assert first[0].x.tobytes() == again[0].x.tobytes()
+    assert (first[1].delta_at, first[1].delta_max, first[1].shape_at) == (
+        again[1].delta_at, again[1].delta_max, again[1].shape_at)
+
+
+@pytest.mark.parametrize("probe", [-0.1, 1.5, np.nan, np.inf, [0.2, -np.inf]])
+@pytest.mark.parametrize("driver", [solve_membrane, solve_ladder])
+def test_solves_reject_a_probe_outside_the_membrane(monkeypatch, driver, probe):
+    # a point off [0, 1] is not on the membrane, so it has no defect
+    newton_calls = _counter(monkeypatch, solver, "newton_solve")
+    bad = np.ravel(probe)[-1]
+    size = 6 if driver is solve_membrane else [6]
+    with pytest.raises(ValueError, match=f"probe {bad} outside"):
+        driver(GAS, LoadParams(1.7), "polynomial", size, probe=probe)
+    assert newton_calls == []
+
+
+@pytest.mark.parametrize("probe", [-0.1, 1.5, np.nan, np.inf])
+def test_defect_reads_reject_a_probe_outside_the_membrane(gas_m6, probe):
+    # the one check in front of every defect read; no table is kept for it
+    state, _ = gas_m6
+    kept = solver._poly_blocks.cache_info().currsize
+    for read in (lambda: solver.defect_table(state.spec, [0.2, probe]),
+                 lambda: delta_diagnostic(state, GAS, [0.2, probe])):
+        with pytest.raises(ValueError, match=f"probe {probe} outside"):
+            read()
+    assert solver._poly_blocks.cache_info().currsize == kept
+
+
+def test_a_table_over_many_points_is_not_kept(gas_m6):
+    # dense probes get the bits of the same one pass, built per call
+    state, _ = gas_m6
+    probes = np.linspace(0.0, 1.0, solver._KEPT_POINTS - solver.DELTA_GRID + 1)
+    kept = solver._poly_blocks.cache_info().currsize
+    table = solver.defect_table(state.spec, probes)
+    assert solver._poly_blocks.cache_info().currsize == kept
+    fresh = basis.eval_generators(state.spec, np.concatenate([solver._GRID, probes]))
+    assert [g.tobytes() for g in table[1]] == [
+        np.ascontiguousarray(g[:, solver.DELTA_GRID:]).tobytes() for g in fresh]
+    assert solver.defect_table(state.spec, probes)[1][0] is not table[1][0]
+
+
+@pytest.mark.parametrize("probe", [0, 1, 0.0, 1.0, [0.0, 1.0]])
+def test_solves_accept_the_ends_as_probes(probe):
+    _, report = solve_membrane(GAS, LoadParams(1.7), "polynomial", 6, probe=probe)
+    assert report.converged
+    assert np.all(np.isfinite(report.delta_at))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -840,8 +943,8 @@ def generator_calls(monkeypatch):
 
 def test_liquid_cli_solve_evaluates_the_profile_three_times(monkeypatch, tmp_path):
     # the table build, the solve's one defect pass over the grid and the
-    # probes, and the written profile; eval_shape looks the generators up
-    # in basis, the defect pass in solver
+    # probes, and the written profile; the defect pass and the profile look
+    # the generators up in solver
     gen_basis = _counter(monkeypatch, basis, "eval_generators")
     gen_solver = _counter(monkeypatch, solver, "eval_generators")
     bessel = _counter(monkeypatch, basis, "_i0e_i1e")
