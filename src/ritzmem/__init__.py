@@ -2,7 +2,7 @@
 membrane under hydrostatic load, computed by a Ritz expansion with an
 optional steep Bessel-profile basis for boundary layers."""
 
-from .assembly import functional_value, jacobian, node_terms, p_gradient, residual
+from .assembly import functional_value, jacobian, p_gradient, residual
 from .basis import (
     BasisSpec,
     SolutionState,
@@ -45,7 +45,7 @@ from .solver import (
 
 __all__ = [
     # assembly
-    "functional_value", "jacobian", "node_terms", "p_gradient", "residual",
+    "functional_value", "jacobian", "p_gradient", "residual",
     # basis
     "BasisSpec", "SolutionState", "eval_generators", "eval_shape",
     "shape_p_derivs",

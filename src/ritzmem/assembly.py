@@ -11,15 +11,17 @@ and the tangent matrix is their exact coefficient Jacobian, which is
 symmetric because g is the gradient of a scalar.  All integrals run over
 the open interval, so the 1/s factors never hit the pole.
 
-An iterate's `node_terms` hold the nodal shape and the tension
-coefficients U; the partials of U are evaluated only by `jacobian`, so an
-iterate that assembles no tangent (a converged one, or a corrector that
-gave up) and `p_gradient` evaluate none.
+The residual, the tangent and dg/dc have one form each, in `Evaluator`.
+A Newton solve builds one evaluator and evaluates every iterate through
+it: the nodal shape and the tension coefficients U once per iterate, the
+partials of U only for an iterate that assembles a tangent, so a
+converged iterate, a corrector that gave up and `p_gradient` evaluate
+none.  The public functions evaluate one state each, on an evaluator of
+their own.  The evaluator's matrix-vector products call `ndarray.dot`,
+which makes the BLAS call of `@` with less dispatch, bit for bit.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,58 +30,126 @@ from .kinematics import hydro_load
 from .material import MaterialParams, energy, tension_partials, tension_values
 
 
-def _nodal(state: SolutionState, tables: BasisTables):
-    """Trial shape and stretches at the quadrature nodes."""
-    m = state.spec.m
-    xu, xv = state.x[:m], state.x[m:]
-    z = xu @ tables.u
-    dz = xu @ tables.du
-    r = tables.s + xv @ tables.v
-    dr = 1.0 + xv @ tables.dv
-    l1 = np.hypot(dz, dr)
-    l2 = r / tables.s
-    q = hydro_load(z, state.load.c, state.load.d)
-    return z, r, dz, dr, l1, l2, q
+class Evaluator:
+    """Residual, tangent and dg/dc of the iterates of one Newton solve.
 
-
-def _tables(state, rule, tables):
-    if tables is None:
-        return BasisTables.build(state.spec, rule)
-    return tables
-
-
-class NodeTerms(NamedTuple):
-    """Everything the residual, tangent and dg/dc read at one iterate.
-
-    The trial shape, stretches and load at the quadrature nodes, and the
-    tension coefficients of `material.tension_values` with the parts their
-    partials reuse, on the tables they were evaluated with.
+    Built once per solve from the tables, the material and the load
+    gradient d, with what no iterate changes: w*s*d and, with `border` =
+    (a, b, rhs), the bordered row a (e.x) + b c = rhs, where e.x is the
+    pole sag.  `at(x, c)` evaluates the nodal shape and U of one iterate;
+    `residual` and `tangent` then write into arrays the evaluator keeps,
+    so each call overwrites what the last one returned: the residual g
+    (the bordered row last) and the tangent H = dg/dx (bordered by the
+    column dg/dc and the row).  The tangent is nine row-weighted products
+    A diag(c) B^T, one batched matmul over the generator pairs of
+    `BasisTables.left` and `right_t` with the weight rows c of one (9, n)
+    array, summed block by block.  The coupling block is built once and
+    set in both places, and the matrix is mirrored as (H + H^T) / 2, which
+    symmetrizes the diagonal blocks and leaves the coupling blocks exact.
+    The v-v curvature coefficient uses the swap identity dU/db(a,b) =
+    (b/a) dU/db(b,a), so the mirrored matrix equals the exact coefficient
+    Jacobian of the residual up to quadrature error.
     """
 
-    tables: BasisTables
-    z: np.ndarray
-    r: np.ndarray
-    dz: np.ndarray
-    dr: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    q: np.ndarray
-    su12: np.ndarray
-    su21: np.ndarray
-    tension_parts: tuple
+    def __init__(self, tables: BasisTables, mat: MaterialParams, d: float,
+                 border: tuple | None = None):
+        m = tables.u.shape[0]
+        n = 2 * m + (border is not None)
+        self.tables, self.mat, self.d, self.m, self.border = tables, mat, d, m, border
+        self.wd = tables.ws * d
+        self.g = np.empty(n)
+        self.h = np.empty((n, n))
+        self.rows = np.empty((9, tables.s.size))
+        if border is not None:
+            self.e = np.concatenate([tables.u0, np.zeros(m)])
+            self.h[-1, :-1] = border[0] * self.e
+            self.h[-1, -1] = border[1]
+
+    def nodal(self, x, c):
+        """Trial shape, stretches and load (z, r, z', r', l1, l2, Q) at the
+        quadrature nodes."""
+        t, m = self.tables, self.m
+        xu, xv = x[:m], x[m:]
+        z = xu.dot(t.u)
+        dz = xu.dot(t.du)
+        r = t.s + xv.dot(t.v)
+        dr = 1.0 + xv.dot(t.dv)
+        return z, r, dz, dr, np.hypot(dz, dr), r / t.s, hydro_load(z, c, self.d)
+
+    def at(self, x, c) -> None:
+        """Evaluate the iterate (x, c): its nodal shape and U, once."""
+        self.x, self.c = x, c
+        _, _, self.dz, self.dr, self.l1, self.l2, self.q = self.nodal(x, c)
+        self.su12, self.su21, self.parts = tension_values(self.l1, self.l2, self.mat)
+
+    def residual(self) -> np.ndarray:
+        """The residual g at the iterate of `at`, the bordered row last."""
+        t, m, g, dz, dr, l2 = self.tables, self.m, self.g, self.dz, self.dr, self.l2
+        ws = t.ws
+        wsu = ws * self.su12
+        wql = ws * self.q * l2
+        np.subtract(t.du.dot(wsu * dz), t.u.dot(wql * dr), out=g[:m])
+        np.add(t.dv.dot(wsu * dr), t.v.dot(t.w * self.su21 * l2 + wql * dz),
+               out=g[m:2 * m])
+        if self.border is not None:
+            a, b, rhs = self.border
+            g[-1] = a * float(self.e.dot(self.x)) + b * self.c - rhs
+        return g
+
+    def tangent(self) -> np.ndarray:
+        """The tangent at the iterate of `at`, bordered if the solve is;
+        the partials of U are evaluated here, once."""
+        du1, du2, du1_swap = tension_partials(self.parts)
+        t, m, h, c = self.tables, self.m, self.h, self.rows
+        dz, dr, l1, l2, su12 = self.dz, self.dr, self.l1, self.l2, self.su12
+        w, s, ws = t.w, t.s, t.ws
+        wdl = self.wd * l2
+        sq = s * self.q
+        # one weight row per generator pair (A, B), in the order of the tables
+        np.multiply(ws, du1 * dz * dz / l1 + su12, out=c[0])                # u'  u'
+        np.multiply(wdl, dr, out=c[1])                                      # u   u
+        np.divide(ws * du1 * dz * dr, l1, out=c[2])                         # u'  v'
+        np.multiply(w, du2 * dz + sq * l2, out=c[3])                        # u'  v
+        np.multiply(wdl, dz, out=c[4])                                      # u   v
+        np.multiply(ws, du1 * dr * dr / l1 + su12, out=c[5])                # v'  v'
+        np.multiply(w * du2, dr, out=c[6])                                  # v'  v
+        c[7] = c[6]                                                         # v   v'
+        np.divide(w * (l2 * du1_swap + self.su21 + sq * dz), s, out=c[8])   # v   v
+        p = (t.left * c[:, None, :]) @ t.right_t
+
+        n = 2 * m
+        np.add(p[0], p[1], out=h[:m, :m])
+        np.subtract(p[2] + p[3], p[4], out=h[:m, m:n])
+        h[m:n, :m] = h[:m, m:n].T
+        np.add(p[5] + (p[6] + p[7]), p[8], out=h[m:n, m:n])
+        hx = h[:n, :n]
+        hx += hx.T
+        hx *= 0.5
+        if self.border is not None:
+            self.dg_dc(dz, dr, l2, h[:n, n])
+        return h
+
+    def dg_dc(self, dz, dr, l2, out) -> None:
+        """dg/dc at the nodal shape (z', r', l2), written into `out`."""
+        t, m = self.tables, self.m
+        wl = t.ws * l2
+        np.negative(t.u.dot(wl * dr), out=out[:m])
+        out[m:] = t.v.dot(wl * dz)
 
 
-def node_terms(state: SolutionState, mat: MaterialParams,
-               tables: BasisTables) -> NodeTerms:
-    """Evaluate the nodal shape and the material once for one iterate."""
-    nodal = _nodal(state, tables)
-    return NodeTerms(tables, *nodal, *tension_values(nodal[4], nodal[5], mat))
+def _evaluator(state: SolutionState, mat: MaterialParams, rule,
+               tables: BasisTables | None) -> Evaluator:
+    """An evaluator of the state's basis, on `tables` or on a build on the rule."""
+    if tables is None:
+        tables = BasisTables.build(state.spec, rule)
+    return Evaluator(tables, mat, state.load.d)
 
 
-def _terms(state, mat, rule, tables, terms):
-    if terms is None:
-        return node_terms(state, mat, _tables(state, rule, tables))
-    return terms
+def _at(state: SolutionState, mat: MaterialParams, rule, tables) -> Evaluator:
+    """An evaluator that has evaluated the state (`Evaluator.at`)."""
+    ev = _evaluator(state, mat, rule, tables)
+    ev.at(state.x, state.load.c)
+    return ev
 
 
 def functional_value(state: SolutionState, mat: MaterialParams, rule,
@@ -89,97 +159,39 @@ def functional_value(state: SolutionState, mat: MaterialParams, rule,
     One half of int [ W s + Q r**2 z' ] ds; its gradient in the Ritz
     coefficients is exactly the residual vector, for any d.
     """
-    t = _tables(state, rule, tables)
-    z, r, dz, dr, l1, l2, q = _nodal(state, t)
+    ev = _evaluator(state, mat, rule, tables)
+    z, r, dz, dr, l1, l2, q = ev.nodal(state.x, state.load.c)
     l3 = 1.0 / (l1 * l2)
     i1 = l1 * l1 + l2 * l2 + l3 * l3
     i2 = 1.0 / (l1 * l1) + 1.0 / (l2 * l2) + 1.0 / (l3 * l3)
     w = energy(i1, i2, mat)
+    t = ev.tables
     return 0.5 * float(t.w @ (w * t.s + q * r * r * dz))
 
 
 def residual(state: SolutionState, mat: MaterialParams, rule,
-             tables: BasisTables | None = None,
-             terms: NodeTerms | None = None) -> np.ndarray:
-    """Equilibrium residual g (length 2m) at the current coefficients.
-
-    `terms` from `node_terms` at the same state skips the nodal and
-    material evaluation.
-    """
-    t, z, r, dz, dr, l1, l2, q, su12, su21, _ = _terms(
-        state, mat, rule, tables, terms)
-    ws = t.ws
-    wsu = ws * su12
-    wql = ws * q * l2
-    g_u = t.du @ (wsu * dz) - t.u @ (wql * dr)
-    g_v = t.dv @ (wsu * dr) + t.v @ (t.w * su21 * l2 + wql * dz)
-    return np.concatenate([g_u, g_v])
+             tables: BasisTables | None = None) -> np.ndarray:
+    """Equilibrium residual g (length 2m) at the current coefficients."""
+    return _at(state, mat, rule, tables).residual()
 
 
 def jacobian(state: SolutionState, mat: MaterialParams, rule,
-             tables: BasisTables | None = None,
-             terms: NodeTerms | None = None) -> np.ndarray:
-    """Tangent matrix H = dg/dx, assembled symmetric.
-
-    Nine row-weighted products A diag(c) B^T, one batched matmul over the
-    generator pairs of `BasisTables.left` and `right_t`, summed block by
-    block.  The coupling block is built once and set in both places, and
-    the whole matrix is mirrored as (h + h^T) / 2, which symmetrizes the
-    diagonal blocks and leaves the coupling blocks exact.  The v-v curvature
-    coefficient uses the swap identity dU/db(a,b) = (b/a) dU/db(b,a), so
-    the mirrored matrix equals the exact coefficient Jacobian of `residual`
-    up to quadrature error.  The partials of U are evaluated here, once.
-    """
-    t, z, r, dz, dr, l1, l2, q, su12, su21, parts = _terms(
-        state, mat, rule, tables, terms)
-    du1, du2, du1_swap = tension_partials(parts)
-    d = state.load.d
-    w, s, ws = t.w, t.s, t.ws
-    wdl = ws * d * l2
-    sq = s * q
-    mid = w * du2 * dr
-    # one weight row per generator pair (A, B), in the order of the tables
-    c = np.array([
-        ws * (du1 * dz * dz / l1 + su12),                # u'  u'
-        wdl * dr,                                        # u   u
-        ws * du1 * dz * dr / l1,                         # u'  v'
-        w * (du2 * dz + sq * l2),                        # u'  v
-        wdl * dz,                                        # u   v
-        ws * (du1 * dr * dr / l1 + su12),                # v'  v'
-        mid,                                             # v'  v
-        mid,                                             # v   v'
-        w * (l2 * du1_swap + su21 + sq * dz) / s,        # v   v
-    ])
-    p = (t.left * c[:, None, :]) @ t.right_t
-
-    m = state.spec.m
-    h = np.empty((2 * m, 2 * m))
-    h[:m, :m] = p[0] + p[1]
-    h[:m, m:] = p[2] + p[3] - p[4]
-    h[m:, :m] = h[:m, m:].T
-    h[m:, m:] = p[5] + (p[6] + p[7]) + p[8]
-    h += h.T
-    h *= 0.5
-    return h
+             tables: BasisTables | None = None) -> np.ndarray:
+    """Tangent matrix H = dg/dx, assembled symmetric (see `Evaluator`)."""
+    return _at(state, mat, rule, tables).tangent()
 
 
 def load_derivative(state: SolutionState, mat: MaterialParams, rule,
-                    tables: BasisTables | None = None,
-                    terms: NodeTerms | None = None) -> np.ndarray:
+                    tables: BasisTables | None = None) -> np.ndarray:
     """dg/dc at fixed coefficients, for load-parametrized continuation.
 
-    Reads only the nodal shape, so without `terms` the material is not
-    evaluated.
+    Reads only the nodal shape, so the material is not evaluated.
     """
-    if terms is None:
-        t = _tables(state, rule, tables)
-        z, r, dz, dr, l1, l2, q = _nodal(state, t)
-    else:
-        t, dz, dr, l2 = terms.tables, terms.dz, terms.dr, terms.l2
-    wl = t.ws * l2
-    gc_u = -(t.u @ (wl * dr))
-    gc_v = t.v @ (wl * dz)
-    return np.concatenate([gc_u, gc_v])
+    ev = _evaluator(state, mat, rule, tables)
+    _, _, dz, dr, _, l2, _ = ev.nodal(state.x, state.load.c)
+    out = np.empty(state.x.size)
+    ev.dg_dc(dz, dr, l2, out)
+    return out
 
 
 def p_gradient(state: SolutionState, mat: MaterialParams, rule,
@@ -190,20 +202,20 @@ def p_gradient(state: SolutionState, mat: MaterialParams, rule,
     replaced by the parameter derivatives of the trial shape.  At a
     converged state this is also the total derivative of the energy along
     the optimized family, which is what the outer parameter search zeroes.
-    The tension coefficients come from `node_terms`, as for the residual,
+    The nodal shape and U come from `Evaluator.at`, as for the residual,
     and the parameter derivatives of the profile from the tables
     (`BasisTables.rho_p`), which must be those of the state's basis.
     """
-    t, z, r, dz, dr, l1, l2, q, su12, su21, _ = _terms(
-        state, mat, rule, tables, None)
+    ev = _at(state, mat, rule, tables)
+    t, dz, dr, l2, q = ev.tables, ev.dz, ev.dr, ev.l2, ev.q
     dz_dp, dr_dp, dzp_dp, drp_dp = _shape_p(state, t.s, t.rho_p)
     w, s, ws = t.w, t.s, t.ws
-    wsu = ws * su12
+    wsu = ws * ev.su12
     wql = ws * q * l2
     out = (
         dzp_dp @ (wsu * dz)
         - dz_dp @ (wql * dr)
         + drp_dp @ (wsu * dr)
-        + dr_dp @ (w * (su21 * l2 + s * q * l2 * dz))
+        + dr_dp @ (w * (ev.su21 * l2 + s * q * l2 * dz))
     )
     return np.asarray(out, dtype=float)

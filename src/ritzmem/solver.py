@@ -14,11 +14,13 @@ For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
 is unimodal in p1, so a golden-section scan backstops the secant.
 
-Each Newton iterate evaluates the nodal shape and the tension
-coefficients once (`assembly.node_terms`); the residual, the tangent and
-dg/dc all read that one evaluation.  The partials of the tension
-coefficients are evaluated only for an iterate that assembles a tangent,
-so a converged iterate or a corrector that gives up evaluates none.
+A Newton solve evaluates its iterates through one `assembly.Evaluator`
+and carries the load c as a number, so an iterate makes no state or load
+object: it evaluates the nodal shape and the tension coefficients once,
+and the residual, the tangent and dg/dc read them into arrays kept for the
+solve.  The partials of the tension coefficients are evaluated only for an
+iterate that assembles a tangent, so a converged iterate or a corrector
+that gives up evaluates none.
 `SolveContext.create` picks a family's basis and rule and
 builds its tables once, the polynomial ones once per process.  There is
 one fixed-basis driver, `solve_ladder`; `solve_membrane` is its one-size
@@ -41,19 +43,12 @@ process like the rule and basis tables (`_generator_blocks`), read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .assembly import (
-    functional_value,
-    jacobian,
-    load_derivative,
-    node_terms,
-    p_gradient,
-    residual,
-)
+from .assembly import Evaluator, functional_value, p_gradient
 from .basis import (P_MIN, BasisSpec, BasisTables, SolutionState, _shape,
                     eval_generators, eval_shape)
 from .kinematics import LoadParams, ShapeEval, curvatures, hydro_load, stretches
@@ -103,7 +98,9 @@ class SolveContext:
         return cls(mat, load, spec, rule)
 
     def with_load(self, c: float) -> "SolveContext":
-        return replace(self, load=LoadParams(c, self.load.d))
+        """The same problem at the load c, on the same tables."""
+        return SolveContext(self.mat, LoadParams(c, self.load.d), self.spec,
+                            self.rule, self.tables)
 
     def head(self, k: int) -> "SolveContext":
         """The same problem on the first k generators, on views of the
@@ -302,25 +299,16 @@ def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
     """
     x = np.array(x0, dtype=float)
     n = x.size
-    if border is not None:
-        a, b, rhs = border
-        # bordered matrix [[H, dg/dc], [a e, b]], refilled in place per step
-        e = np.concatenate([ctx.tables.u0, np.zeros(ctx.spec.m)])
-        hb = np.zeros((n + 1, n + 1))
-        hb[n, :n] = a * e
-        hb[n, n] = b
-    load = ctx.load
+    c = ctx.load.c
+    ev = Evaluator(ctx.tables, ctx.mat, ctx.load.d, border)
     hist: list[float] = []
     converged = False
     message = ""
     growth = 0
     steps = 0
     while True:
-        state = SolutionState(x, ctx.spec, load)
-        terms = node_terms(state, ctx.mat, ctx.tables)
-        g = residual(state, ctx.mat, ctx.rule, ctx.tables, terms)
-        if border is not None:
-            g = np.concatenate([g, [a * float(e @ x) + b * load.c - rhs]])
+        ev.at(x, c)
+        g = ev.residual()
         gn = float(np.abs(g).max())  # NaN or inf if any entry is
         if not math.isfinite(gn):
             hist.append(math.inf)
@@ -328,11 +316,10 @@ def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
             break
         hist.append(gn)
         if gn <= NEWTON_TOL:
-            l2_min = float(terms.l2.min())
+            l2_min = float(ev.l2.min())
             converged = l2_min > 0.0
             if not converged:
-                message = (f"lambda2 = r/s down to {l2_min:.6g} <= 0 at"
-                           f" c = {load.c}")
+                message = f"lambda2 = r/s down to {l2_min:.6g} <= 0 at c = {c}"
             break
         if corrector and len(hist) > 1 and gn > CONTRACTION * hist[-2]:
             message = "residual not halving"
@@ -347,25 +334,19 @@ def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
         if steps >= (CORRECTOR_ITERS if corrector else NEWTON_MAX_ITER):
             message = "max_iter exceeded"
             break
-        h = jacobian(state, ctx.mat, ctx.rule, ctx.tables, terms)
-        if border is not None:
-            hb[:n, :n] = h
-            hb[:n, n] = load_derivative(state, ctx.mat, ctx.rule, ctx.tables,
-                                        terms)
-            h = hb
+        h = ev.tangent()
         try:
             step = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
             message = "singular tangent matrix"
             break
         x = x - step[:n]
-        c = load.c - float(step[-1]) if border is not None else load.c
+        c_next = c - float(step[n]) if border is not None else c
         steps += 1
-        if not (np.isfinite(x).all() and math.isfinite(c)):
+        if not (np.isfinite(x).all() and math.isfinite(c_next)):
             message = "iterate not finite"
             break
-        if border is not None:
-            load = LoadParams(c, load.d)
+        c = c_next
 
     report = SolveReport(
         converged=converged,
@@ -374,6 +355,7 @@ def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
         final_p=ctx.spec.p if ctx.spec.family == "adaptive" else None,
         message=message,
     )
+    load = ctx.load if border is None else LoadParams(c, ctx.load.d)
     return SolutionState(x, ctx.spec, load), report
 
 

@@ -3,15 +3,24 @@
 `stiffness_scalar` and `stiffness_derivs` evaluate the tension coefficient
 and its partials one argument order at a time, expression by expression;
 `material.tension_values` and `tension_partials` must agree with them bit
-for bit.  `defect` is the equilibrium defect of a lone pass over the points
-it is given, which `solver.delta_diagnostic` must give bit for bit at its
-probes and grid.  `fold_count` counts the folds of a load path.
+for bit.  `per_product_forms` assembles the residual, the tangent and dg/dc
+from them one weighted product at a time, and `newton_reference` runs
+`solver.newton_solve`'s iteration on those forms; the assembly and Newton
+must agree with them bit for bit.  `defect` is the equilibrium defect of a
+lone pass over the points it is given, which `solver.delta_diagnostic` must
+give bit for bit at its probes and grid.  `fold_count` counts the folds of
+a load path.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ritzmem import solver
+from ritzmem.basis import SolutionState
+from ritzmem.kinematics import LoadParams, hydro_load
 from ritzmem.material import MaterialParams, energy_derivs
 from ritzmem.solver import _defect_terms
 
@@ -44,6 +53,112 @@ def stiffness_derivs(la, lb, mat: MaterialParams):
     du_dla = da_dla * b + a * w11 * di1_dla
     du_dlb = da_dlb * b + a * (w11 * di1_dlb + 2.0 * lb * w2)
     return du_dla, du_dlb
+
+
+def nodal(state, t):
+    """Trial shape, stretches and load (z, r, z', r', l1, l2, Q) at the
+    nodes of the tables t."""
+    m = state.spec.m
+    xu, xv = state.x[:m], state.x[m:]
+    z = xu @ t.u
+    dz = xu @ t.du
+    r = t.s + xv @ t.v
+    dr = 1.0 + xv @ t.dv
+    return (z, r, dz, dr, np.hypot(dz, dr), r / t.s,
+            hydro_load(z, state.load.c, state.load.d))
+
+
+def _sandwich(a, c, b):
+    return (a * c) @ b.T
+
+
+def per_product_forms(state, mat: MaterialParams, t):
+    """Residual, tangent and dg/dc product by product, on the reference
+    material.
+
+    The tension coefficients come from `stiffness_scalar` and
+    `stiffness_derivs`; each of the tangent's nine weighted products is its
+    own 2-D matmul, summed in assembly order.
+    """
+    _, _, dz, dr, l1, l2, q = nodal(state, t)
+    su12, su21 = stiffness_scalar(l1, l2, mat), stiffness_scalar(l2, l1, mat)
+    du1, du2 = stiffness_derivs(l1, l2, mat)
+    du1_swap = stiffness_derivs(l2, l1, mat)[0]
+    d = state.load.d
+    w, s = t.w, t.s
+    ws = w * s
+    g = np.concatenate([
+        t.du @ (ws * su12 * dz) - t.u @ (ws * q * l2 * dr),
+        t.dv @ (ws * su12 * dr) + t.v @ (w * su21 * l2 + ws * q * l2 * dz)])
+    h_uu = (_sandwich(t.du, ws * (du1 * dz * dz / l1 + su12), t.du)
+            + _sandwich(t.u, ws * d * l2 * dr, t.u))
+    h_uv = (_sandwich(t.du, ws * du1 * dz * dr / l1, t.dv)
+            + _sandwich(t.du, w * (du2 * dz + s * q * l2), t.v)
+            - _sandwich(t.u, ws * d * l2 * dz, t.v))
+    mid = w * du2 * dr
+    h_vv = (_sandwich(t.dv, ws * (du1 * dr * dr / l1 + su12), t.dv)
+            + (_sandwich(t.dv, mid, t.v) + _sandwich(t.v, mid, t.dv))
+            + _sandwich(t.v, w * (l2 * du1_swap + su21 + q * s * dz) / s, t.v))
+    h = np.block([[0.5 * (h_uu + h_uu.T), h_uv],
+                  [h_uv.T, 0.5 * (h_vv + h_vv.T)]])
+    gc = np.concatenate([-(t.u @ (ws * l2 * dr)), t.v @ (ws * l2 * dz)])
+    return g, h, gc
+
+
+def newton_reference(x0, ctx, border=None, corrector=False):
+    """`solver.newton_solve` from x0, written plainly on `per_product_forms`.
+
+    Each iterate builds its state, its forms and, with `border` = (a, b,
+    rhs), the bordered system anew; the stop rules are newton_solve's.
+    Returns (x, c, residual history, iterations, message).
+    """
+    x = np.array(x0, dtype=float)
+    n = x.size
+    c = ctx.load.c
+    e = np.concatenate([ctx.tables.u0, np.zeros(n // 2)])
+    hist, growth, steps, message = [], 0, 0, ""
+    limit = solver.CORRECTOR_ITERS if corrector else solver.NEWTON_MAX_ITER
+    while True:
+        state = SolutionState(x, ctx.spec, LoadParams(c, ctx.load.d))
+        g, h, gc = per_product_forms(state, ctx.mat, ctx.tables)
+        if border is not None:
+            a, b, rhs = border
+            g = np.append(g, a * float(e @ x) + b * c - rhs)
+            h = np.block([[h, gc[:, None]], [a * e, b]])
+        gn = float(np.abs(g).max())
+        if not math.isfinite(gn):
+            hist.append(math.inf)
+            message = "residual not finite"
+            break
+        hist.append(gn)
+        if gn <= solver.NEWTON_TOL:
+            l2_min = float(nodal(state, ctx.tables)[5].min())
+            if l2_min <= 0.0:
+                message = f"lambda2 = r/s down to {l2_min:.6g} <= 0 at c = {c}"
+            break
+        if corrector and len(hist) > 1 and gn > solver.CONTRACTION * hist[-2]:
+            message = "residual not halving"
+            break
+        growth = growth + 1 if len(hist) > 1 and gn > hist[-2] else 0
+        if growth >= 3:
+            message = "residual diverging"
+            break
+        if steps >= limit:
+            message = "max_iter exceeded"
+            break
+        try:
+            step = np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            message = "singular tangent matrix"
+            break
+        x = x - step[:n]
+        c_next = c - float(step[n]) if border is not None else c
+        steps += 1
+        if not (np.isfinite(x).all() and math.isfinite(c_next)):
+            message = "iterate not finite"
+            break
+        c = c_next
+    return x, c, hist, steps, message
 
 
 def defect(state, mat: MaterialParams, s):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ritzmem.assembly import (
+    Evaluator,
     functional_value,
     jacobian,
     load_derivative,
-    node_terms,
     p_gradient,
     residual,
 )
@@ -23,7 +23,7 @@ from ritzmem.material import MaterialParams
 from ritzmem.quadrature import auto_rule, gauss_rule
 from ritzmem.solver import solve_membrane
 
-from reference import stiffness_derivs, stiffness_scalar
+from reference import per_product_forms
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
@@ -158,17 +158,34 @@ def test_jacobian_consistency_under_both_loads():
             assert np.max(np.abs(h - fd)) <= 1e-5 * max(np.max(np.abs(h)), 1.0)
 
 
-def test_precomputed_node_terms_change_nothing(gas_m6, liquid_m6):
+def test_one_evaluator_over_many_iterates_equals_the_public_functions(gas_m6,
+                                                                     liquid_m6):
+    # a solve's evaluator overwrites its arrays iterate after iterate; each
+    # iterate must still read what a lone call at its state reads
     rng = np.random.default_rng(127)
     cases = [(gas_m6, GAS, RULE), (liquid_m6, LIQ, auto_rule("adaptive", 17.113)),
              (_random_state(rng, BasisSpec("polynomial", 3), LoadParams(0.5, 10.0)),
               GAS, RULE)]
     for state, mat, rule in cases:
         tables = BasisTables.build(state.spec, rule)
-        terms = node_terms(state, mat, tables)
-        for fn in (residual, jacobian, load_derivative):
-            assert np.array_equal(fn(state, mat, rule, tables, terms),
-                                  fn(state, mat, rule))
+        n = state.x.size
+        plain = Evaluator(tables, mat, state.load.d)
+        bordered = Evaluator(tables, mat, state.load.d, (0.6, 0.8, 1.5))
+        for k in range(3):
+            x = state.x * (1.0 + 0.01 * k)
+            c = state.load.c + 0.1 * k
+            at = SolutionState(x, state.spec, LoadParams(c, state.load.d))
+            g, h = residual(at, mat, rule), jacobian(at, mat, rule)
+            gc = load_derivative(at, mat, rule)
+            plain.at(x, c)
+            bordered.at(x, c)
+            assert np.array_equal(plain.residual(), g)
+            assert np.array_equal(plain.tangent(), h)
+            assert np.array_equal(bordered.residual()[:n], g)
+            hb = bordered.tangent()
+            assert np.array_equal(hb[:n, :n], h)
+            assert np.array_equal(hb[:n, n], gc)
+            assert hb[n].tolist() == [0.6 * e for e in bordered.e] + [0.8]
 
 
 def test_block_structure():
@@ -239,41 +256,6 @@ def test_load_derivative_matches_fd(gas_m6):
     assert np.allclose(gc, fd, rtol=1e-6, atol=1e-10)
 
 
-def _sandwich(a, c, b):
-    return (a * c) @ b.T
-
-
-def _per_product_forms(state, mat, t):
-    """Residual and tangent product by product, on the reference material.
-
-    The nodal shape comes from `node_terms`; the tension coefficients from
-    `stiffness_scalar` and `stiffness_derivs`; each of the tangent's nine
-    weighted products is its own 2-D matmul, summed in assembly order.
-    """
-    _, _, _, dz, dr, l1, l2, q = node_terms(state, mat, t)[:8]
-    su12, su21 = stiffness_scalar(l1, l2, mat), stiffness_scalar(l2, l1, mat)
-    du1, du2 = stiffness_derivs(l1, l2, mat)
-    du1_swap = stiffness_derivs(l2, l1, mat)[0]
-    d = state.load.d
-    w, s = t.w, t.s
-    ws = w * s
-    g = np.concatenate([
-        t.du @ (ws * su12 * dz) - t.u @ (ws * q * l2 * dr),
-        t.dv @ (ws * su12 * dr) + t.v @ (w * su21 * l2 + ws * q * l2 * dz)])
-    h_uu = (_sandwich(t.du, ws * (du1 * dz * dz / l1 + su12), t.du)
-            + _sandwich(t.u, ws * d * l2 * dr, t.u))
-    h_uv = (_sandwich(t.du, ws * du1 * dz * dr / l1, t.dv)
-            + _sandwich(t.du, w * (du2 * dz + s * q * l2), t.v)
-            - _sandwich(t.u, ws * d * l2 * dz, t.v))
-    mid = w * du2 * dr
-    h_vv = (_sandwich(t.dv, ws * (du1 * dr * dr / l1 + su12), t.dv)
-            + (_sandwich(t.dv, mid, t.v) + _sandwich(t.v, mid, t.dv))
-            + _sandwich(t.v, w * (l2 * du1_swap + su21 + q * s * dz) / s, t.v))
-    h = np.block([[0.5 * (h_uu + h_uu.T), h_uv],
-                  [h_uv.T, 0.5 * (h_vv + h_vv.T)]])
-    return g, h
-
-
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(family=st.sampled_from(["polynomial", "adaptive"]),
        m=st.integers(1, 12),
@@ -284,12 +266,15 @@ def _per_product_forms(state, mat, t):
        x=st.lists(st.floats(-0.1, 0.1), min_size=24, max_size=24))
 def test_residual_and_tangent_equal_per_product_forms(family, m, p1, mat, c,
                                                        d, x):
-    # the stacked tension pass and the batched tangent products change no bit
+    # the stacked tension pass, the batched tangent products and the
+    # evaluator's kept arrays change no bit of g, H or dg/dc
     p = (p1,) if family == "adaptive" else ()
     spec = BasisSpec(family, m, p)
     rule = auto_rule(family, p1 if p else None)
     state = SolutionState(np.array(x[:2 * m]), spec, LoadParams(c, d))
     tables = BasisTables.build(spec, rule)
-    g, h = _per_product_forms(state, mat, tables)
+    g, h, gc = per_product_forms(state, mat, tables)
     assert np.array_equal(residual(state, mat, rule, tables), g, equal_nan=True)
     assert np.array_equal(jacobian(state, mat, rule, tables), h, equal_nan=True)
+    assert np.array_equal(load_derivative(state, mat, rule, tables), gc,
+                          equal_nan=True)

@@ -28,7 +28,7 @@ from ritzmem.solver import (
     solve_membrane,
 )
 
-from reference import defect, fold_count
+from reference import defect, fold_count, newton_reference
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
@@ -423,12 +423,54 @@ def test_create_maps_the_family_to_its_spec_and_rule():
 def test_bordered_newton_reports_a_non_finite_load(monkeypatch, gas_m6):
     # LoadParams rejects a NaN load, so the step tests c before it moves
     state, _ = gas_m6
-    monkeypatch.setattr(solver, "load_derivative",
-                        lambda *args, **kwargs: np.full(state.x.size, np.nan))
+    tangent = assembly.Evaluator.tangent
+
+    def nan_dg_dc(self):
+        h = tangent(self)
+        h[:-1, -1] = np.nan
+        return h
+
+    monkeypatch.setattr(assembly.Evaluator, "tangent", nan_dg_dc)
     _, report = newton_solve(state.x, gas_context(6).with_load(1.7),
                              (1.0, 0.0, state.sag() + 0.01))
     assert not report.converged
     assert report.message == "iterate not finite"
+
+
+def _corrector_case():
+    # one arclength step from the gas m = 6 state at c = 1.0, as
+    # continue_in_load takes it
+    base = gas_context(6, c=1.0)
+    state, _ = newton_solve(initial_guess(base), base)
+    tc, tf, ds = 0.6, 0.8, 0.05
+    border = (tf, tc, tf * base.sag(state.x) + tc * 1.0 + ds)
+    return state.x, base.with_load(1.0 + ds * tc), border, True
+
+
+def _start_case(ctx):
+    return initial_guess(ctx), ctx, None, False
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _start_case(gas_context(6)),
+    _corrector_case,
+    lambda: _start_case(SolveContext.create(LIQ, LoadParams(0.5, 10.0), "adaptive",
+                                            6, (17.1,))),
+    lambda: _start_case(SolveContext.create(GAS, LoadParams(2.1), "polynomial", 3)),
+    lambda: (np.array([0.5 / gas_context(1).tables.u0[0], 0.0]),
+             gas_context(1, c=2.5), None, False),
+], ids=["gas", "bordered-corrector", "steep-p17.1", "lambda2-rejected", "max-iter"])
+def test_newton_equals_a_plain_loop_on_the_per_product_forms(case):
+    # the evaluator's kept arrays, its bordered tangent and the load carried
+    # as a number change no bit of the iteration
+    x0, ctx, border, corrector = case()
+    state, report = newton_solve(x0, ctx, border, corrector)
+    x, c, hist, steps, message = newton_reference(x0, ctx, border, corrector)
+    assert state.x.tobytes() == x.tobytes()
+    assert state.load.c == c
+    assert report.residual_history == hist
+    assert (report.iterations, report.message) == (steps, message)
+    assert report.converged == (message == "")
 
 
 @pytest.mark.parametrize("d", [1e30, 1e35])
@@ -958,29 +1000,31 @@ def test_liquid_cli_solve_evaluates_the_profile_three_times(monkeypatch, tmp_pat
 
 @pytest.fixture
 def tension_calls(monkeypatch):
-    # tension values, tension partials and tangents, one list of calls each
+    # tension values, once per evaluated iterate, and tension partials, once
+    # per assembled tangent: one list of calls each
     return (_counter(monkeypatch, assembly, "tension_values"),
-            _counter(monkeypatch, assembly, "tension_partials"),
-            _counter(monkeypatch, solver, "jacobian"))
+            _counter(monkeypatch, assembly, "tension_partials"))
 
 
 @pytest.mark.parametrize("mat, load, family, builds, tensions", [
     (GAS, LoadParams(1.7), "polynomial", 1, 11),
     (LIQ, LoadParams(0.5, 10.0), "adaptive", 11, 77),
 ])
-def test_solves_build_tables_once_per_basis(build_calls, tension_calls, mat,
-                                            load, family, builds, tensions):
+def test_solves_build_tables_once_per_basis(build_calls, tension_calls,
+                                            newton_reports, mat, load, family,
+                                            builds, tensions):
     # the small-system guess and the basis-size ladder slice the tables of
     # the context they start from, and the p search starts on the tables of
     # its context; only a new steepness builds new ones.  Every iterate
-    # evaluates the tension values, and only one that assembles a tangent
-    # their partials: not a converged one, nor the p gradient
+    # evaluates the tension values, and only one that assembles a tangent,
+    # one per Newton step, their partials: not a converged one, nor the p
+    # gradient
     _, report = solve_membrane(mat, load, family, 6)
     assert report.converged
     assert len(build_calls) == builds
-    values, partials, tangents = tension_calls
+    values, partials = tension_calls
     assert len(values) == tensions
-    assert len(partials) == len(tangents) < tensions
+    assert len(partials) == sum(rep.iterations for *_, rep in newton_reports) < tensions
 
 
 def test_polynomial_tables_are_built_once_per_process(build_calls):
@@ -997,7 +1041,7 @@ def test_polynomial_tables_are_built_once_per_process(build_calls):
 
 
 def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
-                                                tension_calls):
+                                                tension_calls, newton_reports):
     # the start guess slices the tables and every sag reads the pole values
     # kept with them, so a sweep on a built context evaluates no generator
     ctx = gas_context(6, c=0.1)
@@ -1007,9 +1051,9 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
     assert len(points) > 2
     assert build_calls == []
     assert generator_calls == []
-    values, partials, tangents = tension_calls
+    values, partials = tension_calls
     assert len(values) == 113
-    assert len(partials) == len(tangents) < 113
+    assert len(partials) == sum(rep.iterations for *_, rep in newton_reports) < 113
     for pt in points:
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
