@@ -37,8 +37,6 @@ from .solver import (
     SolveReport,
     StepPolicy,
     _defect_terms,
-    _generator_blocks,
-    _table_shape,
     continue_in_load,
     solve_ladder,
     solve_membrane,
@@ -244,14 +242,12 @@ def profile_rows(state, mat: MaterialParams):
     """Profile table on a 201-point grid including both ends, with delta
     as the solver's diagnostic defines it (raw at zero load).
 
-    The generators on the grid come from one pass at exactly those points,
-    as `eval_shape` makes it (`solver._generator_blocks`): the polynomial
-    ones are kept per process, the steep ones change with p.
+    The columns are the solver's one strong-form pass (`_defect_terms`) on
+    the grid alone, on the generators of one pass at exactly those points:
+    the polynomial ones are kept per process, the steep ones change with p.
     """
-    s = _PROFILE_S
-    shape = _table_shape(state, s, _generator_blocks(state.spec, [s])[0])
-    shape, l1, l2, t1, t2, delta = _defect_terms(state, mat, s, shape)
-    return np.column_stack([s, shape.z, shape.r, shape.dz, shape.dr,
+    shape, l1, l2, t1, t2, delta = _defect_terms(state, mat, (_PROFILE_S,))
+    return np.column_stack([_PROFILE_S, shape.z, shape.r, shape.dz, shape.dr,
                             l1, l2, t1, t2, delta])
 
 
@@ -358,6 +354,8 @@ def run_sweep(cfg: RunConfig) -> int:
         raise ConfigError("c_step must be positive")
     if not math.isfinite(cfg.c_end - cfg.c_start):
         raise ConfigError("c_end - c_start must be finite")
+    if cfg.family == "adaptive" and cfg.p is None:
+        raise ConfigError("sweep on the steep family needs fixed p")
     cfg.out.mkdir(parents=True, exist_ok=True)
     header = "c,f,stability_hint\n"
     if cfg.c_start == cfg.c_end:
@@ -366,8 +364,6 @@ def run_sweep(cfg: RunConfig) -> int:
     step = cfg.c_step
     if step is None:
         step = abs(cfg.c_end - cfg.c_start) / 20.0
-    if cfg.family == "adaptive" and cfg.p is None:
-        raise ConfigError("sweep on the steep family needs fixed p")
     try:
         ctx = SolveContext.create(cfg.mat, LoadParams(cfg.c_start, cfg.d),
                                   cfg.family, cfg.m, cfg.p, cfg.quad)

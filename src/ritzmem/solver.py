@@ -28,10 +28,13 @@ case.  It builds the fixed basis once, at the largest size, solves the
 m = 1 start once (`initial_guess`, which every start calls, a sweep's
 too), and runs each size, then the basis-size ladder on failure, on views
 of those tables (`SolveContext.head`); the pole sag is read from them.
-The equilibrium defect has one formula, `_defect_terms`: scaled by the
-load, raw at zero load.  It runs only where it is read: `solve_ladder`
-evaluates it once per returned state (`delta_diagnostic`), on a table of
-the generators on the grid and at the probes (`defect_table`).  A fixed
+The strong form has one pass, `_defect_terms`: each set of points (the
+defect grid, the probes, the CLI's profile grid) takes its shape from its
+block of one generator table, and the stretches, tensions, curvatures and
+the defect, scaled by the load and raw at zero load, run once on the
+joined shape.  It runs only where it is read: `solve_ladder` evaluates the
+defect once per returned state (`delta_diagnostic`), on a table of the
+generators on the grid and at the probes (`defect_table`).  A fixed
 basis builds that table once per ladder, in one generator pass at the
 largest size, and every size reads its first m rows, which also give the
 shape at the probes (`SolveReport.shape_at`).  No load, material or state
@@ -150,26 +153,6 @@ class ContinuationPoint:
     stability_hint: int = 0
 
 
-def _defect_terms(state: SolutionState, mat: MaterialParams, s,
-                  shape: ShapeEval | None = None):
-    """Shape, stretches, tensions and the equilibrium defect at the points s.
-
-    Returns (shape, lambda1, lambda2, T1, T2, delta) at the points s, from
-    the given `shape` there if any, with the defect of the normal
-    equilibrium scaled by the load, delta = |k1 T1 + k2 T2 - Q| / |c|; at
-    zero load there is no scale and delta is the raw defect.  The pole uses
-    the limit values of lambda2 and k2.
-    """
-    if shape is None:
-        shape = eval_shape(state, s, second=True)
-    l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
-    t1, t2 = principal_stresses(l1, l2, mat)
-    k1, k2 = curvatures(s, shape)
-    c = state.load.c
-    defect = np.abs(k1 * t1 + k2 * t2 - hydro_load(shape.z, c, state.load.d))
-    return shape, l1, l2, t1, t2, defect / abs(c) if c != 0.0 else defect
-
-
 def _points(probes) -> np.ndarray:
     """Probe points, any iterable of numbers, as a float array.  A point
     that is not in [0, 1], NaN and inf included, raises `ValueError`
@@ -250,25 +233,45 @@ def _table_shape(state: SolutionState, s, gen) -> ShapeEval:
     return _shape(state, s, [g[:state.spec.m] for g in gen], second=True)
 
 
+def _defect_terms(state: SolutionState, mat: MaterialParams, sets, table=None):
+    """Shape, stretches, tensions and the equilibrium defect at the points
+    of each array in `sets`: the one strong-form pass of every diagnostic.
+
+    Each set takes its shape from the first m rows of its block of `table`,
+    a generator table at the basis of `state` or at a larger size of it,
+    one block per set as `_generator_blocks` gives it (that of
+    `state.spec` at `sets` if none is given).  The stretches, tensions and
+    curvatures then run once, on the joined shape.  Returns (shape,
+    lambda1, lambda2, T1, T2, delta) at the joined points, with the defect
+    of the normal equilibrium scaled by the load, delta = |k1 T1 + k2 T2 -
+    Q| / |c|; at zero load there is no scale and delta is the raw defect.
+    The pole uses the limit values of lambda2 and k2.
+    """
+    if table is None:
+        table = _generator_blocks(state.spec, sets)
+    blocks = [_table_shape(state, s, gen) for s, gen in zip(sets, table)]
+    shape = ShapeEval(*(np.concatenate([getattr(b, f) for b in blocks])
+                        for f in _SHAPE_FIELDS))
+    s = np.concatenate(sets)
+    l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
+    t1, t2 = principal_stresses(l1, l2, mat)
+    k1, k2 = curvatures(s, shape)
+    c = state.load.c
+    defect = np.abs(k1 * t1 + k2 * t2 - hydro_load(shape.z, c, state.load.d))
+    return shape, l1, l2, t1, t2, defect / abs(c) if c != 0.0 else defect
+
+
 def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=(),
                      table=None):
     """Equilibrium defect at the probes and over the interior grid.
 
     Returns (delta at each probe, max over a 101-point interior grid), with
-    delta as in `_defect_terms`.  The shape comes from `table`, the
-    `defect_table` of these probes at the basis of `state` or at a larger
-    size of it, built in one generator pass if none is given; each set of
-    points has its own contiguous block, as a separate `eval_shape` would,
-    and the stretches, tensions and curvatures then run once, on the
-    joined shape.  A probe outside [0, 1] raises `ValueError`.
+    delta as in `_defect_terms`, from one pass over the grid and the probes
+    on `table`, the `defect_table` of these probes at the basis of `state`
+    or at a larger size of it, that of `state.spec` if none is given.  A
+    probe outside [0, 1] raises `ValueError`.
     """
-    probes = _points(probes)
-    if table is None:
-        table = defect_table(state.spec, probes)
-    blocks = [_table_shape(state, s, gen) for s, gen in zip((_GRID, probes), table)]
-    shape = ShapeEval(*(np.concatenate([getattr(b, f) for b in blocks])
-                        for f in _SHAPE_FIELDS))
-    delta = _defect_terms(state, mat, np.concatenate([_GRID, probes]), shape)[-1]
+    delta = _defect_terms(state, mat, (_GRID, _points(probes)), table)[-1]
     return delta[DELTA_GRID:], float(np.max(delta[:DELTA_GRID]))
 
 
@@ -447,7 +450,8 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
     Points are (c, sag, x) with a stability hint from the local slope
     dc/df; the first is the state `solve_membrane` returns at c_start.  The
     path is followed by arclength, so past a fold the load values along it
-    are not monotone.
+    are not monotone.  From c_start = 0 the first step starts from
+    `initial_guess` at its load, since the flat state's tangent is singular.
     """
     policy = policy or StepPolicy()
     direction = 1.0 if c_end >= c_start else -1.0
@@ -467,13 +471,14 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             dx = (last.x - prev.x) / sigma
         else:
             tc, tf, dx = direction, 0.0, 0.0
-        if direction * (last.c_value + ds * tc - c_end) > 0.0:
-            state, rep = newton_solve(last.x + (c_end - last.c_value) / tc * dx,
-                                      ctx.with_load(c_end), corrector=True)
+        if direction * (last.c_value + ds * tc - c_end) > 0.0:  # a landing
+            x, c, border = last.x + (c_end - last.c_value) / tc * dx, c_end, None
         else:
-            state, rep = newton_solve(
-                last.x + ds * dx, ctx.with_load(last.c_value + ds * tc),
-                (tf, tc, tf * last.sag + tc * last.c_value + ds), corrector=True)
+            x, c = last.x + ds * dx, last.c_value + ds * tc
+            border = (tf, tc, tf * last.sag + tc * last.c_value + ds)
+        if c_start == 0.0 and len(points) == 1:
+            x = initial_guess(ctx.with_load(c))
+        state, rep = newton_solve(x, ctx.with_load(c), border, corrector=True)
         if rep.converged and direction * (state.load.c - c_end) <= 0.0:
             points.append(ContinuationPoint(state.load.c, ctx.sag(state.x),
                                             state.x.copy()))
@@ -496,21 +501,20 @@ def init_p1(prev: SolutionState | None, mat: MaterialParams,
 
     p1 ~ sqrt(d * lambda1**2 |cos alpha| / T1) evaluated at s = 1, which
     matches the boundary-layer width the profile must resolve.  Without a
-    usable previous state, fall back to sqrt(d).
+    usable previous state, fall back to sqrt(d).  Like every step of the p
+    search, it is at least P_MIN, below which the generators degenerate.
     """
     if load.d <= 0.0:
         raise ValueError("steep family needs d > 0; use the polynomial family")
-    fallback = math.sqrt(load.d)
-    if prev is None:
-        return fallback
-    shape = eval_shape(prev, np.array(1.0))
-    l1 = float(np.hypot(shape.dz, shape.dr))
-    t1, _ = principal_stresses(l1, 1.0, mat)
-    t1 = float(t1)
-    if not (t1 > 1e-12 and l1 > 0.0):
-        return fallback
-    cos_a = abs(float(shape.dr)) / l1
-    return math.sqrt(load.d * l1 * l1 * cos_a / t1)
+    p1 = math.sqrt(load.d)
+    if prev is not None:
+        shape = eval_shape(prev, np.array(1.0))
+        l1 = float(np.hypot(shape.dz, shape.dr))
+        t1 = float(principal_stresses(l1, 1.0, mat)[0])
+        if t1 > 1e-12 and l1 > 0.0:
+            cos_a = abs(float(shape.dr)) / l1
+            p1 = math.sqrt(load.d * l1 * l1 * cos_a / t1)
+    return max(P_MIN, p1)
 
 
 # The p search stops at an energy gradient of P_TOL relative to the energy,
@@ -758,14 +762,13 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
         except SolveFailure as exc:
             results.append(exc.with_traceback(None))
             continue
-        if rep.converged:
-            if table is None or not fixed:
-                table = defect_table(top.spec if fixed else state.spec, probes)
-            at, rep.delta_max = delta_diagnostic(state, mat, probes, table)
-            if probe is not None:
-                rep.delta_at = at.reshape(np.shape(probe)).tolist()
-                shape = _table_shape(state, probes, table[1])
-                rep.shape_at = tuple(np.reshape([getattr(shape, f) for f in _SHAPE_FIELDS],
-                                                (6,) + np.shape(probe)).tolist())
+        if table is None or not fixed:
+            table = defect_table(top.spec if fixed else state.spec, probes)
+        at, rep.delta_max = delta_diagnostic(state, mat, probes, table)
+        if probe is not None:
+            rep.delta_at = at.reshape(np.shape(probe)).tolist()
+            shape = _table_shape(state, probes, table[1])
+            rep.shape_at = tuple(np.reshape([getattr(shape, f) for f in _SHAPE_FIELDS],
+                                            (6,) + np.shape(probe)).tolist())
         results.append((state, rep))
     return results

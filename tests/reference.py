@@ -6,10 +6,12 @@ and its partials one argument order at a time, expression by expression;
 for bit.  `per_product_forms` assembles the residual, the tangent and dg/dc
 from them one weighted product at a time, and `newton_reference` runs
 `solver.newton_solve`'s iteration on those forms; the assembly and Newton
-must agree with them bit for bit.  `defect` is the equilibrium defect of a
-lone pass over the points it is given, which `solver.delta_diagnostic` must
-give bit for bit at its probes and grid.  `fold_count` counts the folds of
-a load path.
+must agree with them bit for bit.  `strong_form` evaluates the shape, the
+stretches, the tensions and the equilibrium defect at the points it is
+given, from `eval_shape` and the kinematics and material functions, apart
+from the solver's strong-form pass; `solver.delta_diagnostic` must give its
+`defect` bit for bit at its probes and grid, and `cli.profile_rows` its
+columns.  `fold_count` counts the folds of a load path.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import math
 import numpy as np
 
 from ritzmem import solver
-from ritzmem.basis import SolutionState
-from ritzmem.kinematics import LoadParams, hydro_load
-from ritzmem.material import MaterialParams, energy_derivs
-from ritzmem.solver import _defect_terms
+from ritzmem.basis import SolutionState, eval_shape
+from ritzmem.kinematics import LoadParams, curvatures, hydro_load, stretches
+from ritzmem.material import MaterialParams, energy_derivs, principal_stresses
 
 
 def stiffness_scalar(la, lb, mat: MaterialParams):
@@ -161,9 +162,25 @@ def newton_reference(x0, ctx, border=None, corrector=False):
     return x, c, hist, steps, message
 
 
+def strong_form(state, mat: MaterialParams, s):
+    """(shape, lambda1, lambda2, T1, T2, delta) at the points s alone.
+
+    delta = |k1 T1 + k2 T2 - Q| / |c|, raw at zero load, with the pole
+    limits of lambda2 and k2.
+    """
+    s = np.asarray(s, dtype=float)
+    shape = eval_shape(state, s, second=True)
+    l1, l2, _ = stretches(s, shape.r, shape.dz, shape.dr, pole_limit=True)
+    t1, t2 = principal_stresses(l1, l2, mat)
+    k1, k2 = curvatures(s, shape)
+    c = state.load.c
+    delta = np.abs(k1 * t1 + k2 * t2 - hydro_load(shape.z, c, state.load.d))
+    return shape, l1, l2, t1, t2, delta / abs(c) if c != 0.0 else delta
+
+
 def defect(state, mat: MaterialParams, s):
     """delta at the points s alone, from a shape evaluated at them only."""
-    return _defect_terms(state, mat, np.asarray(s, dtype=float))[-1]
+    return strong_form(state, mat, s)[-1]
 
 
 def fold_count(points) -> int:

@@ -33,6 +33,8 @@ from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
 from ritzmem.solver import delta_diagnostic, solve_membrane
 
+from reference import strong_form
+
 GAS_KV = """\
 # circular membrane under gas pressure
 gamma1 = 0.02
@@ -274,6 +276,10 @@ def test_exit_code_2_on_config_errors(tmp_path):
     ("converge", "family = adaptive", []),
     # the table has one probe column, so a second probe is an error, not dropped
     ("converge", "probes = 0.2 0.9", []),
+    # a steep sweep without p is rejected before the output directory is
+    # made, and before an empty load range writes a header-only curve
+    ("sweep", "family = adaptive\nd = 10\nc_start = 0.1\nc_end = 1.0", []),
+    ("sweep", "family = adaptive\nd = 10\nc_start = 0.5\nc_end = 0.5", []),
 ])
 def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
     cfg = write_cfg(tmp_path, GAS_KV + extra + "\n")
@@ -298,6 +304,16 @@ def test_steep_solve_beyond_double_precision_exits_3(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     assert "p1 = " in json.loads((out / "report.json").read_text())["message"]
+
+
+def test_steep_search_at_tiny_d_exits_3(tmp_path):
+    # the steepness start sqrt(d) = 1e-6 is below P_MIN; this used to end
+    # in a traceback with exit code 1 and no report
+    cfg = write_cfg(tmp_path, "gamma1 = 0.1\nc = 0.5\nd = 1e-12\nfamily = adaptive\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["message"] == "inner solve failed at the starting parameters"
 
 
 def test_exit_code_3_still_writes_report(tmp_path):
@@ -508,6 +524,16 @@ def test_sweep_with_a_step_below_the_resolution_of_c(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) in (0, 3)
 
 
+def test_sweep_from_zero_load(tmp_path):
+    cfg = write_cfg(tmp_path, SWEEP_KV + "c_start = 0\nc_end = 0.5\nm = 6\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "loadsag.csv")
+    assert rows[0, :2].tolist() == [0.0, 0.0] and rows[-1, 0] == 0.5
+    assert rows[-1, 1] == pytest.approx(0.3709397478679, abs=1e-12)
+    assert np.all(np.diff(rows[:, 1]) > 0.0)
+
+
 def test_sweep_empty_range(tmp_path):
     cfg = write_cfg(tmp_path, "c_start = 0.7\nc_end = 0.7\n")
     out = tmp_path / "out"
@@ -652,6 +678,30 @@ def test_calls_in_one_process_write_what_fresh_processes_write(monkeypatch, tmp_
         for name in ("solution.json", "profile.csv", "report.json"):
             assert ((tmp_path / f"in{i}" / name).read_bytes()
                     == (tmp_path / f"fresh{fresh}" / name).read_bytes())
+
+
+@pytest.fixture(scope="module")
+def solved_states():
+    gas_mat, liq_mat = MaterialParams(0.02, -0.015, 0.00025), MaterialParams(0.1)
+    gas, _ = solve_membrane(gas_mat, LoadParams(1.7), "polynomial", 6)
+    steep, _ = solve_membrane(liq_mat, LoadParams(0.5, 10.0), "adaptive", 6, p=(17.1,))
+    return {"gas-1.7": (gas, gas_mat),
+            "zero-load": (SolutionState(gas.x, gas.spec, LoadParams(0.0)), gas_mat),
+            "steep-17.1": (steep, liq_mat)}
+
+
+@pytest.mark.parametrize("case", ["gas-1.7", "zero-load", "steep-17.1"])
+def test_profile_rows_are_the_reference_strong_form(solved_states, case):
+    # the profile's one strong-form pass has the bits of the independent
+    # route: eval_shape at the grid, then the kinematics and material
+    # functions; at zero load the defect is raw
+    state, mat = solved_states[case]
+    rows = profile_rows(state, mat)
+    s = np.linspace(0.0, 1.0, rows.shape[0])
+    shape, l1, l2, t1, t2, delta = strong_form(state, mat, s)
+    want = [s, shape.z, shape.r, shape.dz, shape.dr, l1, l2, t1, t2, delta]
+    assert [col.tobytes() for col in rows.T] == [w.tobytes() for w in want]
+    assert np.max(delta) > 0.0
 
 
 @pytest.mark.parametrize("spec, c", [

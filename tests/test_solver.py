@@ -252,6 +252,16 @@ def test_init_p1_rejects_unweighted_load():
         init_p1(None, LIQ, LoadParams(0.5))
 
 
+@pytest.mark.parametrize("d", [1e-12, 1e-8])
+def test_steep_search_at_tiny_d_is_a_solve_failure(d):
+    # sqrt(d) is below P_MIN here, and the steepness start used to raise
+    # BasisSpec's ValueError; it now starts at P_MIN, where the inner solve
+    # fails
+    assert init_p1(None, LIQ, LoadParams(0.5, d)) == basis.P_MIN
+    with pytest.raises(SolveFailure, match="inner solve failed at the starting"):
+        solve_membrane(LIQ, LoadParams(0.5, d), "adaptive", 6)
+
+
 def test_init_p1_lands_near_optimum(liquid_m6):
     state, report = liquid_m6
     guess = init_p1(state, LIQ, state.load)
@@ -513,6 +523,19 @@ def test_sweep_in_sag_steps_ends_at_c_end(d, m, c_start, c_end, step):
     assert points[-1].c_value == c_end
     sags = np.array([pt.sag for pt in points])
     assert np.all(np.diff(sags) * (c_end - c_start) > 0.0)
+
+
+def test_sweep_from_zero_load_is_odd_in_the_load():
+    # every first corrector used to start from the flat state, whose
+    # tangent is singular, and the sweep stalled at c = 0.0, f = 0.0
+    up, down = (continue_in_load(gas_context(6, c=0.0), 0.0, c_end)
+                for c_end in (0.5, -0.5))
+    assert up[-1].c_value == 0.5 and down[-1].c_value == -0.5
+    assert up[-1].sag == pytest.approx(0.3709397478679253, abs=1e-12)
+    assert len(up) == len(down)
+    for a, b in zip(up, down):
+        assert abs(a.c_value + b.c_value) <= 1e-12 and abs(a.sag + b.sag) <= 1e-12
+    assert np.all(np.diff([pt.sag for pt in up]) > 0.0)
 
 
 def test_failed_landing_is_a_failed_step():
