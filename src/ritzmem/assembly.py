@@ -18,7 +18,12 @@ partials of U only for an iterate that assembles a tangent, so a
 converged iterate, a corrector that gave up and `p_gradient` evaluate
 none.  The public functions evaluate one state each, on an evaluator of
 their own.  The evaluator's matrix-vector products call `ndarray.dot`,
-which makes the BLAS call of `@` with less dispatch, bit for bit.
+which makes the BLAS call of `@` with less dispatch, bit for bit.  An
+iterate passes no Python float to a ufunc: the literals, the energy
+coefficients and d are read-only float64 0-d arrays (`material._const`),
+with the same bits and without numpy's conversion of a Python float on
+every call.  Nor does it slice: the evaluator makes the views it writes
+through once, the tangent's on its first call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ import numpy as np
 
 from .basis import BasisTables, SolutionState, _shape_p
 from .kinematics import hydro_load
-from .material import MaterialParams, energy, tension_partials, tension_values
+from .material import (ONE, MaterialParams, _const, energy, tension_partials,
+                       tension_values)
+
+HALF = _const(0.5)
 
 
 class Evaluator:
@@ -43,23 +51,27 @@ class Evaluator:
     column dg/dc and the row).  The tangent is nine row-weighted products
     A diag(c) B^T, one batched matmul over the generator pairs of
     `BasisTables.left` and `right_t` with the weight rows c of one (9, n)
-    array, summed block by block.  The coupling block is built once and
-    set in both places, and the matrix is mirrored as (H + H^T) / 2, which
-    symmetrizes the diagonal blocks and leaves the coupling blocks exact.
-    The v-v curvature coefficient uses the swap identity dU/db(a,b) =
-    (b/a) dU/db(b,a), so the mirrored matrix equals the exact coefficient
-    Jacobian of the residual up to quadrature error.
+    array, summed block by block.  Those rows, the (9, m, m) products and
+    every view of them and of H are made by the first tangent and kept
+    (`_buffers`), so a lone residual makes none of them.  The coupling
+    block is built once and set in both places, and the matrix is mirrored
+    as (H + H^T) / 2, which symmetrizes the diagonal blocks and leaves the
+    coupling blocks exact.  The v-v curvature coefficient uses the swap
+    identity dU/db(a,b) = (b/a) dU/db(b,a), so the mirrored matrix equals
+    the exact coefficient Jacobian of the residual up to quadrature error.
     """
 
     def __init__(self, tables: BasisTables, mat: MaterialParams, d: float,
                  border: tuple | None = None):
         m = tables.u.shape[0]
         n = 2 * m + (border is not None)
-        self.tables, self.mat, self.d, self.m, self.border = tables, mat, d, m, border
-        self.wd = tables.ws * d
+        self.tables, self.mat, self.m, self.border = tables, mat, m, border
+        self.d = _const(d)
+        self.wd = tables.ws * self.d
         self.g = np.empty(n)
         self.h = np.empty((n, n))
-        self.rows = np.empty((9, tables.s.size))
+        self.g_halves = self.g[:m], self.g[m:2 * m]
+        self.buffers = None  # the tangent's, made by its first call
         if border is not None:
             self.e = np.concatenate([tables.u0, np.zeros(m)])
             self.h[-1, :-1] = border[0] * self.e
@@ -73,7 +85,7 @@ class Evaluator:
         z = xu.dot(t.u)
         dz = xu.dot(t.du)
         r = t.s + xv.dot(t.v)
-        dr = 1.0 + xv.dot(t.dv)
+        dr = ONE + xv.dot(t.dv)
         return z, r, dz, dr, np.hypot(dz, dr), r / t.s, hydro_load(z, c, self.d)
 
     def at(self, x, c) -> None:
@@ -84,57 +96,77 @@ class Evaluator:
 
     def residual(self) -> np.ndarray:
         """The residual g at the iterate of `at`, the bordered row last."""
-        t, m, g, dz, dr, l2 = self.tables, self.m, self.g, self.dz, self.dr, self.l2
+        t, g, dz, dr, l2 = self.tables, self.g, self.dz, self.dr, self.l2
+        g_u, g_v = self.g_halves
         ws = t.ws
         wsu = ws * self.su12
         wql = ws * self.q * l2
-        np.subtract(t.du.dot(wsu * dz), t.u.dot(wql * dr), out=g[:m])
+        np.subtract(t.du.dot(wsu * dz), t.u.dot(wql * dr), out=g_u)
         np.add(t.dv.dot(wsu * dr), t.v.dot(t.w * self.su21 * l2 + wql * dz),
-               out=g[m:2 * m])
+               out=g_v)
         if self.border is not None:
             a, b, rhs = self.border
             g[-1] = a * float(self.e.dot(self.x)) + b * self.c - rhs
         return g
 
+    def _buffers(self) -> tuple:
+        """The tangent's arrays and its views of them, made once: the nine
+        weight rows, the nine products with their blocks, the blocks of H
+        with the square part and its transpose, and the halves of the
+        bordered column."""
+        t, m, h = self.tables, self.m, self.h
+        n = 2 * m
+        rows = np.empty((9, t.s.size))
+        prod = np.empty((9, m, m))
+        h_uv, hx = h[:m, m:n], h[:n, :n]
+        column = (h[:m, n], h[m:n, n]) if self.border is not None else None
+        return (*rows, rows[:, None, :], prod, *prod,
+                h[:m, :m], h_uv, h[m:n, :m], h_uv.T, h[m:n, m:n], hx, hx.T,
+                column)
+
     def tangent(self) -> np.ndarray:
         """The tangent at the iterate of `at`, bordered if the solve is;
         the partials of U are evaluated here, once."""
+        if self.buffers is None:
+            self.buffers = self._buffers()
+        (c0, c1, c2, c3, c4, c5, c6, c7, c8, rows_3d, prod,
+         p0, p1, p2, p3, p4, p5, p6, p7, p8,
+         h_uu, h_uv, h_vu, h_uv_t, h_vv, hx, hx_t, column) = self.buffers
         du1, du2, du1_swap = tension_partials(self.parts)
-        t, m, h, c = self.tables, self.m, self.h, self.rows
+        t = self.tables
         dz, dr, l1, l2, su12 = self.dz, self.dr, self.l1, self.l2, self.su12
         w, s, ws = t.w, t.s, t.ws
         wdl = self.wd * l2
         sq = s * self.q
         # one weight row per generator pair (A, B), in the order of the tables
-        np.multiply(ws, du1 * dz * dz / l1 + su12, out=c[0])                # u'  u'
-        np.multiply(wdl, dr, out=c[1])                                      # u   u
-        np.divide(ws * du1 * dz * dr, l1, out=c[2])                         # u'  v'
-        np.multiply(w, du2 * dz + sq * l2, out=c[3])                        # u'  v
-        np.multiply(wdl, dz, out=c[4])                                      # u   v
-        np.multiply(ws, du1 * dr * dr / l1 + su12, out=c[5])                # v'  v'
-        np.multiply(w * du2, dr, out=c[6])                                  # v'  v
-        c[7] = c[6]                                                         # v   v'
-        np.divide(w * (l2 * du1_swap + self.su21 + sq * dz), s, out=c[8])   # v   v
-        p = (t.left * c[:, None, :]) @ t.right_t
+        np.multiply(ws, du1 * dz * dz / l1 + su12, out=c0)                  # u'  u'
+        np.multiply(wdl, dr, out=c1)                                        # u   u
+        np.divide(ws * du1 * dz * dr, l1, out=c2)                           # u'  v'
+        np.multiply(w, du2 * dz + sq * l2, out=c3)                          # u'  v
+        np.multiply(wdl, dz, out=c4)                                        # u   v
+        np.multiply(ws, du1 * dr * dr / l1 + su12, out=c5)                  # v'  v'
+        np.multiply(w * du2, dr, out=c6)                                    # v'  v
+        c7[...] = c6                                                        # v   v'
+        np.divide(w * (l2 * du1_swap + self.su21 + sq * dz), s, out=c8)     # v   v
+        np.matmul(t.left * rows_3d, t.right_t, out=prod)
 
-        n = 2 * m
-        np.add(p[0], p[1], out=h[:m, :m])
-        np.subtract(p[2] + p[3], p[4], out=h[:m, m:n])
-        h[m:n, :m] = h[:m, m:n].T
-        np.add(p[5] + (p[6] + p[7]), p[8], out=h[m:n, m:n])
-        hx = h[:n, :n]
-        hx += hx.T
-        hx *= 0.5
-        if self.border is not None:
-            self.dg_dc(dz, dr, l2, h[:n, n])
-        return h
+        np.add(p0, p1, out=h_uu)
+        np.subtract(p2 + p3, p4, out=h_uv)
+        h_vu[...] = h_uv_t
+        np.add(p5 + (p6 + p7), p8, out=h_vv)
+        hx += hx_t
+        hx *= HALF
+        if column is not None:
+            self.dg_dc(dz, dr, l2, column)
+        return self.h
 
     def dg_dc(self, dz, dr, l2, out) -> None:
-        """dg/dc at the nodal shape (z', r', l2), written into `out`."""
-        t, m = self.tables, self.m
+        """dg/dc at the nodal shape (z', r', l2), written into the pair of
+        arrays `out`, its u and v halves."""
+        t = self.tables
         wl = t.ws * l2
-        np.negative(t.u.dot(wl * dr), out=out[:m])
-        out[m:] = t.v.dot(wl * dz)
+        np.negative(t.u.dot(wl * dr), out=out[0])
+        out[1][...] = t.v.dot(wl * dz)
 
 
 def _evaluator(state: SolutionState, mat: MaterialParams, rule,
@@ -190,7 +222,7 @@ def load_derivative(state: SolutionState, mat: MaterialParams, rule,
     ev = _evaluator(state, mat, rule, tables)
     _, _, dz, dr, _, l2, _ = ev.nodal(state.x, state.load.c)
     out = np.empty(state.x.size)
-    ev.dg_dc(dz, dr, l2, out)
+    ev.dg_dc(dz, dr, l2, (out[:ev.m], out[ev.m:]))
     return out
 
 

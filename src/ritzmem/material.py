@@ -14,8 +14,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+def _const(value) -> np.ndarray:
+    """`value` as a read-only float64 0-d array.  As a ufunc operand it has
+    the bits of the Python float, without the conversion numpy makes of a
+    Python float on every call (NEP 50)."""
+    out = np.array(value, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+ONE, TWO, THREE, FOUR = map(_const, (1.0, 2.0, 3.0, 4.0))
 
 
 @dataclass(frozen=True)
@@ -30,6 +43,14 @@ class MaterialParams:
         if not all(map(math.isfinite, (self.gamma1, self.gamma2, self.gamma3))):
             raise ValueError(f"material coefficients must be finite, got {self}")
 
+    @cached_property
+    def _w_coefs(self):
+        """(gamma1, 2 gamma2, 3 gamma3, 6 gamma3) as read-only 0-d arrays,
+        made once per material.  Each product is rounded as a Python float
+        product, as in the expression 2.0 * gamma2 * e1."""
+        return tuple(map(_const, (self.gamma1, 2.0 * self.gamma2,
+                                  3.0 * self.gamma3, 6.0 * self.gamma3)))
+
 
 def energy(i1, i2, mat: MaterialParams):
     """Strain energy density at the given invariants."""
@@ -41,14 +62,15 @@ def energy(i1, i2, mat: MaterialParams):
 def energy_derivs(i1, mat: MaterialParams):
     """The nonzero first and second partials of the energy in the invariants.
 
-    Returns (W1, W2, W11).  The Bidermann form is linear in I2, so W2 is the
-    scalar gamma1 whatever I2 is, and the cross and I2-squared partials W12
-    and W22 vanish.
+    Returns (W1, W2, W11).  The Bidermann form is linear in I2, so W2 is
+    gamma1 whatever I2 is, as a read-only 0-d array, and the cross and
+    I2-squared partials W12 and W22 vanish.
     """
-    e1 = i1 - 3.0
-    w1 = 1.0 + 2.0 * mat.gamma2 * e1 + 3.0 * mat.gamma3 * e1 * e1
-    w11 = 2.0 * mat.gamma2 + 6.0 * mat.gamma3 * e1
-    return w1, mat.gamma1, w11
+    g1, g2x2, g3x3, g3x6 = mat._w_coefs
+    e1 = i1 - THREE
+    w1 = ONE + g2x2 * e1 + g3x3 * e1 * e1
+    w11 = g2x2 + g3x6 * e1
+    return w1, g1, w11
 
 
 def principal_stresses(lambda1, lambda2, mat: MaterialParams):
@@ -87,11 +109,11 @@ def tension_values(l1, l2, mat: MaterialParams):
     las = la * la
     lbs = las[::-1].copy()  # contiguous: a reversed view is slower to read
     l12s = las[0] * las[1]
-    i1 = las[0] + las[1] + 1.0 / l12s
+    i1 = las[0] + las[1] + ONE / l12s
     w1, w2, w11 = energy_derivs(i1, mat)
     las2 = las * las
     den = las2 * lbs
-    a = 1.0 - 1.0 / den
+    a = ONE - ONE / den
     b = w1 + lbs * w2
     su = a * b
     return su[0], su[1], (la, las, lbs, l12s, las2, den, a, b, w2, w11)
@@ -106,10 +128,10 @@ def tension_partials(parts):
     it serves.  Each partial reuses the products its value already formed.
     """
     la, las, lbs, l12s, las2, den, a, b, w2, w11 = parts
-    two_l = 2.0 * la
+    two_l = TWO * la
     l2 = la[1]
-    du_a = (4.0 / (las2 * la * lbs) * b
-            + a * w11 * (two_l - 2.0 / (las * la * lbs)))
-    du2 = (2.0 / (den[0] * l2) * b[0]
-           + a[0] * (w11 * (two_l[1] - 2.0 / (l12s * l2)) + two_l[1] * w2))
+    du_a = (FOUR / (las2 * la * lbs) * b
+            + a * w11 * (two_l - TWO / (las * la * lbs)))
+    du2 = (TWO / (den[0] * l2) * b[0]
+           + a[0] * (w11 * (two_l[1] - TWO / (l12s * l2)) + two_l[1] * w2))
     return du_a[0], du2, du_a[1]

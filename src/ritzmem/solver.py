@@ -379,8 +379,9 @@ def initial_guess(ctx: SolveContext) -> np.ndarray:
     solve is seeded so the pole moves with the load (positive c, positive
     sag).  If it fails, or its sag has the wrong sign, the load is likely
     beyond a limit point of the small system and `SolveFailure` asks the
-    caller to sweep up to it instead, with the Newton message if there is
-    one.  At zero load the guess is zero, without a solve.
+    caller to sweep up to it instead, naming c, why the m = 1 solve was
+    rejected and its last residual.  At zero load the guess is zero,
+    without a solve.
     """
     c = ctx.load.c
     if c == 0.0:
@@ -394,10 +395,16 @@ def initial_guess(ctx: SolveContext) -> np.ndarray:
 
     state, rep = newton_solve(seed, sub)
     if not (rep.converged and sub.sag(state.x) * c > 0.0):
+        why = rep.message or "sag of the wrong sign"
         raise SolveFailure(
             "could not start from the small-system guess; reduce the load "
-            "or sweep up to it" + (f" ({rep.message})" if rep.message else ""))
+            f"or sweep up to it (c = {c:g}: {why}, {_last_residual(rep)})")
     return _resize(state.x, ctx.spec.m)
+
+
+def _last_residual(rep) -> str:
+    """The last residual norm of a Newton solve, for a failure message."""
+    return f"last residual {rep.residual_history[-1]:.3g}"
 
 
 # Continuation step control.  A sweep follows its load-sag curve by
@@ -579,7 +586,8 @@ def optimize_basis(ctx: SolveContext):
     p = ctx.spec.p[0]
     cctx, state, rep = inner(p, None)
     if not rep.converged:
-        raise SolveFailure("inner solve failed at the starting parameters")
+        raise SolveFailure("inner solve failed at the starting parameters "
+                           f"(p1 = {p:g}: {rep.message}, {_last_residual(rep)})")
     inner_counts.append(rep.iterations)
     psi, val = measures(cctx, state)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ritzmem import assembly, material
 from ritzmem.assembly import (
     Evaluator,
     functional_value,
@@ -19,7 +20,7 @@ from ritzmem.assembly import (
 )
 from ritzmem.basis import BasisSpec, BasisTables, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
-from ritzmem.material import MaterialParams
+from ritzmem.material import MaterialParams, energy_derivs
 from ritzmem.quadrature import auto_rule, gauss_rule
 from ritzmem.solver import solve_membrane
 
@@ -160,14 +161,25 @@ def test_jacobian_consistency_under_both_loads():
 
 def test_one_evaluator_over_many_iterates_equals_the_public_functions(gas_m6,
                                                                      liquid_m6):
-    # a solve's evaluator overwrites its arrays iterate after iterate; each
-    # iterate must still read what a lone call at its state reads
+    # a solve's evaluator overwrites its arrays iterate after iterate, and
+    # keeps the views its tangent writes through; each iterate must still
+    # read what a lone call at its state reads, on row-sliced tables (the
+    # first 6 generators of an m = 12 build) and on the largest rule (384
+    # nodes in two panels) too
     rng = np.random.default_rng(127)
-    cases = [(gas_m6, GAS, RULE), (liquid_m6, LIQ, auto_rule("adaptive", 17.113)),
+    steep = BasisSpec("adaptive", 6, (150.0,))
+    cases = [(gas_m6, GAS, RULE, None),
+             (liquid_m6, LIQ, auto_rule("adaptive", 17.113), None),
              (_random_state(rng, BasisSpec("polynomial", 3), LoadParams(0.5, 10.0)),
-              GAS, RULE)]
-    for state, mat, rule in cases:
-        tables = BasisTables.build(state.spec, rule)
+              GAS, RULE, None),
+             (gas_m6, GAS, RULE,
+              BasisTables.build(BasisSpec("polynomial", 12), RULE).head(6)),
+             (_random_state(rng, steep, LoadParams(0.5, 100.0)), LIQ,
+              auto_rule("adaptive", 150.0), None)]
+    assert cases[-1][2].n == 384
+    for state, mat, rule, tables in cases:
+        if tables is None:
+            tables = BasisTables.build(state.spec, rule)
         n = state.x.size
         plain = Evaluator(tables, mat, state.load.d)
         bordered = Evaluator(tables, mat, state.load.d, (0.6, 0.8, 1.5))
@@ -186,6 +198,25 @@ def test_one_evaluator_over_many_iterates_equals_the_public_functions(gas_m6,
             assert np.array_equal(hb[:n, :n], h)
             assert np.array_equal(hb[:n, n], gc)
             assert hb[n].tolist() == [0.6 * e for e in bordered.e] + [0.8]
+
+
+def test_shared_scalar_operands_are_read_only():
+    # the 0-d constants the assembly reads as ufunc operands are shared by
+    # every solve in the process, so a write to one must raise
+    ev = Evaluator(BasisTables.build(BasisSpec("polynomial", 2), RULE), GAS, 10.0)
+    shared = [v for mod in (material, assembly) for v in vars(mod).values()
+              if isinstance(v, np.ndarray) and v.ndim == 0]
+    assert len(shared) >= 5  # 1, 2, 3, 4 and 1/2
+    shared += [*GAS._w_coefs, energy_derivs(3.5, GAS)[1], ev.d]
+    for value in shared:
+        assert value.dtype == np.float64
+        assert not value.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            value[()] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(value, 2.0, out=value)
+    assert ev.d == 10.0 and [float(v) for v in GAS._w_coefs] == [
+        GAS.gamma1, 2.0 * GAS.gamma2, 3.0 * GAS.gamma3, 6.0 * GAS.gamma3]
 
 
 def test_block_structure():

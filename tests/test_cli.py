@@ -313,7 +313,9 @@ def test_steep_search_at_tiny_d_exits_3(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
-    assert report["message"] == "inner solve failed at the starting parameters"
+    assert report["message"] == ("inner solve failed at the starting parameters "
+                                 "(p1 = 0.001: residual diverging, "
+                                 "last residual 2.98e-05)")
 
 
 def test_exit_code_3_still_writes_report(tmp_path):

@@ -258,7 +258,8 @@ def test_steep_search_at_tiny_d_is_a_solve_failure(d):
     # BasisSpec's ValueError; it now starts at P_MIN, where the inner solve
     # fails
     assert init_p1(None, LIQ, LoadParams(0.5, d)) == basis.P_MIN
-    with pytest.raises(SolveFailure, match="inner solve failed at the starting"):
+    with pytest.raises(SolveFailure, match=r"inner solve failed at the starting "
+                       r"parameters \(p1 = 0\.001: [a-z_ ]+, last residual \S+\)$"):
         solve_membrane(LIQ, LoadParams(0.5, d), "adaptive", 6)
 
 
@@ -727,8 +728,11 @@ def test_searched_solve_reports_the_newton_solve_of_its_state(liquid_m6):
 
 
 def test_start_failure_is_stated_not_ramped():
-    # a load ramp once rescued this start and "converged" to a defect of 5e21
-    with pytest.raises(SolveFailure, match="small-system guess"):
+    # a load ramp once rescued this start and "converged" to a defect of 5e21;
+    # the failure names the load, the m = 1 Newton's stop and its residual
+    with pytest.raises(SolveFailure, match=r"small-system guess; reduce the load "
+                       r"or sweep up to it \(c = 30: max_iter exceeded, "
+                       r"last residual 5\.59e-09\)$"):
         solve_membrane(GAS, LoadParams(30.0, 10.0), "polynomial", 6)
 
 
