@@ -33,7 +33,6 @@ from .solver import (
     SolveReport,
     StepPolicy,
     continue_in_load,
-    defect_table,
     delta_diagnostic,
     init_p1,
     initial_guess,
@@ -58,8 +57,8 @@ __all__ = [
     "QuadratureRule", "auto_rule", "gauss_rule", "two_panel_rule",
     # solver
     "ContinuationPoint", "SolveContext", "SolveFailure", "SolveReport",
-    "StepPolicy", "continue_in_load", "defect_table", "delta_diagnostic",
-    "init_p1", "initial_guess", "newton_solve", "optimize_basis",
-    "solve_ladder", "solve_membrane",
+    "StepPolicy", "continue_in_load", "delta_diagnostic", "init_p1",
+    "initial_guess", "newton_solve", "optimize_basis", "solve_ladder",
+    "solve_membrane",
 ]
 __version__ = "0.1.0"

@@ -72,7 +72,7 @@ class RunConfig:
 
 _FLOAT_KEYS = {"gamma1", "gamma2", "gamma3", "c", "d", "c_start", "c_end", "c_step",
                "r0", "h0", "c1", "rho_g", "p_star", "p_ref"}
-_INT_KEYS = {"m", "m_min", "m_max", "n"}
+_INT_KEYS = {"m", "m_min", "m_max", "n", "quad"}
 _SCALE_KEYS = {"r0", "h0", "c1", "rho_g", "p_star", "p_ref"}
 
 
@@ -116,10 +116,27 @@ def _finite(key: str, value: float) -> float:
     return value
 
 
+def _number(value) -> float:
+    """float(value) of a number or numeric text.  A bool, which a JSON
+    config reads as 0 or 1, is no number in either config format."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An int of an integral number or numeric text, so 6 and 6.0 read as 6
+    in either config format, and 6.7 is an error, not 6."""
+    number = _number(value)
+    if not number.is_integer():  # NaN and inf are not integers either
+        raise ValueError(f"expected an integer, got {value}")
+    return int(number)
+
+
 def _as_floats(key: str, value) -> tuple:
     try:
         if isinstance(value, (list, tuple)):
-            values = tuple(float(v) for v in value)
+            values = tuple(_number(v) for v in value)
         else:
             values = tuple(float(v) for v in str(value).replace(",", " ").split())
     except (TypeError, ValueError) as exc:
@@ -130,18 +147,19 @@ def _as_floats(key: str, value) -> tuple:
 def build_config(raw: dict) -> RunConfig:
     """Coerce and validate raw key/value pairs."""
     cfg = RunConfig()
-    known = (_FLOAT_KEYS | _INT_KEYS |
-             {"family", "p", "probes", "out", "quad"})
+    known = _FLOAT_KEYS | _INT_KEYS | {"family", "p", "probes", "out"}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
     vals: dict = {}
     for key, value in raw.items():
+        if key == "quad" and str(value).lower() == "auto":
+            continue  # the family's default rule
         try:
             if key in _FLOAT_KEYS:
-                vals[key] = float(value)
+                vals[key] = _number(value)
             elif key in _INT_KEYS:
-                vals[key] = int(value)
+                vals[key] = _integer(value)
             else:
                 vals[key] = value
         except (TypeError, ValueError, OverflowError) as exc:
@@ -178,13 +196,9 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(f"p[0] must be >= {P_MIN}")
     if cfg.family == "adaptive" and cfg.p is None and cfg.d <= 0.0:
         raise ConfigError("steep family with d = 0 needs explicit p")
-    if "quad" in vals and str(vals["quad"]).lower() != "auto":
-        try:
-            cfg.quad = int(vals["quad"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"quad: {exc}") from exc
-        if not MIN_NODES <= cfg.quad <= MAX_NODES:
-            raise ConfigError(f"quad must be in [{MIN_NODES}, {MAX_NODES}]")
+    cfg.quad = vals.get("quad")
+    if cfg.quad is not None and not MIN_NODES <= cfg.quad <= MAX_NODES:
+        raise ConfigError(f"quad must be in [{MIN_NODES}, {MAX_NODES}]")
     if "probes" in vals:
         cfg.probes = _as_floats("probes", vals["probes"])
     for sp in cfg.probes:

@@ -32,20 +32,21 @@ The strong form has one pass, `_defect_terms`: each set of points (the
 defect grid, the probes, the CLI's profile grid) takes its shape from its
 block of one generator table, and the stretches, tensions, curvatures and
 the defect, scaled by the load and raw at zero load, run once on the
-joined shape.  It runs only where it is read: `solve_ladder` evaluates the
-defect once per returned state (`delta_diagnostic`), on a table of the
-generators on the grid and at the probes (`defect_table`).  A fixed
-basis builds that table once per ladder, in one generator pass at the
-largest size, and every size reads its first m rows, which also give the
-shape at the probes (`SolveReport.shape_at`).  No load, material or state
-changes the polynomial generators at given points, so their tables, the
-defect grid's with its probes and the CLI's profile grid, are kept per
-process like the rule and basis tables (`_generator_blocks`), read-only.
+joined shape.  It runs only where it is read: `solve_ladder` runs it once
+per returned state, on the grid and at the probes, for the defect, the
+defect at the probes and the shape there (`SolveReport.shape_at`).  A
+fixed basis builds the generator table of that pass once per ladder, at
+the largest size, and every size reads its first m rows.  No load,
+material or state changes the polynomial generators at given points, so
+their tables, the defect grid's with its probes and the CLI's profile
+grid, are kept per process like the rule and basis tables
+(`_generator_blocks`), read-only.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -154,12 +155,13 @@ class ContinuationPoint:
 
 
 def _points(probes) -> np.ndarray:
-    """Probe points, any iterable of numbers, as a float array.  A point
-    that is not in [0, 1], NaN and inf included, raises `ValueError`
+    """Probe points, a number, an array or any iterable of numbers, as a
+    flat float array: the one reading of a probe for every defect read.  A
+    point that is not in [0, 1], NaN and inf included, raises `ValueError`
     naming it: it is not on the membrane, so it has no defect."""
-    if not isinstance(probes, np.ndarray):  # a generator, say
+    if isinstance(probes, Iterator):  # a generator, say, read once
         probes = list(probes)
-    points = np.asarray(probes, dtype=float)
+    points = np.ravel(np.asarray(probes, dtype=float))
     for sp in points.tolist():
         if not 0.0 <= sp <= 1.0:  # NaN fails the comparison too
             raise ValueError(f"probe {sp} outside [0, 1]")
@@ -209,30 +211,6 @@ def _generator_blocks(spec: BasisSpec, blocks):
     return _eval_blocks(spec, blocks)
 
 
-def defect_table(spec: BasisSpec, probes=()):
-    """The generators on the defect grid and at the probes, for
-    `delta_diagnostic`.
-
-    Returns one tuple (u, u', u'', v, v', v'') per set of points, the grid
-    first, each array a C-contiguous (m, n) copy of its columns of one
-    `eval_generators` pass.  Row k of the generators is the same at every
-    basis size m >= k, and the first k rows of a C-contiguous block are
-    C-contiguous, so a table built at m gives a state of any size k <= m
-    the bits of a table built at k: the last bit of a matvec depends on the
-    layout of the table it runs on.  A polynomial table depends on m and
-    the probes alone and is built once per process (`_generator_blocks`),
-    its arrays read-only, unless the probes are too many to keep; a steep
-    one is built on every call.  A probe outside [0, 1] raises
-    `ValueError`.
-    """
-    return _generator_blocks(spec, (_GRID, _points(probes)))
-
-
-def _table_shape(state: SolutionState, s, gen) -> ShapeEval:
-    """The shape of `state` at the points s of one block of a defect table."""
-    return _shape(state, s, [g[:state.spec.m] for g in gen], second=True)
-
-
 def _defect_terms(state: SolutionState, mat: MaterialParams, sets, table=None):
     """Shape, stretches, tensions and the equilibrium defect at the points
     of each array in `sets`: the one strong-form pass of every diagnostic.
@@ -240,16 +218,21 @@ def _defect_terms(state: SolutionState, mat: MaterialParams, sets, table=None):
     Each set takes its shape from the first m rows of its block of `table`,
     a generator table at the basis of `state` or at a larger size of it,
     one block per set as `_generator_blocks` gives it (that of
-    `state.spec` at `sets` if none is given).  The stretches, tensions and
-    curvatures then run once, on the joined shape.  Returns (shape,
-    lambda1, lambda2, T1, T2, delta) at the joined points, with the defect
-    of the normal equilibrium scaled by the load, delta = |k1 T1 + k2 T2 -
-    Q| / |c|; at zero load there is no scale and delta is the raw defect.
-    The pole uses the limit values of lambda2 and k2.
+    `state.spec` at `sets` if none is given).  Row k of the generators is
+    the same at every size m >= k, and the first k rows of a C-contiguous
+    block are C-contiguous, so a table built at a larger size gives the
+    bits of one built at m: the last bit of a matvec depends on the layout
+    of the table it runs on.  The stretches, tensions and curvatures then
+    run once, on the joined shape.  Returns (shape, lambda1, lambda2, T1,
+    T2, delta) at the joined points, with the defect of the normal
+    equilibrium scaled by the load, delta = |k1 T1 + k2 T2 - Q| / |c|; at
+    zero load there is no scale and delta is the raw defect.  The pole uses
+    the limit values of lambda2 and k2.
     """
     if table is None:
         table = _generator_blocks(state.spec, sets)
-    blocks = [_table_shape(state, s, gen) for s, gen in zip(sets, table)]
+    blocks = [_shape(state, s, [g[:state.spec.m] for g in gen], second=True)
+              for s, gen in zip(sets, table)]
     shape = ShapeEval(*(np.concatenate([getattr(b, f) for b in blocks])
                         for f in _SHAPE_FIELDS))
     s = np.concatenate(sets)
@@ -261,17 +244,15 @@ def _defect_terms(state: SolutionState, mat: MaterialParams, sets, table=None):
     return shape, l1, l2, t1, t2, defect / abs(c) if c != 0.0 else defect
 
 
-def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=(),
-                     table=None):
+def delta_diagnostic(state: SolutionState, mat: MaterialParams, probes=()):
     """Equilibrium defect at the probes and over the interior grid.
 
     Returns (delta at each probe, max over a 101-point interior grid), with
-    delta as in `_defect_terms`, from one pass over the grid and the probes
-    on `table`, the `defect_table` of these probes at the basis of `state`
-    or at a larger size of it, that of `state.spec` if none is given.  A
-    probe outside [0, 1] raises `ValueError`.
+    delta as in `_defect_terms`, from one pass over the grid and the probes.
+    `probes` is one point or any iterable of points, as `solve_membrane`
+    takes it; a probe outside [0, 1] raises `ValueError`.
     """
-    delta = _defect_terms(state, mat, (_GRID, _points(probes)), table)[-1]
+    delta = _defect_terms(state, mat, (_GRID, _points(probes)))[-1]
     return delta[DELTA_GRID:], float(np.max(delta[:DELTA_GRID]))
 
 
@@ -701,11 +682,12 @@ def solve_membrane(mat: MaterialParams, load: LoadParams, family: str, m: int,
     Returns (state, report).  For the steep family without fixed p the
     starting steepness comes from a polynomial predictor solve at the same
     load; optimization then zeroes the energy gradient in p1.  The report of
-    a converged solve carries the equilibrium defect of the returned state
-    (see `delta_diagnostic`): its grid maximum `delta_max` and, if `probe`
-    is given, `delta_at` there, a float for one point and a list for a
-    sequence of points, and the shape there, `shape_at` = (z, r, z', r',
-    z'', r''), each entry a float or a list in the same way.  A solve that
+    a converged solve carries the equilibrium defect of the returned state,
+    from one strong-form pass: its grid maximum `delta_max` (the bits of
+    `delta_diagnostic`) and, if `probe` is given, `delta_at` there, a float
+    for one point and a list for a sequence of points (an iterator is read
+    once, as a list), and the shape there, `shape_at` = (z, r, z', r', z'',
+    r''), each entry a float or a list in the same way.  A solve that
     does not converge, a state whose hoop stretch r/s is not positive at a
     node included, raises `SolveFailure`, and a probe that is not a point
     of [0, 1], NaN and inf included, `ValueError`.  It is `solve_ladder` at
@@ -729,16 +711,20 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
     not depend on m, so it is solved once (`initial_guess`) and shared by
     every size.  A start that fails does at every size what it does one
     size at a time: it fails a fixed basis, and leaves a p search without
-    its predictor.  The `defect_table` of a fixed basis is built once too,
-    at the largest size when the first size converges, and every converged
-    size reads its defect and its shape at the probes from the first m
-    rows; a searched p builds a table per converged size, on its own p.
-    A polynomial table is kept per process (`defect_table`), so a later
+    its predictor.  Each returned state gets one strong-form pass
+    (`_defect_terms`) over the defect grid and the probes, which gives
+    `delta_max`, `delta_at` and `shape_at` alike.  A fixed basis builds the
+    generator table of that pass once, at the largest size when the first
+    size converges, and every converged size reads its first m rows; a
+    searched p builds a table per converged size, on its own p.  A
+    polynomial table is kept per process (`_generator_blocks`), so a later
     ladder or solve at the same size and probes evaluates no generator.
     A probe that is not a point of [0, 1] raises `ValueError` before any
     solve.
     """
-    probes = _points(np.ravel(() if probe is None else probe))
+    # an iterator is read once, so its list gives the shape of the results
+    probe = list(probe) if isinstance(probe, Iterator) else probe
+    sets = (_GRID, _points(() if probe is None else probe))
     sizes = list(sizes)
     if not sizes:
         return []
@@ -771,12 +757,12 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
             results.append(exc.with_traceback(None))
             continue
         if table is None or not fixed:
-            table = defect_table(top.spec if fixed else state.spec, probes)
-        at, rep.delta_max = delta_diagnostic(state, mat, probes, table)
-        if probe is not None:
-            rep.delta_at = at.reshape(np.shape(probe)).tolist()
-            shape = _table_shape(state, probes, table[1])
-            rep.shape_at = tuple(np.reshape([getattr(shape, f) for f in _SHAPE_FIELDS],
-                                            (6,) + np.shape(probe)).tolist())
+            table = _generator_blocks(top.spec if fixed else state.spec, sets)
+        shape, *_, delta = _defect_terms(state, mat, sets, table)
+        rep.delta_max = float(np.max(delta[:DELTA_GRID]))
+        if probe is not None:  # delta, then the shape, at the probes
+            at = [delta, *(getattr(shape, f) for f in _SHAPE_FIELDS)]
+            at = np.reshape([v[DELTA_GRID:] for v in at], (7, *np.shape(probe))).tolist()
+            rep.delta_at, rep.shape_at = at[0], tuple(at[1:])
         results.append((state, rep))
     return results

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ritzmem import basis
@@ -44,6 +44,9 @@ c = 1.7
 family = polynomial
 m = 6
 """
+
+GAS_JSON = {"gamma1": 0.02, "gamma2": -0.015, "gamma3": 0.00025, "c": 1.7,
+            "family": "polynomial", "m": 6}
 
 SWEEP_KV = "gamma1 = 0.02\ngamma2 = -0.015\ngamma3 = 0.00025\n"
 
@@ -136,6 +139,8 @@ SCALARS = st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=12))
 @given(st.dictionaries(st.sampled_from(CONFIG_KEYS),
                        st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
                        max_size=6))
+@example({"m": 6.7})
+@example({"quad": 64.5, "m_max": True})
 def test_build_config_returns_config_or_config_error(raw):
     try:
         cfg = build_config(raw)
@@ -149,6 +154,13 @@ def test_build_config_returns_config_or_config_error(raw):
     assert all(math.isfinite(v) for v in numbers)
     for m in (cfg.m, cfg.m_min, cfg.m_max):
         assert m is None or 1 <= m <= MAX_M
+    # an integer key holds the value given, as an int: never a truncated
+    # float or a bool read as 0 or 1
+    for key in ("m", "m_min", "m_max", "quad"):
+        if key in raw and str(raw[key]).lower() != "auto":
+            assert not isinstance(raw[key], bool)
+            assert type(getattr(cfg, key)) is int
+            assert getattr(cfg, key) == float(raw[key])
 
 
 @pytest.mark.parametrize("raw", [
@@ -161,6 +173,17 @@ def test_build_config_returns_config_or_config_error(raw):
 def test_config_rejects_non_finite_numbers(raw):
     with pytest.raises(ConfigError, match="must be finite"):
         build_config(raw)
+
+
+@pytest.mark.parametrize("value", [6, 6.0, "6", "6.0"],
+                         ids=["int", "float", "int-text", "float-text"])
+def test_integer_keys_read_an_integral_value_alike(tmp_path, value):
+    # key = value text and JSON agree: 6.0 is the integer 6 in both
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"m": value}))
+    for cfg in (build_config(load_config(write_cfg(tmp_path, f"m = {value}\n"))),
+                build_config(load_config(path))):
+        assert cfg.m == 6 and type(cfg.m) is int
 
 
 def test_config_caps_basis_size():
@@ -280,9 +303,23 @@ def test_exit_code_2_on_config_errors(tmp_path):
     # made, and before an empty load range writes a header-only curve
     ("sweep", "family = adaptive\nd = 10\nc_start = 0.1\nc_end = 1.0", []),
     ("sweep", "family = adaptive\nd = 10\nc_start = 0.5\nc_end = 0.5", []),
+    # a JSON config takes an integer key as key = value text does: a value
+    # that is not integral is an error, not truncated, and a bool is no number
+    ("solve", {"m": 6.7}, []),
+    ("converge", {"m_max": 7.9}, []),
+    ("solve", {"quad": 64.5}, []),
+    ("solve", {"n": 1.9}, []),
+    ("solve", {"m": True}, []),
+    ("converge", {"m_min": True}, []),
+    ("solve", {"c": True}, []),
+    ("solve", {"p": [True]}, []),
+    ("solve", {"probes": [True]}, []),
 ])
 def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
-    cfg = write_cfg(tmp_path, GAS_KV + extra + "\n")
+    if isinstance(extra, dict):  # the same case as a JSON config
+        cfg = write_cfg(tmp_path, json.dumps({**GAS_JSON, **extra}), "case.json")
+    else:
+        cfg = write_cfg(tmp_path, GAS_KV + extra + "\n")
     out = tmp_path / "out"
     assert main([verb, "--config", cfg, "--out", str(out)] + flags) == 2
     assert not out.exists()

@@ -353,22 +353,55 @@ def _counter(monkeypatch, owner, name):
 
 
 @pytest.fixture
-def delta_calls(monkeypatch):
-    return _counter(monkeypatch, solver, "delta_diagnostic")
+def defect_passes(monkeypatch):
+    return _counter(monkeypatch, solver, "_defect_terms")
 
 
 @pytest.mark.parametrize("family, m, load, probe", [
     ("adaptive", 6, LoadParams(0.5, 10.0), 0.9),
     ("polynomial", 6, LoadParams(1.7), 0.2),
 ])
-def test_defect_evaluated_once_per_returned_state(delta_calls, family, m, load,
-                                                  probe):
+def test_defect_evaluated_once_per_returned_state(defect_passes, family, m,
+                                                  load, probe):
+    # one strong-form pass gives delta_max, delta_at and shape_at
     mat = LIQ if family == "adaptive" else GAS
     state, report = solve_membrane(mat, load, family, m, probe=probe)
-    assert len(delta_calls) == 1
-    assert delta_calls[0][0] is state
+    assert len(defect_passes) == 1
+    assert defect_passes[0][0] is state
     at, dmax = delta_diagnostic(state, mat, [probe])
     assert (report.delta_at, report.delta_max) == (float(at[0]), dmax)
+
+
+@pytest.mark.parametrize("family, mat, load, sizes, probe", [
+    ("polynomial", GAS, LoadParams(1.7), range(1, 4), None),
+    ("polynomial", GAS, LoadParams(1.7), range(1, 4), 0.2),
+    ("polynomial", GAS, LoadParams(1.7), [6], [0.0, 0.2, 1.0]),
+    ("adaptive", LIQ, LoadParams(0.5, 10.0), [6], 0.9),
+])
+def test_a_probed_solve_forms_each_point_set_shape_once(monkeypatch, family, mat,
+                                                        load, sizes, probe):
+    # the grid and the probes each get one shape per returned state, with a
+    # probe or without: shape_at is read from the defect pass, not formed again
+    shapes = _counter(monkeypatch, solver, "_shape")
+    rungs = solve_ladder(mat, load, family, sizes, probe=probe)
+    assert not any(isinstance(r, SolveFailure) for r in rungs)
+    assert len(shapes) == 2 * len(rungs)
+
+
+def test_every_probe_reader_takes_a_point_alike(gas_m6):
+    # a number, a 0-d array, a list and a generator are one probe to
+    # delta_diagnostic; a generator gives solve_membrane the list result
+    state, _ = gas_m6
+    bits = {delta_diagnostic(state, GAS, probe)[0].tobytes() for probe in
+            (0.2, np.float64(0.2), np.array(0.2), [0.2], (sp for sp in [0.2]))}
+    assert len(bits) == 1
+    _, listed = solve_membrane(GAS, LoadParams(1.7), "polynomial", 6, probe=[0.2])
+    _, generated = solve_membrane(GAS, LoadParams(1.7), "polynomial", 6,
+                                  probe=(sp for sp in [0.2]))
+    assert type(generated.delta_at) is list
+    assert (generated.delta_at, generated.shape_at) == (listed.delta_at,
+                                                        listed.shape_at)
+    assert np.array(listed.delta_at).tobytes() in bits
 
 
 def test_delta_at_follows_the_shape_of_probe(gas_m6):
@@ -884,7 +917,7 @@ def test_kept_polynomial_tables_equal_a_fresh_pass(m, probes):
     grid = np.linspace(0.0, 1.0, solver.DELTA_GRID + 2)[1:-1]
     fresh = basis.eval_generators(spec, np.concatenate([grid, probes]))
     for _ in range(2):  # a build, then a lookup
-        table = solver.defect_table(spec, probes)
+        table = solver._generator_blocks(spec, (solver._GRID, probes))
         for block, cols in zip(table, (slice(None, grid.size), slice(grid.size, None))):
             assert [g.tobytes() for g in block] == [
                 np.ascontiguousarray(g[:, cols]).tobytes() for g in fresh]
@@ -903,7 +936,7 @@ def test_kept_tables_stay_within_their_bound():
     bound = solver._poly_blocks.cache_info().maxsize
     spec = BasisSpec("polynomial", 2)
     for sp in np.linspace(0.0, 1.0, 2 * bound):
-        solver.defect_table(spec, [sp])
+        solver._generator_blocks(spec, (solver._GRID, [sp]))
         assert solver._poly_blocks.cache_info().currsize <= bound
     assert solver._poly_blocks.cache_info().currsize == bound
 
@@ -936,10 +969,8 @@ def test_defect_reads_reject_a_probe_outside_the_membrane(gas_m6, probe):
     # the one check in front of every defect read; no table is kept for it
     state, _ = gas_m6
     kept = solver._poly_blocks.cache_info().currsize
-    for read in (lambda: solver.defect_table(state.spec, [0.2, probe]),
-                 lambda: delta_diagnostic(state, GAS, [0.2, probe])):
-        with pytest.raises(ValueError, match=f"probe {probe} outside"):
-            read()
+    with pytest.raises(ValueError, match=f"probe {probe} outside"):
+        delta_diagnostic(state, GAS, [0.2, probe])
     assert solver._poly_blocks.cache_info().currsize == kept
 
 
@@ -948,12 +979,13 @@ def test_a_table_over_many_points_is_not_kept(gas_m6):
     state, _ = gas_m6
     probes = np.linspace(0.0, 1.0, solver._KEPT_POINTS - solver.DELTA_GRID + 1)
     kept = solver._poly_blocks.cache_info().currsize
-    table = solver.defect_table(state.spec, probes)
+    table = solver._generator_blocks(state.spec, (solver._GRID, probes))
     assert solver._poly_blocks.cache_info().currsize == kept
     fresh = basis.eval_generators(state.spec, np.concatenate([solver._GRID, probes]))
     assert [g.tobytes() for g in table[1]] == [
         np.ascontiguousarray(g[:, solver.DELTA_GRID:]).tobytes() for g in fresh]
-    assert solver.defect_table(state.spec, probes)[1][0] is not table[1][0]
+    again = solver._generator_blocks(state.spec, (solver._GRID, probes))
+    assert again[1][0] is not table[1][0]
 
 
 @pytest.mark.parametrize("probe", [0, 1, 0.0, 1.0, [0.0, 1.0]])
@@ -976,16 +1008,23 @@ def test_solves_accept_the_ends_as_probes(probe):
          probes=[0.0, 0.2, 1.0])
 def test_defect_table_of_a_larger_size_gives_the_same_bits(family, m, extra,
                                                            p1, c, seed, probes):
-    # the first m rows of a table built at m + extra are a table built at m
+    # the first m rows of a table built at m + extra are a table built at m:
+    # a ladder reads every size's defect and probe shape from one table
     rng = np.random.default_rng(seed)
     x = np.concatenate([rng.uniform(-1.0, 1.0, m), rng.uniform(-0.05, 0.05, m)])
     p = (p1,) if family == "adaptive" else ()
     state = SolutionState(x, BasisSpec(family, m, p), LoadParams(c, 10.0))
-    table = solver.defect_table(BasisSpec(family, m + extra, p), probes)
-    at, dmax = delta_diagnostic(state, LIQ, probes, table)
+    sets = (solver._GRID, np.asarray(probes, dtype=float))
+    table = solver._generator_blocks(BasisSpec(family, m + extra, p), sets)
+    terms = solver._defect_terms(state, LIQ, sets, table)
+    delta = terms[-1]
+    at, dmax = delta[solver.DELTA_GRID:], float(np.max(delta[:solver.DELTA_GRID]))
     want_at, want_max = delta_diagnostic(state, LIQ, probes)
     assert at.tobytes() == want_at.tobytes()
     assert dmax == want_max or (np.isnan(dmax) and np.isnan(want_max))
+    want_shape = solver._defect_terms(state, LIQ, sets)[0]
+    assert [v.tobytes() for v in vars(terms[0]).values()] == [
+        v.tobytes() for v in vars(want_shape).values()]
 
 
 @pytest.mark.parametrize("driver", [
@@ -1085,10 +1124,10 @@ def test_continuation_reuses_the_context_tables(build_calls, generator_calls,
         assert pt.sag == SolutionState(pt.x, ctx.spec, ctx.load).sag()
 
 
-def test_continuation_evaluates_no_defect(delta_calls):
+def test_continuation_evaluates_no_defect(defect_passes):
     points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
     assert len(points) > 2
-    assert delta_calls == []
+    assert defect_passes == []
 
 
 def test_delta_decreases_with_basis_size():
