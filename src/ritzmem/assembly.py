@@ -12,18 +12,18 @@ symmetric because g is the gradient of a scalar.  All integrals run over
 the open interval, so the 1/s factors never hit the pole.
 
 The residual, the tangent and dg/dc have one form each, in `Evaluator`.
-A Newton solve builds one evaluator and evaluates every iterate through
-it: the nodal shape and the tension coefficients U once per iterate, the
-partials of U only for an iterate that assembles a tangent, so a
-converged iterate, a corrector that gave up and `p_gradient` evaluate
-none.  The public functions evaluate one state each, on an evaluator of
-their own.  The evaluator's matrix-vector products call `ndarray.dot`,
-which makes the BLAS call of `@` with less dispatch, bit for bit.  An
-iterate passes no Python float to a ufunc: the literals, the energy
-coefficients and d are read-only float64 0-d arrays (`material._const`),
-with the same bits and without numpy's conversion of a Python float on
-every call.  Nor does it slice: the evaluator makes the views it writes
-through once, the tangent's on its first call.
+A Newton solve evaluates every iterate through one evaluator, and a sweep
+keeps one for all its correctors (`set_border`): the nodal shape and the
+tension coefficients U once per iterate, the partials of U only for an
+iterate that assembles a tangent, so a converged iterate, a corrector that
+gave up and `p_gradient` evaluate none.  The public functions evaluate one
+state each, on an evaluator of their own.  Its matrix-vector products call
+`ndarray.dot`, which makes the BLAS call of `@` with less dispatch, bit for
+bit.  An iterate passes no Python float to a ufunc: the literals, the
+energy coefficients and d are read-only float64 0-d arrays
+(`material._const`), with the same bits and without numpy's conversion of
+a Python float on every call.  Nor does it slice: the evaluator makes the
+views it writes through once and keeps them from solve to solve.
 """
 
 from __future__ import annotations
@@ -39,17 +39,17 @@ HALF = _const(0.5)
 
 
 class Evaluator:
-    """Residual, tangent and dg/dc of the iterates of one Newton solve.
+    """Residual, tangent and dg/dc of the iterates of Newton solves.
 
-    Built once per solve from the tables, the material and the load
-    gradient d, with what no iterate changes: w*s*d and, with `border` =
-    (a, b, rhs), the bordered row a (e.x) + b c = rhs, where e.x is the
-    pole sag.  `at(x, c)` evaluates the nodal shape and U of one iterate;
-    `residual` and `tangent` then write into arrays the evaluator keeps,
-    so each call overwrites what the last one returned: the residual g
-    (the bordered row last) and the tangent H = dg/dx (bordered by the
-    column dg/dc and the row).  The tangent is nine row-weighted products
-    A diag(c) B^T, one batched matmul over the generator pairs of
+    Built once per solve, or per sweep, from the tables, the material and
+    the load gradient d, with what no iterate changes: w*s*d and, with
+    `border` = (a, b, rhs), the bordered row a (e.x) + b c = rhs, where e.x
+    is the pole sag.  `at(x, c)` evaluates the nodal shape and U of one
+    iterate; `residual` and `tangent` then write into arrays the evaluator
+    keeps, so each call overwrites what the last one returned: the residual
+    g (the bordered row last) and the tangent H = dg/dx (bordered by the
+    column dg/dc and the row).  The tangent is nine row-weighted
+    products A diag(c) B^T, one batched matmul over the generator pairs of
     `BasisTables.left` and `right_t` with the weight rows c of one (9, n)
     array, summed block by block.  Those rows, the (9, m, m) products and
     every view of them and of H are made by the first tangent and kept
@@ -74,8 +74,13 @@ class Evaluator:
         self.buffers = None  # the tangent's, made by its first call
         if border is not None:
             self.e = np.concatenate([tables.u0, np.zeros(m)])
-            self.h[-1, :-1] = border[0] * self.e
-            self.h[-1, -1] = border[1]
+            self.set_border(border)
+
+    def set_border(self, border: tuple) -> None:
+        """Make `border` = (a, b, rhs) the bordered row, in place."""
+        self.border = border
+        self.h[-1, :-1] = border[0] * self.e
+        self.h[-1, -1] = border[1]
 
     def nodal(self, x, c):
         """Trial shape, stretches and load (z, r, z', r', l1, l2, Q) at the

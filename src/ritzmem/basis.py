@@ -36,7 +36,9 @@ forms first derivatives only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -48,9 +50,8 @@ FAMILIES = ("polynomial", "adaptive")
 # Below this the first two steep generators become numerically parallel.
 P_MIN = 1e-3
 
-# Largest basis size; the tables grow with m times the node count, so an
-# unbounded m only ends in an allocation failure.
-MAX_M = 64
+# Largest basis size: past it neither family gains, and gas sweeps stall.
+MAX_M = 12
 
 # Generator pairs (A, B) of the nine weighted products A diag(c) B^T that
 # the tangent assembles, as rows of the (u, u', v, v') stack.
@@ -138,7 +139,15 @@ class BasisSpec:
             raise ValueError(f"unknown basis family {self.family!r}")
         if not 1 <= self.m <= MAX_M:
             raise ValueError(f"basis size m must be in [1, {MAX_M}], got {self.m}")
-        object.__setattr__(self, "p", tuple(float(x) for x in self.p))
+        try:  # p: a real number, or a sequence of them that is not a string
+            p = tuple((self.p,) if isinstance(self.p, Real) else self.p)
+        except TypeError:  # not iterable, a 0-d array included
+            p = (None,)
+        if isinstance(self.p, (str, bytes)) or not all(
+                isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+                for v in p):
+            raise ValueError(f"p must be a finite number or a sequence of them: {self.p!r}")
+        object.__setattr__(self, "p", tuple(map(float, p)))
         if self.family == "adaptive":
             if len(self.p) < 1:
                 raise ValueError("steep family needs at least one parameter")
@@ -152,7 +161,7 @@ class BasisSpec:
         return len(self.p)
 
     def with_p(self, p) -> "BasisSpec":
-        return BasisSpec(self.family, self.m, tuple(p))
+        return BasisSpec(self.family, self.m, p)
 
 
 class _Profile:

@@ -21,6 +21,7 @@ from ._data import LEGENDRE_HALVES
 
 MIN_NODES = 2
 MAX_NODES = 512
+POLY_NODES = 64  # the polynomial family's default rule
 
 # Composite threshold: below this p1 a single panel resolves the layer.
 SPLIT_P1 = 60.0
@@ -87,7 +88,7 @@ def auto_rule(family: str, p1: float | None = None, n: int | None = None) -> Qua
     panel for the composite).
     """
     if family == "polynomial":
-        return gauss_rule(64 if n is None else n)
+        return gauss_rule(POLY_NODES if n is None else n)
     base = 192 if n is None else n
     if p1 is not None and p1 > SPLIT_P1:
         return two_panel_rule(base, 1.0 - 6.0 / p1)

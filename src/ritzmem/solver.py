@@ -14,15 +14,14 @@ For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
 is unimodal in p1, so a golden-section scan backstops the secant.
 
-A Newton solve evaluates its iterates through one `assembly.Evaluator`
-and carries the load c as a number, so an iterate makes no state or load
-object: it evaluates the nodal shape and the tension coefficients once,
-and the residual, the tangent and dg/dc read them into arrays kept for the
-solve.  The partials of the tension coefficients are evaluated only for an
-iterate that assembles a tangent, so a converged iterate or a corrector
-that gives up evaluates none.
-`SolveContext.create` picks a family's basis and rule and
-builds its tables once, the polynomial ones once per process.  There is
+A Newton solve evaluates its iterates through one `assembly.Evaluator`,
+its own or one of the two a sweep keeps for its correctors, and carries
+the load c as a number, so an iterate makes no state or load object: it
+evaluates the nodal shape and the tension coefficients once, their
+partials only if it assembles a tangent, into arrays the evaluator keeps.
+`SolveContext.create` picks a family's basis and rule and builds its
+tables once; a polynomial basis on the family's default rule, a context
+made directly included, reads tables kept per process.  There is
 one fixed-basis driver, `solve_ladder`; `solve_membrane` is its one-size
 case.  It builds the fixed basis once, at the largest size, solves the
 m = 1 start once (`initial_guess`, which every start calls, a sweep's
@@ -57,7 +56,7 @@ from .basis import (P_MIN, BasisSpec, BasisTables, SolutionState, _shape,
                     eval_generators, eval_shape)
 from .kinematics import LoadParams, ShapeEval, curvatures, hydro_load, stretches
 from .material import MaterialParams, principal_stresses
-from .quadrature import MAX_NODES, MIN_NODES, QuadratureRule, auto_rule
+from .quadrature import MAX_NODES, MIN_NODES, POLY_NODES, QuadratureRule, auto_rule
 
 DELTA_GRID = 101
 _GRID = np.linspace(0.0, 1.0, DELTA_GRID + 2)[1:-1]
@@ -79,6 +78,11 @@ class SolveContext:
     tables: BasisTables = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.tables is None and self.spec.family == "polynomial":
+            rule = auto_rule("polynomial")  # the default rule, bit for bit
+            if (self.rule.nodes.tobytes(), self.rule.weights.tobytes()) == (
+                    rule.nodes.tobytes(), rule.weights.tobytes()):
+                self.tables = _poly_rule_tables(self.spec.m, POLY_NODES)[1]
         if self.tables is None:
             self.tables = BasisTables.build(self.spec, self.rule)
 
@@ -90,9 +94,9 @@ class SolveContext:
         steep for the rule's nodes in double precision is a `SolveFailure`.
         The polynomial rule and tables are shared, see `_poly_rule_tables`."""
         if family == "polynomial":
-            rule, tables = _poly_rule_tables(m, quad)
+            rule, tables = _poly_rule_tables(m, POLY_NODES if quad is None else quad)
             return cls(mat, load, BasisSpec(family, m), rule, tables)
-        spec = BasisSpec(family, m, tuple(p))
+        spec = BasisSpec(family, m, p)
         try:
             rule = auto_rule(family, spec.p[0], quad)
         except ValueError as exc:
@@ -121,12 +125,12 @@ class SolveContext:
 
 
 @lru_cache(maxsize=16)
-def _poly_rule_tables(m: int, quad: int | None):
-    """Rule and tables of the polynomial basis of size m, which no load or
-    material changes.  Every caller shares the arrays, so they are read-only;
-    the steep tables change with p and are not kept."""
+def _poly_rule_tables(m: int, n: int):
+    """Rule and tables of the polynomial basis of size m on n nodes, which
+    no load or material changes.  Every caller shares the arrays, so they
+    are read-only; the steep tables change with p and are not kept."""
     spec = BasisSpec("polynomial", m)
-    rule = auto_rule("polynomial", n=quad)
+    rule = auto_rule("polynomial", n=n)
     tables = BasisTables.build(spec, rule)
     for arr in (rule.nodes, rule.weights, *vars(tables).values()):
         arr.flags.writeable = False
@@ -263,7 +267,7 @@ NEWTON_MAX_ITER = 25
 
 
 def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
-                 corrector: bool = False):
+                 corrector: bool = False, *, evaluator: Evaluator | None = None):
     """Newton iteration on g(x; c) = 0 from x0 at the load of `ctx`.
 
     With `border = (a, b, rhs)` the load c is an unknown too: the system is
@@ -276,7 +280,8 @@ def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
     and aborts once a residual exceeds CONTRACTION times the last one.  An
     iterate within the tolerance whose hoop stretch lambda2 = r/s is not
     positive at some node has a radius that turns negative, no membrane's:
-    it is not converged.
+    it is not converged.  A given `evaluator` runs the iterates, given the
+    border; one of other tables, material, d or border mode is a ValueError.
 
     Returns (state, report); the equilibrium defect is left to
     `solve_membrane`.
@@ -284,7 +289,13 @@ def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
     x = np.array(x0, dtype=float)
     n = x.size
     c = ctx.load.c
-    ev = Evaluator(ctx.tables, ctx.mat, ctx.load.d, border)
+    ev = evaluator or Evaluator(ctx.tables, ctx.mat, ctx.load.d, border)
+    if evaluator is not None:
+        if (ev.tables is not ctx.tables or ev.mat != ctx.mat or ev.d != ctx.load.d
+                or (ev.border is None) != (border is None)):
+            raise ValueError("the evaluator is not of this context and border mode")
+        if border is not None:
+            ev.set_border(border)
     hist: list[float] = []
     converged = False
     message = ""
@@ -440,6 +451,7 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
     path is followed by arclength, so past a fold the load values along it
     are not monotone.  From c_start = 0 the first step starts from
     `initial_guess` at its load, since the flat state's tangent is singular.
+    Its correctors share two evaluators, made for it: arclength and landing.
     """
     policy = policy or StepPolicy()
     direction = 1.0 if c_end >= c_start else -1.0
@@ -448,6 +460,8 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
     points = [ContinuationPoint(c_start, ctx.sag(state.x), state.x.copy())]
     ds = min(max(policy.initial, MIN_STEP), MAX_STEP)
     easy = 0
+    arc = Evaluator(ctx.tables, ctx.mat, ctx.load.d, (0.0, 0.0, 0.0))
+    landing = Evaluator(ctx.tables, ctx.mat, ctx.load.d)
     while (len(points) < MAX_POINTS and points[-1].c_value != c_end
            and abs(points[-1].sag) <= MAX_SAG):
         last = points[-1]
@@ -466,7 +480,8 @@ def continue_in_load(ctx: SolveContext, c_start: float, c_end: float,
             border = (tf, tc, tf * last.sag + tc * last.c_value + ds)
         if c_start == 0.0 and len(points) == 1:
             x = initial_guess(ctx.with_load(c))
-        state, rep = newton_solve(x, ctx.with_load(c), border, corrector=True)
+        state, rep = newton_solve(x, ctx.with_load(c), border, corrector=True,
+                                  evaluator=landing if border is None else arc)
         if rep.converged and direction * (state.load.c - c_end) <= 0.0:
             points.append(ContinuationPoint(state.load.c, ctx.sag(state.x),
                                             state.x.copy()))

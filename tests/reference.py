@@ -11,7 +11,9 @@ stretches, the tensions and the equilibrium defect at the points it is
 given, from `eval_shape` and the kinematics and material functions, apart
 from the solver's strong-form pass; `solver.delta_diagnostic` must give its
 `defect` bit for bit at its probes and grid, and `cli.profile_rows` its
-columns.  `fold_count` counts the folds of a load path.
+columns.  `bvp_state` solves the strong form as a boundary value problem,
+apart from the Ritz method, for the error of a Ritz state.  `fold_count`
+counts the folds of a load path.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from ritzmem import solver
 from ritzmem.basis import SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams, curvatures, hydro_load, stretches
-from ritzmem.material import MaterialParams, energy_derivs, principal_stresses
+from ritzmem.material import (MaterialParams, energy_derivs, principal_stresses,
+                               tension_partials, tension_values)
 
 
 def stiffness_scalar(la, lb, mat: MaterialParams):
@@ -181,6 +184,51 @@ def strong_form(state, mat: MaterialParams, s):
 def defect(state, mat: MaterialParams, s):
     """delta at the points s alone, from a shape evaluated at them only."""
     return strong_form(state, mat, s)[-1]
+
+
+def bvp_state(mat: MaterialParams, load: LoadParams, guess):
+    """The equilibrium near the state `guess`, from the strong form alone.
+
+    The weak form in the `assembly` docstring, integrated by parts, is
+    (s U(l1,l2) z')' = -s Q l2 r' and (s U(l1,l2) r')' = U(l2,l1) l2 +
+    s Q l2 z'.  Written for (z, z', r, r'), a 2 x 2 system gives z'' and
+    r''.  `scipy.integrate.solve_bvp` solves it to a tolerance of 1e-8 on
+    [eps, 1], eps = 1e-3, from the shape of `guess`, with the pole series
+    conditions z' - eps z'' = 0 and r - eps r' = 0, both O(eps**3), and the
+    clamped edge z = 0, r = 1.  Returns the mesh s and the rows (z, z', r,
+    r') on it.
+    """
+    from scipy.integrate import solve_bvp
+
+    eps = 1e-3
+
+    def rhs(s, y):
+        z, dz, r, dr = y
+        l1, l2 = np.hypot(dz, dr), r / s
+        u12, u21, parts = tension_values(l1, l2, mat)
+        ua, ub, _ = tension_partials(parts)
+        q = hydro_load(z, load.c, load.d)
+        # s U' z' and s U' r' carry U_a l1' = U_a (z' z'' + r' r'') / l1
+        a11, a12, a22 = (s * (u12 + ua * dz * dz / l1), s * ua * dz * dr / l1,
+                         s * (u12 + ua * dr * dr / l1))
+        grow = ub * (dr - l2)  # s U_b l2'
+        b1 = -s * q * l2 * dr - (u12 + grow) * dz
+        b2 = u21 * l2 + s * q * l2 * dz - (u12 + grow) * dr
+        det = a11 * a22 - a12 * a12
+        return np.array([dz, (a22 * b1 - a12 * b2) / det,
+                         dr, (a11 * b2 - a12 * b1) / det])
+
+    def bc(ya, yb):
+        d2z = rhs(np.array([eps]), ya[:, None])[1, 0]
+        return np.array([ya[1] - eps * d2z, ya[2] - eps * ya[3], yb[0], yb[2] - 1.0])
+
+    s = np.linspace(eps, 1.0, 101)
+    shape = eval_shape(guess, s)
+    res = solve_bvp(rhs, bc, s, np.array([shape.z, shape.dz, shape.r, shape.dr]),
+                    tol=1e-8)
+    if not res.success:
+        raise RuntimeError(f"reference solve failed: {res.message}")
+    return res.x, res.y
 
 
 def fold_count(points) -> int:

@@ -200,6 +200,24 @@ def test_one_evaluator_over_many_iterates_equals_the_public_functions(gas_m6,
             assert hb[n].tolist() == [0.6 * e for e in bordered.e] + [0.8]
 
 
+def test_a_new_border_gives_the_bits_of_a_fresh_evaluator(gas_m6):
+    # a sweep keeps one bordered evaluator for all of its correctors and
+    # rewrites its row in place; what it returns after that must be what an
+    # evaluator made with the new border returns
+    tables = BasisTables.build(gas_m6.spec, RULE)
+    kept = Evaluator(tables, GAS, 0.0, (0.6, 0.8, 1.5))
+    kept.at(gas_m6.x * 0.98, 1.6)
+    kept.residual()
+    kept.tangent()
+    border = (-0.28, 0.96, 0.4)
+    kept.set_border(border)
+    fresh = Evaluator(tables, GAS, 0.0, border)
+    for ev in (kept, fresh):
+        ev.at(gas_m6.x, 1.7)
+    assert kept.residual().tobytes() == fresh.residual().tobytes()
+    assert kept.tangent().tobytes() == fresh.tangent().tobytes()
+
+
 def test_shared_scalar_operands_are_read_only():
     # the 0-d constants the assembly reads as ufunc operands are shared by
     # every solve in the process, so a write to one must raise

@@ -156,6 +156,18 @@ def test_basis_spec_validation():
         BasisSpec("adaptive", 3, (P_MIN / 10.0,))
 
 
+def test_steepness_is_a_number_or_a_sequence_of_numbers():
+    # a bare number used to raise TypeError, a string was read character by
+    # character, and NaN and inf failed later with a solver's message
+    assert BasisSpec("adaptive", 6, 17.1).p == BasisSpec("adaptive", 6, (17.1,)).p
+    assert BasisSpec("adaptive", 6, np.array([17.1, 2])).p == (17.1, 2.0)
+    assert BasisSpec("adaptive", 6, [np.float64(3.0)]).p == (3.0,)
+    for bad in ("17", b"17", (float("nan"),), (float("inf"),), True, (1.0, False),
+                None, np.array(17.1), ("17",), [[17.1]]):
+        with pytest.raises(ValueError, match="^p must be"):
+            BasisSpec("adaptive", 6, bad)
+
+
 def test_basis_size_capped_before_any_table_is_built(monkeypatch):
     # a library call used to reach BasisTables.build with any m, and the
     # tables grow with m times the node count

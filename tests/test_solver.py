@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ritzmem import assembly, basis, cli, solver
-from ritzmem.basis import BasisSpec, BasisTables, SolutionState, eval_shape
+from ritzmem.basis import MAX_M, BasisSpec, BasisTables, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
-from ritzmem.quadrature import auto_rule
+from ritzmem.quadrature import auto_rule, gauss_rule
 from ritzmem.solver import (
     SolveContext,
     SolveFailure,
@@ -28,7 +29,7 @@ from ritzmem.solver import (
     solve_membrane,
 )
 
-from reference import defect, fold_count, newton_reference
+from reference import bvp_state, defect, fold_count, newton_reference
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
@@ -495,6 +496,17 @@ def _start_case(ctx):
     return initial_guess(ctx), ctx, None, False
 
 
+def _reused_evaluator_case():
+    # the corrector case on an evaluator that has run a corrector from
+    # another x, at another load and with another border
+    x0, ctx, border, corrector = _corrector_case()
+    ev = assembly.Evaluator(ctx.tables, ctx.mat, ctx.load.d, border)
+    other = (border[1], -border[0], border[2] - 0.7)
+    _, report = newton_solve(0.99 * x0, ctx.with_load(1.2), other, True, evaluator=ev)
+    assert report.iterations > 0 and ev.border == other
+    return x0, ctx, border, corrector, ev
+
+
 @pytest.mark.parametrize("case", [
     lambda: _start_case(gas_context(6)),
     _corrector_case,
@@ -503,12 +515,16 @@ def _start_case(ctx):
     lambda: _start_case(SolveContext.create(GAS, LoadParams(2.1), "polynomial", 3)),
     lambda: (np.array([0.5 / gas_context(1).tables.u0[0], 0.0]),
              gas_context(1, c=2.5), None, False),
-], ids=["gas", "bordered-corrector", "steep-p17.1", "lambda2-rejected", "max-iter"])
+    _reused_evaluator_case,
+], ids=["gas", "bordered-corrector", "steep-p17.1", "lambda2-rejected", "max-iter",
+        "reused-evaluator"])
 def test_newton_equals_a_plain_loop_on_the_per_product_forms(case):
-    # the evaluator's kept arrays, its bordered tangent and the load carried
-    # as a number change no bit of the iteration
-    x0, ctx, border, corrector = case()
-    state, report = newton_solve(x0, ctx, border, corrector)
+    # the evaluator's kept arrays, its bordered tangent, an evaluator that
+    # has run another solve and the load carried as a number change no bit
+    # of the iteration
+    x0, ctx, border, corrector, *evaluator = case()
+    state, report = newton_solve(x0, ctx, border, corrector,
+                                 evaluator=evaluator[0] if evaluator else None)
     x, c, hist, steps, message = newton_reference(x0, ctx, border, corrector)
     assert state.x.tobytes() == x.tobytes()
     assert state.load.c == c
@@ -590,13 +606,44 @@ def newton_reports(monkeypatch):
     reports = []
     inner = solver.newton_solve
 
-    def recorded(x0, ctx, border=None, corrector=False):
-        state, report = inner(x0, ctx, border, corrector)
+    def recorded(x0, ctx, border=None, corrector=False, *, evaluator=None):
+        state, report = inner(x0, ctx, border, corrector, evaluator=evaluator)
         reports.append((corrector, border, ctx.load.c, report))
         return state, report
 
     monkeypatch.setattr(solver, "newton_solve", recorded)
     return reports
+
+
+def test_a_sweep_makes_its_evaluators_once(monkeypatch):
+    # the m = 1 start and the first point make one each, and every
+    # arclength corrector and landing runs on one of two kept for the sweep;
+    # each corrector on an evaluator of its own gives the same bits
+    made = _counter(monkeypatch, solver, "Evaluator")
+    points = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
+    assert len(made) <= 4 < len(points)
+    inner = solver.newton_solve
+    monkeypatch.setattr(solver, "newton_solve",
+                        lambda *args, evaluator=None, **kwargs: inner(*args, **kwargs))
+    fresh = continue_in_load(gas_context(6, c=0.1), 0.1, 3.0)
+    assert len(made) > len(fresh)
+    assert [(pt.c_value, pt.sag, pt.x.tobytes()) for pt in points] == [
+        (pt.c_value, pt.sag, pt.x.tobytes()) for pt in fresh]
+
+
+def test_an_evaluator_of_another_solve_is_refused(gas_m6):
+    state, _ = gas_m6
+    ctx = gas_context(6)
+    border = (1.0, 0.0, ctx.sag(state.x))
+    others = [assembly.Evaluator(ctx.tables, ctx.mat, ctx.load.d),
+              assembly.Evaluator(gas_context(5).tables, ctx.mat, 0.0, border),
+              assembly.Evaluator(ctx.tables, LIQ, ctx.load.d, border),
+              assembly.Evaluator(ctx.tables, ctx.mat, 1.0, border)]
+    for ev in others:
+        with pytest.raises(ValueError, match="evaluator"):
+            newton_solve(state.x, ctx, border, evaluator=ev)
+    with pytest.raises(ValueError, match="evaluator"):
+        newton_solve(state.x, ctx, evaluator=others[-1])
 
 
 def test_correctors_stop_at_their_iteration_budget(newton_reports):
@@ -813,6 +860,32 @@ def test_negative_radius_state_is_a_solve_failure():
     assert isinstance(rung, SolveFailure) and "lambda2" in str(rung)
 
 
+def test_p_is_read_once_as_a_number_or_a_sequence():
+    # a bare p used to raise TypeError, "17" solved at p = (1, 7), and NaN
+    # and inf failed with a start or quadrature message
+    load = LoadParams(0.5, 10.0)
+    state, _ = solve_membrane(LIQ, load, "adaptive", 6, p=17.1)
+    want, _ = solve_membrane(LIQ, load, "adaptive", 6, p=(17.1,))
+    assert state.x.tobytes() == want.x.tobytes() and state.spec == want.spec
+    for bad in ("17", (math.nan,), (math.inf,), True):
+        with pytest.raises(ValueError, match="^p must be"):
+            solve_membrane(LIQ, load, "adaptive", 6, p=bad)
+        with pytest.raises(ValueError, match="^p must be"):
+            SolveContext.create(LIQ, load, "adaptive", 6, bad)
+
+
+def test_gas_error_against_the_strong_form_reference_falls_to_its_floor():
+    # the error itself, not the defect: max |z - z_ref| on the reference
+    # mesh, against a boundary value solve of the strong form
+    load = LoadParams(1.7)
+    rungs = solve_ladder(GAS, load, "polynomial", range(2, 13, 2))
+    s, ref = bvp_state(GAS, load, rungs[-1][0])
+    errors = [float(np.max(np.abs(eval_shape(state, s).z - ref[0])))
+              for state, _ in rungs]
+    assert all(b < a for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 1e-10, errors
+
+
 def test_a_failed_solve_leaves_no_reference_cycle():
     # a failure kept as a value carries no traceback, whose frames would
     # hold it, and the ladder's tables, until the next collection
@@ -1015,7 +1088,7 @@ def test_defect_table_of_a_larger_size_gives_the_same_bits(family, m, extra,
     p = (p1,) if family == "adaptive" else ()
     state = SolutionState(x, BasisSpec(family, m, p), LoadParams(c, 10.0))
     sets = (solver._GRID, np.asarray(probes, dtype=float))
-    table = solver._generator_blocks(BasisSpec(family, m + extra, p), sets)
+    table = solver._generator_blocks(BasisSpec(family, min(m + extra, MAX_M), p), sets)
     terms = solver._defect_terms(state, LIQ, sets, table)
     delta = terms[-1]
     at, dmax = delta[solver.DELTA_GRID:], float(np.max(delta[:solver.DELTA_GRID]))
@@ -1091,6 +1164,22 @@ def test_solves_build_tables_once_per_basis(build_calls, tension_calls,
     values, partials = tension_calls
     assert len(values) == tensions
     assert len(partials) == sum(rep.iterations for *_, rep in newton_reports) < tensions
+
+
+def test_a_direct_polynomial_context_reads_the_kept_tables(build_calls):
+    # a context made directly on the family's default rule holds the
+    # tables SolveContext.create keeps; one on another rule builds its own
+    # and leaves the kept ones alone
+    kept = SolveContext.create(GAS, LoadParams(1.7), "polynomial", 6)
+    assert SolveContext.create(GAS, LoadParams(0.2), "polynomial", 6,
+                               quad=64).tables is kept.tables
+    build_calls.clear()
+    assert gas_context(6).tables is kept.tables
+    assert build_calls == []
+    info = solver._poly_rule_tables.cache_info()
+    own = SolveContext(GAS, LoadParams(1.7), BasisSpec("polynomial", 6), gauss_rule(48))
+    assert len(build_calls) == 1 and own.tables.s.size == 48
+    assert solver._poly_rule_tables.cache_info() == info
 
 
 def test_polynomial_tables_are_built_once_per_process(build_calls):
