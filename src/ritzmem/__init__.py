@@ -3,13 +3,7 @@ membrane under hydrostatic load, computed by a Ritz expansion with an
 optional steep Bessel-profile basis for boundary layers."""
 
 from .assembly import functional_value, jacobian, p_gradient, residual
-from .basis import (
-    BasisSpec,
-    SolutionState,
-    eval_generators,
-    eval_shape,
-    shape_p_derivs,
-)
+from .basis import BasisSpec, SolutionState, eval_generators, eval_shape
 from .kinematics import (
     LoadParams,
     ShapeEval,
@@ -47,7 +41,6 @@ __all__ = [
     "functional_value", "jacobian", "p_gradient", "residual",
     # basis
     "BasisSpec", "SolutionState", "eval_generators", "eval_shape",
-    "shape_p_derivs",
     # kinematics
     "LoadParams", "ShapeEval", "curvatures", "hydro_load", "stretches",
     # material

@@ -32,18 +32,28 @@ tables are numpy's own `i0` tables, and the order-1 tables were
 regenerated with mpmath by the recipe given there.  One profile
 evaluation serves the generators and their partials in p; a table build
 forms first derivatives only.
+
+No load, material or state changes the polynomial generators at given
+points, so a polynomial table depends on m and the bits of its points
+alone, and is kept per process by them, -0.0 and 0.0 apart, in bounded
+stores, read-only: the tables on a rule's nodes and weights (`_kept_tables`)
+and the generator blocks of the strong-form pass (`_generator_blocks`).
+Steep tables change with p and are made on every call.  Only
+`BasisTables.build` and `eval_generators` build or evaluate generators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
 
 from ._data import I0E_LARGE, I0E_SMALL, I1E_LARGE, I1E_SMALL
 from .kinematics import LoadParams, ShapeEval
+from .quadrature import QuadratureRule
 
 FAMILIES = ("polynomial", "adaptive")
 
@@ -336,18 +346,13 @@ def _shape(state: SolutionState, s, gen, second: bool) -> ShapeEval:
     return shape
 
 
-def shape_p_derivs(state: SolutionState, s):
-    """Partials of the trial shape in the steepness parameters.
+def _shape_p(state: SolutionState, s, rho_p):
+    """Partials of the trial shape in the steepness parameters at s, from
+    the partials (d rho/dp, d rho'/dp) there.
 
     Returns (dz_dp, dr_dp, dzp_dp, drp_dp), each shaped (n_p,) + s.shape,
     where dzp_dp is the parameter derivative of dz/ds.
     """
-    s = np.asarray(s, dtype=float)
-    return _shape_p(state, s, _Profile(s, state.spec.p, second=False).p_derivs())
-
-
-def _shape_p(state: SolutionState, s, rho_p):
-    """`shape_p_derivs` at s from the partials (d rho/dp, d rho'/dp) there."""
     if state.spec.family != "adaptive":
         raise ValueError("shape parameter derivatives exist only for the steep family")
     m = state.spec.m
@@ -355,11 +360,8 @@ def _shape_p(state: SolutionState, s, rho_p):
     u_p, du_p, v_p, dv_p = _ladder(-drho_dp, -ddrho_dp, drho_dp, ddrho_dp, s, m)
     xu = state.x[:m]
     xv = state.x[m:]
-    dz_dp = np.tensordot(xu, u_p, axes=(0, 0))
-    dzp_dp = np.tensordot(xu, du_p, axes=(0, 0))
-    dr_dp = np.tensordot(xv, v_p, axes=(0, 0))
-    drp_dp = np.tensordot(xv, dv_p, axes=(0, 0))
-    return dz_dp, dr_dp, dzp_dp, drp_dp
+    return tuple(x.dot(g.reshape(m, -1)).reshape(g.shape[1:])
+                 for x, g in ((xu, u_p), (xv, v_p), (xu, du_p), (xv, dv_p)))
 
 
 @dataclass
@@ -424,3 +426,62 @@ class BasisTables:
             dv=self.dv[:k], u0=self.u0[:k], left=self.left[:, :k],
             right_t=self.right_t[:, :, :k])
         return head
+
+
+@lru_cache(maxsize=16)
+def _poly_tables(m: int, nodes: bytes, weights: bytes) -> BasisTables:
+    """`BasisTables.build` of the polynomial basis of size m on the rule
+    whose nodes and weights have the float64 bytes `nodes` and `weights`."""
+    rule = QuadratureRule(np.frombuffer(nodes), np.frombuffer(weights))
+    tables = BasisTables.build(BasisSpec("polynomial", m), rule)
+    for arr in vars(tables).values():
+        arr.flags.writeable = False
+    return tables
+
+
+def _kept_tables(spec: BasisSpec, rule) -> BasisTables:
+    """The tables of `spec` on `rule`, kept per process for the polynomial
+    family (`_poly_tables`) and built on every call for the steep one."""
+    if spec.family == "polynomial":
+        return _poly_tables(spec.m, rule.nodes.tobytes(), rule.weights.tobytes())
+    return BasisTables.build(spec, rule)
+
+
+def _eval_blocks(spec: BasisSpec, blocks):
+    """The generators at each set of points in `blocks`, from one
+    `eval_generators` pass over all of them: one tuple (u, u', u'', v, v',
+    v'') per set, each array a C-contiguous (m, n) copy of its columns."""
+    gen = eval_generators(spec, np.concatenate(blocks))
+    cuts = np.cumsum([len(b) for b in blocks])[:-1]
+    return tuple(tuple(np.ascontiguousarray(g) for g in block)
+                 for block in zip(*(np.split(g, cuts, axis=1) for g in gen)))
+
+
+# the most points a kept generator table spans: the CLI's profile grid, or
+# the defect grid with up to 155 probes
+_KEPT_POINTS = 256
+
+
+@lru_cache(maxsize=32)
+def _poly_blocks(m: int, keys: tuple):
+    """`_eval_blocks` of the polynomial basis of size m at the points whose
+    float64 bytes are `keys`.  Solving and checking each size m = 1..12 at
+    one probe, with the grid defect read again without it, needs 24 tables,
+    so 32 evict none of them; together they hold at most 32 x 6 x
+    `_KEPT_POINTS` x m floats, 4.7 MB at m = 12."""
+    table = _eval_blocks(BasisSpec("polynomial", m), [np.frombuffer(k) for k in keys])
+    for block in table:
+        for arr in block:
+            arr.flags.writeable = False
+    return table
+
+
+def _generator_blocks(spec: BasisSpec, blocks):
+    """`_eval_blocks(spec, blocks)`, kept per process for the polynomial
+    family (`_poly_blocks`).  A table over more than `_KEPT_POINTS` points
+    would hold its memory for the process, so it is evaluated on every call,
+    like a steep one."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    if spec.family == "polynomial" and sum(map(len, blocks)) <= _KEPT_POINTS:
+        return _poly_blocks(spec.m, tuple(b.tobytes() for b in blocks))
+    return _eval_blocks(spec, blocks)

@@ -8,6 +8,7 @@ nodes in the boundary layer.
 The 64- and 192-point rules of the defaults are frozen in `_data`, exactly
 as `scipy.special.roots_legendre` returns them, so default runs need numpy
 alone; scipy computes any other node count, and is imported only then.
+Roots and Gauss rules are made once per node count and shared, read-only.
 """
 
 from __future__ import annotations
@@ -61,10 +62,17 @@ def _legendre(n: int):
     return x, w
 
 
+@lru_cache(maxsize=32)
 def gauss_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule mapped to (0, 1)."""
+    """n-point Gauss-Legendre rule mapped to (0, 1), made once per n.
+
+    Every caller shares the rule, so its arrays are read-only.
+    """
     x, w = _legendre(n)
-    return QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
+    rule = QuadratureRule(nodes=0.5 * (x + 1.0), weights=0.5 * w)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def two_panel_rule(n: int, split: float) -> QuadratureRule:

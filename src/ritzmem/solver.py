@@ -19,14 +19,14 @@ its own or one of the two a sweep keeps for its correctors, and carries
 the load c as a number, so an iterate makes no state or load object: it
 evaluates the nodal shape and the tension coefficients once, their
 partials only if it assembles a tangent, into arrays the evaluator keeps.
-`SolveContext.create` picks a family's basis and rule and builds its
-tables once; a polynomial basis on the family's default rule, a context
-made directly included, reads tables kept per process.  There is
-one fixed-basis driver, `solve_ladder`; `solve_membrane` is its one-size
-case.  It builds the fixed basis once, at the largest size, solves the
-m = 1 start once (`initial_guess`, which every start calls, a sweep's
-too), and runs each size, then the basis-size ladder on failure, on views
-of those tables (`SolveContext.head`); the pole sag is read from them.
+`SolveContext.create` picks a family's basis and rule; every context takes
+its tables from `basis._kept_tables`, which keeps the polynomial ones per
+process.  There is one fixed-basis driver, `solve_ladder`; `solve_membrane`
+is its one-size case.  It builds the fixed basis once, at the largest
+size, solves the m = 1 start once (`initial_guess`, which every start
+calls, a sweep's too), and runs each size, then the basis-size ladder on
+failure, on views of those tables (`SolveContext.head`); the pole sag is
+read from them.
 The strong form has one pass, `_defect_terms`: each set of points (the
 defect grid, the probes, the CLI's profile grid) takes its shape from its
 block of one generator table, and the stretches, tensions, curvatures and
@@ -35,11 +35,9 @@ joined shape.  It runs only where it is read: `solve_ladder` runs it once
 per returned state, on the grid and at the probes, for the defect, the
 defect at the probes and the shape there (`SolveReport.shape_at`).  A
 fixed basis builds the generator table of that pass once per ladder, at
-the largest size, and every size reads its first m rows.  No load,
-material or state changes the polynomial generators at given points, so
-their tables, the defect grid's with its probes and the CLI's profile
-grid, are kept per process like the rule and basis tables
-(`_generator_blocks`), read-only.
+the largest size, and every size reads its first m rows; `basis` keeps the
+polynomial ones per process (`basis._generator_blocks`).  This module keeps
+nothing itself.
 """
 
 from __future__ import annotations
@@ -47,16 +45,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .assembly import Evaluator, functional_value, p_gradient
-from .basis import (P_MIN, BasisSpec, BasisTables, SolutionState, _shape,
-                    eval_generators, eval_shape)
+from .basis import (P_MIN, BasisSpec, BasisTables, SolutionState, _generator_blocks,
+                    _kept_tables, _shape, eval_shape)
 from .kinematics import LoadParams, ShapeEval, curvatures, hydro_load, stretches
 from .material import MaterialParams, principal_stresses
-from .quadrature import MAX_NODES, MIN_NODES, POLY_NODES, QuadratureRule, auto_rule
+from .quadrature import MAX_NODES, MIN_NODES, QuadratureRule, auto_rule
 
 DELTA_GRID = 101
 _GRID = np.linspace(0.0, 1.0, DELTA_GRID + 2)[1:-1]
@@ -69,7 +66,8 @@ class SolveFailure(RuntimeError):
 
 @dataclass
 class SolveContext:
-    """Bundle of everything a solve needs; basis tables are cached."""
+    """Bundle of everything a solve needs; the tables are
+    `basis._kept_tables(spec, rule)` unless given."""
 
     mat: MaterialParams
     load: LoadParams
@@ -78,24 +76,17 @@ class SolveContext:
     tables: BasisTables = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.tables is None and self.spec.family == "polynomial":
-            rule = auto_rule("polynomial")  # the default rule, bit for bit
-            if (self.rule.nodes.tobytes(), self.rule.weights.tobytes()) == (
-                    rule.nodes.tobytes(), rule.weights.tobytes()):
-                self.tables = _poly_rule_tables(self.spec.m, POLY_NODES)[1]
         if self.tables is None:
-            self.tables = BasisTables.build(self.spec, self.rule)
+            self.tables = _kept_tables(self.spec, self.rule)
 
     @classmethod
     def create(cls, mat: MaterialParams, load: LoadParams, family: str, m: int,
                p=(), quad: int | None = None) -> "SolveContext":
         """Context of a family's basis on its `auto_rule`: the steep rule
         follows p1 = p[0], and the polynomial family drops p.  A p1 too
-        steep for the rule's nodes in double precision is a `SolveFailure`.
-        The polynomial rule and tables are shared, see `_poly_rule_tables`."""
+        steep for the rule's nodes in double precision is a `SolveFailure`."""
         if family == "polynomial":
-            rule, tables = _poly_rule_tables(m, POLY_NODES if quad is None else quad)
-            return cls(mat, load, BasisSpec(family, m), rule, tables)
+            return cls(mat, load, BasisSpec(family, m), auto_rule(family, n=quad))
         spec = BasisSpec(family, m, p)
         try:
             rule = auto_rule(family, spec.p[0], quad)
@@ -122,19 +113,6 @@ class SolveContext:
     def sag(self, x) -> float:
         """Pole deflection z(0) of the coefficients x, from the tables."""
         return float(x[: self.spec.m] @ self.tables.u0)
-
-
-@lru_cache(maxsize=16)
-def _poly_rule_tables(m: int, n: int):
-    """Rule and tables of the polynomial basis of size m on n nodes, which
-    no load or material changes.  Every caller shares the arrays, so they
-    are read-only; the steep tables change with p and are not kept."""
-    spec = BasisSpec("polynomial", m)
-    rule = auto_rule("polynomial", n=n)
-    tables = BasisTables.build(spec, rule)
-    for arr in (rule.nodes, rule.weights, *vars(tables).values()):
-        arr.flags.writeable = False
-    return rule, tables
 
 
 @dataclass
@@ -170,49 +148,6 @@ def _points(probes) -> np.ndarray:
         if not 0.0 <= sp <= 1.0:  # NaN fails the comparison too
             raise ValueError(f"probe {sp} outside [0, 1]")
     return points
-
-
-def _eval_blocks(spec: BasisSpec, blocks):
-    """The generators at each set of points in `blocks`, from one
-    `eval_generators` pass over all of them: one tuple (u, u', u'', v, v',
-    v'') per set, each array a C-contiguous (m, n) copy of its columns."""
-    gen = eval_generators(spec, np.concatenate(blocks))
-    cuts = np.cumsum([len(b) for b in blocks])[:-1]
-    return tuple(tuple(np.ascontiguousarray(g) for g in block)
-                 for block in zip(*(np.split(g, cuts, axis=1) for g in gen)))
-
-
-# the most points a kept table spans: the profile grid, or the defect
-# grid with up to 155 probes
-_KEPT_POINTS = 256
-
-
-@lru_cache(maxsize=32)
-def _poly_blocks(m: int, keys: tuple):
-    """`_eval_blocks` of the polynomial basis of size m at the points whose
-    float64 bytes are `keys`, which no load, material or state changes.
-    Every caller shares the arrays, so they are read-only.  Solving and
-    checking each size m = 1..12 at one probe, with the grid defect read
-    again without it, needs 24 tables, so 32 evict none of them.  Each
-    spans at most `_KEPT_POINTS` points, so all of them together hold at
-    most 32 x 6 x 256 x m floats: 4.7 MB at m = 12."""
-    table = _eval_blocks(BasisSpec("polynomial", m), [np.frombuffer(k) for k in keys])
-    for block in table:
-        for arr in block:
-            arr.flags.writeable = False
-    return table
-
-
-def _generator_blocks(spec: BasisSpec, blocks):
-    """`_eval_blocks(spec, blocks)`, kept per process for the polynomial
-    family (`_poly_blocks`), keyed by m and the bits of the points, so
-    -0.0 and 0.0 are distinct keys.  The steep generators change with p,
-    and a table over more than `_KEPT_POINTS` points would hold its memory
-    for the process, so those are evaluated on every call."""
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if spec.family == "polynomial" and sum(map(len, blocks)) <= _KEPT_POINTS:
-        return _poly_blocks(spec.m, tuple(b.tobytes() for b in blocks))
-    return _eval_blocks(spec, blocks)
 
 
 def _defect_terms(state: SolutionState, mat: MaterialParams, sets, table=None):
@@ -732,8 +667,8 @@ def solve_ladder(mat: MaterialParams, load: LoadParams, family: str, sizes,
     generator table of that pass once, at the largest size when the first
     size converges, and every converged size reads its first m rows; a
     searched p builds a table per converged size, on its own p.  A
-    polynomial table is kept per process (`_generator_blocks`), so a later
-    ladder or solve at the same size and probes evaluates no generator.
+    polynomial table is kept per process, so a later ladder or solve at the
+    same size and probes evaluates no generator.
     A probe that is not a point of [0, 1] raises `ValueError` before any
     solve.
     """

@@ -20,7 +20,6 @@ from ritzmem.basis import (
     _shape_p,
     eval_generators,
     eval_shape,
-    shape_p_derivs,
 )
 from ritzmem.cli import PROFILE_POINTS
 from ritzmem.kinematics import LoadParams
@@ -29,6 +28,11 @@ from ritzmem.quadrature import auto_rule, gauss_rule
 from ritzmem.solver import DELTA_GRID
 
 NO_LOAD = LoadParams(0.0)
+
+
+def _shape_p_derivs(state, s):
+    """The partials of the trial shape in p at s, from the profile there."""
+    return _shape_p(state, s, _Profile(s, state.spec.p, second=False).p_derivs())
 
 
 def _i0_series(x, terms=30):
@@ -218,7 +222,7 @@ def test_shape_p_derivs_zero_state():
     spec = BasisSpec("adaptive", 3, (4.0,))
     state = SolutionState(np.zeros(6), spec, NO_LOAD)
     s = np.array([0.3, 0.8])
-    for part in shape_p_derivs(state, s):
+    for part in _shape_p_derivs(state, s):
         assert np.allclose(part, 0.0)
 
 
@@ -231,7 +235,7 @@ def test_shape_p_derivs_match_fd():
         x = rng.normal(scale=0.3, size=8)
         s = rng.uniform(0.05, 0.95, 3)
         state = SolutionState(x, spec, NO_LOAD)
-        dz_dp, dr_dp, dzp_dp, drp_dp = shape_p_derivs(state, s)
+        dz_dp, dr_dp, dzp_dp, drp_dp = _shape_p_derivs(state, s)
         sp = SolutionState(x, spec.with_p((p1 + h,)), NO_LOAD)
         sm = SolutionState(x, spec.with_p((p1 - h,)), NO_LOAD)
         fp, fm = eval_shape(sp, s), eval_shape(sm, s)
@@ -244,7 +248,7 @@ def test_shape_p_derivs_match_fd():
 def test_shape_p_derivs_pinned_at_the_rim():
     spec = BasisSpec("adaptive", 3, (7.0,))
     state = SolutionState(np.ones(6), spec, NO_LOAD)
-    dz_dp, dr_dp, _, _ = shape_p_derivs(state, np.array([1.0]))
+    dz_dp, dr_dp, _, _ = _shape_p_derivs(state, np.array([1.0]))
     assert abs(dz_dp[0, 0]) <= 1e-12
     assert abs(dr_dp[0, 0]) <= 1e-12
 
@@ -252,7 +256,7 @@ def test_shape_p_derivs_pinned_at_the_rim():
 def test_shape_p_derivs_reject_polynomial():
     state = SolutionState(np.zeros(4), BasisSpec("polynomial", 2), NO_LOAD)
     with pytest.raises(ValueError):
-        shape_p_derivs(state, np.array([0.5]))
+        _shape_p_derivs(state, np.array([0.5]))
 
 
 def test_boundary_conditions_both_families():
@@ -369,7 +373,8 @@ def test_table_head_equals_tables_built_at_that_size():
 
 def test_table_parameter_partials_equal_shape_p_derivs_at_the_nodes():
     # p_gradient takes the profile's partials from the table build's
-    # profile evaluation; they must give the bits shape_p_derivs gives
+    # profile evaluation; they must give the bits of a profile evaluated at
+    # the nodes alone
     rng = np.random.default_rng(5)
     cases = [(BasisSpec("adaptive", 6, (17.1,)), auto_rule("adaptive", 17.1)),
              (BasisSpec("adaptive", 6, (150.0,)), auto_rule("adaptive", 150.0)),
@@ -380,5 +385,5 @@ def test_table_parameter_partials_equal_shape_p_derivs_at_the_nodes():
             state = SolutionState(rng.normal(scale=0.3, size=2 * k),
                                   BasisSpec(spec.family, k, spec.p), NO_LOAD)
             got = _shape_p(state, rule.nodes, tables.head(k).rho_p)
-            for a, b in zip(got, shape_p_derivs(state, rule.nodes)):
+            for a, b in zip(got, _shape_p_derivs(state, rule.nodes)):
                 assert a.tobytes() == b.tobytes()

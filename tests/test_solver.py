@@ -14,7 +14,7 @@ from ritzmem import assembly, basis, cli, solver
 from ritzmem.basis import MAX_M, BasisSpec, BasisTables, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
-from ritzmem.quadrature import auto_rule, gauss_rule
+from ritzmem.quadrature import QuadratureRule, auto_rule, gauss_rule
 from ritzmem.solver import (
     SolveContext,
     SolveFailure,
@@ -326,7 +326,7 @@ def test_diagnostic_is_the_pointwise_defect_bit_for_bit(family, m, p1, c, d,
 def fresh_generator_tables():
     # count from an empty per-process generator table cache, whatever ran
     # before
-    solver._poly_blocks.cache_clear()
+    basis._poly_blocks.cache_clear()
 
 
 @pytest.mark.parametrize("family, p", [("polynomial", ()), ("adaptive", (17.1,))])
@@ -886,6 +886,34 @@ def test_gas_error_against_the_strong_form_reference_falls_to_its_floor():
     assert errors[-1] < 1e-10, errors
 
 
+def test_upper_branch_error_against_the_strong_form_reference_falls():
+    # past both folds: the last state of a gas sweep to c = 2.45, relative
+    # max |z - z_ref| on the reference mesh
+    load = LoadParams(2.45)
+    states = []
+    for m in (4, 6, 8, 10):
+        points = continue_in_load(gas_context(m, c=0.1), 0.1, load.c,
+                                  StepPolicy(initial=0.1))
+        assert points[-1].c_value == load.c
+        states.append(SolutionState(points[-1].x, BasisSpec("polynomial", m), load))
+    s, ref = bvp_state(GAS, load, states[-1])
+    scale = float(np.max(np.abs(ref[0])))
+    errors = [float(np.max(np.abs(eval_shape(state, s).z - ref[0]))) / scale
+              for state in states]
+    assert all(b < a for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 1e-5, errors
+
+
+def test_liquid_error_against_the_strong_form_reference_falls():
+    # the steep family with p searched, gamma1 = 0.1, c = 0.5, d = 10
+    load = LoadParams(0.5, 10.0)
+    states = [solve_membrane(LIQ, load, "adaptive", m)[0] for m in (4, 6, 8, 10)]
+    s, ref = bvp_state(LIQ, load, states[-1])
+    errors = [float(np.max(np.abs(eval_shape(state, s).z - ref[0]))) for state in states]
+    assert all(b < a for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 2e-7, errors
+
+
 def test_a_failed_solve_leaves_no_reference_cycle():
     # a failure kept as a value carries no traceback, whose frames would
     # hold it, and the ladder's tables, until the next collection
@@ -929,7 +957,7 @@ def test_ladder_solves_its_m1_start_once(monkeypatch):
 @pytest.fixture
 def build_calls(monkeypatch):
     # count from an empty polynomial table cache, whatever ran before
-    solver._poly_rule_tables.cache_clear()
+    basis._poly_tables.cache_clear()
     calls = []
     inner = BasisTables.__dict__["build"].__func__
 
@@ -945,7 +973,7 @@ def test_steep_fixed_p_ladder_builds_its_tables_once(build_calls, monkeypatch):
     # every size and the m = 1 start run on views of the one m = 6 build,
     # and every size's defect and probe shape on rows of one defect table
     rules = _counter(monkeypatch, solver, "auto_rule")
-    passes = _counter(monkeypatch, solver, "eval_generators")
+    passes = _counter(monkeypatch, basis, "eval_generators")
     rungs = solve_ladder(LIQ, LoadParams(0.5, 10.0), "adaptive", range(1, 7),
                          p=(17.1,), probe=0.9)
     assert all(not isinstance(rung, SolveFailure) for rung in rungs)
@@ -954,12 +982,12 @@ def test_steep_fixed_p_ladder_builds_its_tables_once(build_calls, monkeypatch):
 
 def test_polynomial_ladder_takes_one_table_from_the_cache(monkeypatch,
                                                           fresh_generator_tables):
-    solver._poly_rule_tables.cache_clear()
-    passes = _counter(monkeypatch, solver, "eval_generators")
+    basis._poly_tables.cache_clear()
+    passes = _counter(monkeypatch, basis, "eval_generators")
     rungs = solve_ladder(GAS, LoadParams(1.7), "polynomial", range(1, 7),
                          probe=0.2)
     assert all(not isinstance(rung, SolveFailure) for rung in rungs)
-    assert solver._poly_rule_tables.cache_info().misses == 1
+    assert basis._poly_tables.cache_info().misses == 1
     assert len(passes) == 1
 
 
@@ -967,7 +995,7 @@ def test_cli_converge_evaluates_no_shape(monkeypatch, fresh_generator_tables,
                                          tmp_path):
     # the probe cells come from the ladder's one defect pass
     shapes = _counter(monkeypatch, basis, "eval_shape")
-    passes = _counter(monkeypatch, solver, "eval_generators")
+    passes = _counter(monkeypatch, basis, "eval_generators")
     path = tmp_path / "ladder.cfg"
     path.write_text("gamma1 = 0.02\ngamma2 = -0.015\ngamma3 = 0.00025\n"
                     "c = 1.7\nm_min = 1\nm_max = 6\n")
@@ -990,14 +1018,14 @@ def test_kept_polynomial_tables_equal_a_fresh_pass(m, probes):
     grid = np.linspace(0.0, 1.0, solver.DELTA_GRID + 2)[1:-1]
     fresh = basis.eval_generators(spec, np.concatenate([grid, probes]))
     for _ in range(2):  # a build, then a lookup
-        table = solver._generator_blocks(spec, (solver._GRID, probes))
+        table = basis._generator_blocks(spec, (solver._GRID, probes))
         for block, cols in zip(table, (slice(None, grid.size), slice(grid.size, None))):
             assert [g.tobytes() for g in block] == [
                 np.ascontiguousarray(g[:, cols]).tobytes() for g in fresh]
             assert all(g.flags.c_contiguous for g in block)
     s = np.linspace(0.0, 1.0, cli.PROFILE_POINTS)
     for _ in range(2):
-        (block,) = solver._generator_blocks(spec, [s])
+        (block,) = basis._generator_blocks(spec, [s])
         assert [g.tobytes() for g in block] == [
             g.tobytes() for g in basis.eval_generators(spec, s)]
     for g in (*table[0], *table[1], *block):
@@ -1006,12 +1034,12 @@ def test_kept_polynomial_tables_equal_a_fresh_pass(m, probes):
 
 
 def test_kept_tables_stay_within_their_bound():
-    bound = solver._poly_blocks.cache_info().maxsize
+    bound = basis._poly_blocks.cache_info().maxsize
     spec = BasisSpec("polynomial", 2)
     for sp in np.linspace(0.0, 1.0, 2 * bound):
-        solver._generator_blocks(spec, (solver._GRID, [sp]))
-        assert solver._poly_blocks.cache_info().currsize <= bound
-    assert solver._poly_blocks.cache_info().currsize == bound
+        basis._generator_blocks(spec, (solver._GRID, [sp]))
+        assert basis._poly_blocks.cache_info().currsize <= bound
+    assert basis._poly_blocks.cache_info().currsize == bound
 
 
 def test_a_repeated_polynomial_solve_evaluates_no_generator(monkeypatch):
@@ -1041,23 +1069,23 @@ def test_solves_reject_a_probe_outside_the_membrane(monkeypatch, driver, probe):
 def test_defect_reads_reject_a_probe_outside_the_membrane(gas_m6, probe):
     # the one check in front of every defect read; no table is kept for it
     state, _ = gas_m6
-    kept = solver._poly_blocks.cache_info().currsize
+    kept = basis._poly_blocks.cache_info().currsize
     with pytest.raises(ValueError, match=f"probe {probe} outside"):
         delta_diagnostic(state, GAS, [0.2, probe])
-    assert solver._poly_blocks.cache_info().currsize == kept
+    assert basis._poly_blocks.cache_info().currsize == kept
 
 
 def test_a_table_over_many_points_is_not_kept(gas_m6):
     # dense probes get the bits of the same one pass, built per call
     state, _ = gas_m6
-    probes = np.linspace(0.0, 1.0, solver._KEPT_POINTS - solver.DELTA_GRID + 1)
-    kept = solver._poly_blocks.cache_info().currsize
-    table = solver._generator_blocks(state.spec, (solver._GRID, probes))
-    assert solver._poly_blocks.cache_info().currsize == kept
+    probes = np.linspace(0.0, 1.0, basis._KEPT_POINTS - solver.DELTA_GRID + 1)
+    kept = basis._poly_blocks.cache_info().currsize
+    table = basis._generator_blocks(state.spec, (solver._GRID, probes))
+    assert basis._poly_blocks.cache_info().currsize == kept
     fresh = basis.eval_generators(state.spec, np.concatenate([solver._GRID, probes]))
     assert [g.tobytes() for g in table[1]] == [
         np.ascontiguousarray(g[:, solver.DELTA_GRID:]).tobytes() for g in fresh]
-    again = solver._generator_blocks(state.spec, (solver._GRID, probes))
+    again = basis._generator_blocks(state.spec, (solver._GRID, probes))
     assert again[1][0] is not table[1][0]
 
 
@@ -1088,7 +1116,7 @@ def test_defect_table_of_a_larger_size_gives_the_same_bits(family, m, extra,
     p = (p1,) if family == "adaptive" else ()
     state = SolutionState(x, BasisSpec(family, m, p), LoadParams(c, 10.0))
     sets = (solver._GRID, np.asarray(probes, dtype=float))
-    table = solver._generator_blocks(BasisSpec(family, min(m + extra, MAX_M), p), sets)
+    table = basis._generator_blocks(BasisSpec(family, min(m + extra, MAX_M), p), sets)
     terms = solver._defect_terms(state, LIQ, sets, table)
     delta = terms[-1]
     at, dmax = delta[solver.DELTA_GRID:], float(np.max(delta[:solver.DELTA_GRID]))
@@ -1124,17 +1152,15 @@ def generator_calls(monkeypatch):
 
 def test_liquid_cli_solve_evaluates_the_profile_three_times(monkeypatch, tmp_path):
     # the table build, the solve's one defect pass over the grid and the
-    # probes, and the written profile; the defect pass and the profile look
-    # the generators up in solver
-    gen_basis = _counter(monkeypatch, basis, "eval_generators")
-    gen_solver = _counter(monkeypatch, solver, "eval_generators")
+    # probes, and the written profile
+    gen = _counter(monkeypatch, basis, "eval_generators")
     bessel = _counter(monkeypatch, basis, "_i0e_i1e")
     path = tmp_path / "liquid.json"
     path.write_text('{"gamma1": 0.1, "c": 0.5, "d": 10.0, "family": "adaptive",'
                     ' "m": 6, "p": 17.1}')
     assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--probe", "0.9"]) == 0
-    assert (len(gen_basis) + len(gen_solver), len(bessel)) == (2, 3)
+    assert (len(gen), len(bessel)) == (2, 3)
 
 
 @pytest.fixture
@@ -1167,19 +1193,24 @@ def test_solves_build_tables_once_per_basis(build_calls, tension_calls,
 
 
 def test_a_direct_polynomial_context_reads_the_kept_tables(build_calls):
-    # a context made directly on the family's default rule holds the
-    # tables SolveContext.create keeps; one on another rule builds its own
-    # and leaves the kept ones alone
+    # a polynomial context holds the tables kept for m and the bits of its
+    # rule, whether SolveContext.create made it or a caller did, on any rule
     kept = SolveContext.create(GAS, LoadParams(1.7), "polynomial", 6)
     assert SolveContext.create(GAS, LoadParams(0.2), "polynomial", 6,
                                quad=64).tables is kept.tables
-    build_calls.clear()
     assert gas_context(6).tables is kept.tables
-    assert build_calls == []
-    info = solver._poly_rule_tables.cache_info()
-    own = SolveContext(GAS, LoadParams(1.7), BasisSpec("polynomial", 6), gauss_rule(48))
-    assert len(build_calls) == 1 and own.tables.s.size == 48
-    assert solver._poly_rule_tables.cache_info() == info
+    assert len(build_calls) == 1
+    spec = BasisSpec("polynomial", 6)
+    own = SolveContext(GAS, LoadParams(1.7), spec, gauss_rule(48))
+    assert len(build_calls) == 2 and own.tables.s.size == 48
+    assert SolveContext.create(LIQ, LoadParams(0.5, 1.0), "polynomial", 6,
+                               quad=48).tables is own.tables
+    copy = QuadratureRule(own.rule.nodes.copy(), own.rule.weights.copy())
+    assert SolveContext(GAS, LoadParams(1.7), spec, copy).tables is own.tables
+    assert len(build_calls) == 2
+    nudged = QuadratureRule(own.rule.nodes, np.nextafter(own.rule.weights, 1.0))
+    assert SolveContext(GAS, LoadParams(1.7), spec, nudged).tables is not own.tables
+    assert len(build_calls) == 3
 
 
 def test_polynomial_tables_are_built_once_per_process(build_calls):
