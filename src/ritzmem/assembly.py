@@ -24,6 +24,12 @@ energy coefficients and d are read-only float64 0-d arrays
 (`material._const`), with the same bits and without numpy's conversion of
 a Python float on every call.  Nor does it slice: the evaluator makes the
 views it writes through once and keeps them from solve to solve.
+
+An evaluator with d = 0 (a gas load) forms no hydrostatic term: not z, since
+Q = c - 0*z is the load c at any finite z, nor the two tangent products
+weighted by w s d l2, u u and u v, each a signed zero added to a non-zero
+block.  The tables keep those two generator pairs last, so the batched
+product runs on the leading seven.  Every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -51,9 +57,11 @@ class Evaluator:
     column dg/dc and the row).  The tangent is nine row-weighted
     products A diag(c) B^T, one batched matmul over the generator pairs of
     `BasisTables.left` and `right_t` with the weight rows c of one (9, n)
-    array, summed block by block.  Those rows, the (9, m, m) products and
-    every view of them and of H are made by the first tangent and kept
-    (`_buffers`), so a lone residual makes none of them.  The coupling
+    array, summed block by block; at d = 0 the two hydrostatic products,
+    the last two, are left out, and Q is the load c as a 0-d array.  Those
+    rows, the (9, m, m) products and every view of them and of H are made
+    by the first tangent and kept (`_buffers`), so a lone residual makes
+    none of them.  The coupling
     block is built once and set in both places, and the matrix is mirrored
     as (H + H^T) / 2, which symmetrizes the diagonal blocks and leaves the
     coupling blocks exact.  The v-v curvature coefficient uses the swap
@@ -67,7 +75,8 @@ class Evaluator:
         n = 2 * m + (border is not None)
         self.tables, self.mat, self.m, self.border = tables, mat, m, border
         self.d = _const(d)
-        self.wd = tables.ws * self.d
+        self._hydrostatic = bool(d != 0.0)
+        self.wd = tables.ws * self.d if self._hydrostatic else None
         self.g = np.empty(n)
         self.h = np.empty((n, n))
         self.g_halves = self.g[:m], self.g[m:2 * m]
@@ -83,20 +92,23 @@ class Evaluator:
         self.h[-1, -1] = border[1]
 
     def nodal(self, x, c):
-        """Trial shape, stretches and load (z, r, z', r', l1, l2, Q) at the
-        quadrature nodes."""
+        """Trial shape, stretches and load (r, z', r', l1, l2, Q) at the
+        quadrature nodes; at d = 0, Q is c and z is not formed."""
         t, m = self.tables, self.m
         xu, xv = x[:m], x[m:]
-        z = xu.dot(t.u)
+        if self._hydrostatic:
+            q = hydro_load(xu.dot(t.u), c, self.d)
+        else:
+            q = np.array(c, dtype=float)
         dz = xu.dot(t.du)
         r = t.s + xv.dot(t.v)
         dr = ONE + xv.dot(t.dv)
-        return z, r, dz, dr, np.hypot(dz, dr), r / t.s, hydro_load(z, c, self.d)
+        return r, dz, dr, np.hypot(dz, dr), r / t.s, q
 
     def at(self, x, c) -> None:
         """Evaluate the iterate (x, c): its nodal shape and U, once."""
         self.x, self.c = x, c
-        _, _, self.dz, self.dr, self.l1, self.l2, self.q = self.nodal(x, c)
+        _, self.dz, self.dr, self.l1, self.l2, self.q = self.nodal(x, c)
         self.su12, self.su21, self.parts = tension_values(self.l1, self.l2, self.mat)
 
     def residual(self) -> np.ndarray:
@@ -116,49 +128,56 @@ class Evaluator:
 
     def _buffers(self) -> tuple:
         """The tangent's arrays and its views of them, made once: the nine
-        weight rows, the nine products with their blocks, the blocks of H
-        with the square part and its transpose, and the halves of the
+        weight rows, the nine products with their blocks, the operands of
+        the batched product (the leading seven pairs at d = 0), the blocks
+        of H with the square part and its transpose, and the halves of the
         bordered column."""
         t, m, h = self.tables, self.m, self.h
         n = 2 * m
+        k = 9 if self._hydrostatic else 7
         rows = np.empty((9, t.s.size))
         prod = np.empty((9, m, m))
         h_uv, hx = h[:m, m:n], h[:n, :n]
         column = (h[:m, n], h[m:n, n]) if self.border is not None else None
-        return (*rows, rows[:, None, :], prod, *prod,
-                h[:m, :m], h_uv, h[m:n, :m], h_uv.T, h[m:n, m:n], hx, hx.T,
-                column)
+        return (*rows, *prod, t.left[:k], rows[:k, None, :], t.right_t[:k],
+                prod[:k], h[:m, :m], h_uv, h[m:n, :m], h_uv.T, h[m:n, m:n],
+                hx, hx.T, column)
 
     def tangent(self) -> np.ndarray:
         """The tangent at the iterate of `at`, bordered if the solve is;
         the partials of U are evaluated here, once."""
         if self.buffers is None:
             self.buffers = self._buffers()
-        (c0, c1, c2, c3, c4, c5, c6, c7, c8, rows_3d, prod,
-         p0, p1, p2, p3, p4, p5, p6, p7, p8,
+        (c0, c1, c2, c3, c4, c5, c6, c7, c8,
+         p0, p1, p2, p3, p4, p5, p6, p7, p8, left, rows_3d, right_t, prod,
          h_uu, h_uv, h_vu, h_uv_t, h_vv, hx, hx_t, column) = self.buffers
         du1, du2, du1_swap = tension_partials(self.parts)
         t = self.tables
         dz, dr, l1, l2, su12 = self.dz, self.dr, self.l1, self.l2, self.su12
         w, s, ws = t.w, t.s, t.ws
-        wdl = self.wd * l2
         sq = s * self.q
         # one weight row per generator pair (A, B), in the order of the tables
         np.multiply(ws, du1 * dz * dz / l1 + su12, out=c0)                  # u'  u'
-        np.multiply(wdl, dr, out=c1)                                        # u   u
-        np.divide(ws * du1 * dz * dr, l1, out=c2)                           # u'  v'
-        np.multiply(w, du2 * dz + sq * l2, out=c3)                          # u'  v
-        np.multiply(wdl, dz, out=c4)                                        # u   v
-        np.multiply(ws, du1 * dr * dr / l1 + su12, out=c5)                  # v'  v'
-        np.multiply(w * du2, dr, out=c6)                                    # v'  v
-        c7[...] = c6                                                        # v   v'
-        np.divide(w * (l2 * du1_swap + self.su21 + sq * dz), s, out=c8)     # v   v
-        np.matmul(t.left * rows_3d, t.right_t, out=prod)
+        np.divide(ws * du1 * dz * dr, l1, out=c1)                           # u'  v'
+        np.multiply(w, du2 * dz + sq * l2, out=c2)                          # u'  v
+        np.multiply(ws, du1 * dr * dr / l1 + su12, out=c3)                  # v'  v'
+        np.multiply(w * du2, dr, out=c4)                                    # v'  v
+        c5[...] = c4                                                        # v   v'
+        np.divide(w * (l2 * du1_swap + self.su21 + sq * dz), s, out=c6)     # v   v
+        if self._hydrostatic:
+            wdl = self.wd * l2
+            np.multiply(wdl, dr, out=c7)                                    # u   u
+            np.multiply(wdl, dz, out=c8)                                    # u   v
+        np.matmul(left * rows_3d, right_t, out=prod)
 
-        np.add(p0, p1, out=h_uu)
-        np.subtract(p2 + p3, p4, out=h_uv)
+        if self._hydrostatic:
+            np.add(p0, p7, out=h_uu)
+            np.subtract(p1 + p2, p8, out=h_uv)
+        else:
+            h_uu[...] = p0
+            np.add(p1, p2, out=h_uv)
         h_vu[...] = h_uv_t
-        np.add(p5 + (p6 + p7), p8, out=h_vv)
+        np.add(p3 + (p4 + p5), p6, out=h_vv)
         hx += hx_t
         hx *= HALF
         if column is not None:
@@ -197,7 +216,7 @@ def functional_value(state: SolutionState, mat: MaterialParams, rule,
     coefficients is exactly the residual vector, for any d.
     """
     ev = _evaluator(state, mat, rule, tables)
-    z, r, dz, dr, l1, l2, q = ev.nodal(state.x, state.load.c)
+    r, dz, dr, l1, l2, q = ev.nodal(state.x, state.load.c)
     l3 = 1.0 / (l1 * l2)
     i1 = l1 * l1 + l2 * l2 + l3 * l3
     i2 = 1.0 / (l1 * l1) + 1.0 / (l2 * l2) + 1.0 / (l3 * l3)
@@ -225,7 +244,7 @@ def load_derivative(state: SolutionState, mat: MaterialParams, rule,
     Reads only the nodal shape, so the material is not evaluated.
     """
     ev = _evaluator(state, mat, rule, tables)
-    _, _, dz, dr, _, l2, _ = ev.nodal(state.x, state.load.c)
+    _, dz, dr, _, l2, _ = ev.nodal(state.x, state.load.c)
     out = np.empty(state.x.size)
     ev.dg_dc(dz, dr, l2, (out[:ev.m], out[ev.m:]))
     return out

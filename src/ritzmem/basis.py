@@ -64,9 +64,11 @@ P_MIN = 1e-3
 MAX_M = 12
 
 # Generator pairs (A, B) of the nine weighted products A diag(c) B^T that
-# the tangent assembles, as rows of the (u, u', v, v') stack.
-_LEFT = [1, 0, 1, 1, 0, 3, 3, 2, 2]
-_RIGHT = [1, 0, 3, 2, 2, 3, 2, 3, 2]
+# the tangent assembles, as rows of the (u, u', v, v') stack; the two
+# hydrostatic pairs, u u and u v, come last, so a load with d = 0 runs on
+# the leading seven.
+_LEFT = [1, 1, 1, 3, 3, 2, 2, 0, 0]
+_RIGHT = [1, 3, 2, 3, 2, 3, 2, 0, 2]
 
 
 def _padded(table):
@@ -378,10 +380,12 @@ class BasisTables:
     polynomial family has no parameters, so its stack is empty.  Derived
     on construction: the weights times the nodes `ws`, and the tangent's
     nine generator pairs stacked as `left` (9, m, n) and `right_t`
-    (9, n, m, a transposed view).  Row k of every table is the same for any
-    basis size m >= k, in both families, and `rho_p` does not depend on m,
-    so `head(k)` gives the tables of the first k generators as views of
-    these, without evaluating a generator or copying a table.
+    (9, n, m, a transposed view), the two hydrostatic pairs (u u and u v,
+    weighted by d) last, so that a load with d = 0 multiplies the leading
+    seven only.  Row k of every table is the same for any basis size
+    m >= k, in both families, and `rho_p` does not depend on m, so
+    `head(k)` gives the tables of the first k generators as views of these,
+    without evaluating a generator or copying a table.
     """
 
     s: np.ndarray

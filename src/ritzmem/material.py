@@ -8,6 +8,12 @@ scaled by 2*C1 so the leading neo-Hookean coefficient is 1:
 All stresses returned here are membrane tensions scaled the same way,
 T_i = T_i_physical / (2*C1*h0).  Incompressibility ties the thickness
 stretch to the in-plane ones, lambda3 = 1/(lambda1*lambda2).
+
+With gamma2 = gamma3 = 0 (a Mooney-Rivlin material, the paper's heavy-liquid
+case) W is linear in I1: W1 = 1 + 0*e1 + 0*e1**2 is exactly 1 and W11 is a
+signed zero at any finite I1.  `tension_values` and `tension_partials` then
+form neither I1 nor the W11 terms of the partials, each a signed zero added
+to a non-zero term, so every value they return keeps its bits.
 """
 
 from __future__ import annotations
@@ -50,6 +56,12 @@ class MaterialParams:
         product, as in the expression 2.0 * gamma2 * e1."""
         return tuple(map(_const, (self.gamma1, 2.0 * self.gamma2,
                                   3.0 * self.gamma3, 6.0 * self.gamma3)))
+
+    @cached_property
+    def _mooney_rivlin(self) -> bool:
+        """Whether gamma2 = gamma3 = 0 (either zero's sign): W is then
+        linear in I1, so W1 is 1 and W11 is 0 at any finite I1."""
+        return self.gamma2 == 0.0 and self.gamma3 == 0.0
 
 
 def energy(i1, i2, mat: MaterialParams):
@@ -100,6 +112,8 @@ def tension_values(l1, l2, mat: MaterialParams):
     T1 = (lambda1/lambda2) * U(lambda1, lambda2).  The invariants are
     symmetric in the stretch pair, so one energy evaluation serves both
     orders, and the two orders run as the rows of one stacked (2, n) pass.
+    A Mooney-Rivlin material (gamma2 = gamma3 = 0) makes no energy
+    evaluation: it forms no I1 and takes W1 = 1, W2 = gamma1, and no W11.
 
     Returns (U(l1,l2), U(l2,l1), parts), with `parts` what
     `tension_partials` reads.
@@ -108,9 +122,11 @@ def tension_values(l1, l2, mat: MaterialParams):
     la = np.array([l1, l2], dtype=float)
     las = la * la
     lbs = las[::-1].copy()  # contiguous: a reversed view is slower to read
-    l12s = las[0] * las[1]
-    i1 = las[0] + las[1] + ONE / l12s
-    w1, w2, w11 = energy_derivs(i1, mat)
+    if mat._mooney_rivlin:
+        l12s, w1, w2, w11 = None, ONE, mat._w_coefs[0], None
+    else:
+        l12s = las[0] * las[1]
+        w1, w2, w11 = energy_derivs(las[0] + las[1] + ONE / l12s, mat)
     las2 = las * las
     den = las2 * lbs
     a = ONE - ONE / den
@@ -126,12 +142,16 @@ def tension_partials(parts):
     dU/db obeys the swap identity dU/db(a, b) = (b/a) * dU/db(b, a), which
     is what makes the assembled tangent matrix symmetric, so one order of
     it serves.  Each partial reuses the products its value already formed.
+    Without W11 (a Mooney-Rivlin material) the terms it multiplies, the
+    I1-curvature terms a W11 dI1/da and a W11 dI1/db, are not formed.
     """
     la, las, lbs, l12s, las2, den, a, b, w2, w11 = parts
     two_l = TWO * la
     l2 = la[1]
-    du_a = (FOUR / (las2 * la * lbs) * b
-            + a * w11 * (two_l - TWO / (las * la * lbs)))
-    du2 = (TWO / (den[0] * l2) * b[0]
-           + a[0] * (w11 * (two_l[1] - TWO / (l12s * l2)) + two_l[1] * w2))
+    du_a = FOUR / (las2 * la * lbs) * b
+    db_dlb = two_l[1] * w2
+    if w11 is not None:
+        du_a = du_a + a * w11 * (two_l - TWO / (las * la * lbs))
+        db_dlb = w11 * (two_l[1] - TWO / (l12s * l2)) + db_dlb
+    du2 = TWO / (den[0] * l2) * b[0] + a[0] * db_dlb
     return du_a[0], du2, du_a[1]

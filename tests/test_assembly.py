@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ritzmem import assembly, material
@@ -305,7 +305,17 @@ def test_load_derivative_matches_fd(gas_m6):
     assert np.allclose(gc, fd, rtol=1e-6, atol=1e-10)
 
 
+# coefficients of a valid shape for the examples on either side of d = 0
+_X = [0.08 * np.sin(1.0 + k) for k in range(24)]
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@example(family="polynomial", m=6, p1=1.0, mat=GAS, c=0.0, d=0.0, x=_X)
+@example(family="polynomial", m=6, p1=1.0, mat=GAS, c=1.7, d=0.0, x=_X)
+@example(family="adaptive", m=6, p1=17.1, mat=LIQ, c=0.0, d=0.0, x=_X)
+@example(family="adaptive", m=6, p1=17.1, mat=LIQ, c=1.7, d=0.0, x=_X)
+@example(family="polynomial", m=6, p1=1.0, mat=GAS, c=1.7, d=5e-324, x=_X)
+@example(family="adaptive", m=6, p1=17.1, mat=LIQ, c=1.7, d=5e-324, x=_X)
 @given(family=st.sampled_from(["polynomial", "adaptive"]),
        m=st.integers(1, 12),
        p1=st.floats(0.5, 300.0),

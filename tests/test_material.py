@@ -164,10 +164,17 @@ def test_stiffness_derivs_swapped_arguments():
 def test_tension_values_and_partials_equal_stiffness_functions_exactly():
     # the stacked evaluation keeps every expression of the reference
     # functions, and the partials reuse products the values formed, so the
-    # assembled residual and tangent stay bit-identical
+    # assembled residual and tangent stay bit-identical, on either side of
+    # the Mooney-Rivlin choice: a neo-Hookean material and a signed-zero
+    # gamma2 skip the energy derivatives, and the least gamma2 or gamma3
+    # above zero takes the full path
     rng = np.random.default_rng(31)
     l1, l2 = rng.uniform(0.5, 3.0, (2, 200))
-    for mat in (GAS, LIQ):
+    full = [GAS, MaterialParams(0.1, 5e-324), MaterialParams(0.1, 0.0, 5e-324)]
+    skip = [LIQ, MaterialParams(), MaterialParams(0.1, -0.0)]
+    assert not any(mat._mooney_rivlin for mat in full)
+    assert all(mat._mooney_rivlin for mat in skip)
+    for mat in full + skip:
         su12, su21, parts = tension_values(l1, l2, mat)
         du1, du2, du1_swap = tension_partials(parts)
         assert np.array_equal(su12, stiffness_scalar(l1, l2, mat))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ritzmem import assembly, basis, cli, solver
+from ritzmem import assembly, basis, cli, material, solver
 from ritzmem.basis import MAX_M, BasisSpec, BasisTables, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams
@@ -629,6 +629,42 @@ def test_a_sweep_makes_its_evaluators_once(monkeypatch):
     assert len(made) > len(fresh)
     assert [(pt.c_value, pt.sag, pt.x.tobytes()) for pt in points] == [
         (pt.c_value, pt.sag, pt.x.tobytes()) for pt in fresh]
+
+
+def test_a_mooney_rivlin_solve_evaluates_no_energy_derivatives(monkeypatch):
+    # gamma2 = gamma3 = 0 makes W linear in I1, so the tension pass takes
+    # W1 = 1 and forms no W11; a gas material evaluates both every iterate
+    derivs = _counter(monkeypatch, material, "energy_derivs")
+    per_pass = []
+    inner = assembly.tension_values
+
+    def counted(*args):
+        before = len(derivs)
+        out = inner(*args)
+        per_pass.append(len(derivs) - before)
+        return out
+
+    monkeypatch.setattr(assembly, "tension_values", counted)
+    assert solve_membrane(LIQ, LoadParams(0.5, 10.0), "adaptive", 6)[1].converged
+    liquid = per_pass[:]
+    per_pass.clear()
+    assert solve_membrane(GAS, LoadParams(1.7), "polynomial", 6)[1].converged
+    assert liquid and set(liquid) == {0}
+    assert per_pass and set(per_pass) == {1}
+
+
+def test_a_gas_sweep_forms_no_hydrostatic_load(monkeypatch):
+    # at d = 0 the load Q = c - 0*z is c, so no iterate forms z or Q; a
+    # steep sweep at d = 10 forms Q once per iterate, with its shape and U
+    loads = _counter(monkeypatch, assembly, "hydro_load")
+    values = _counter(monkeypatch, assembly, "tension_values")
+    continue_in_load(gas_context(6, c=0.1), 0.1, 1.9)
+    assert values and not loads
+    values.clear()
+    ctx = SolveContext(LIQ, LoadParams(0.1, 10.0), BasisSpec("adaptive", 6, (17.1,)),
+                       auto_rule("adaptive", 17.1))
+    continue_in_load(ctx, 0.1, 2.0)
+    assert len(loads) == len(values) > 0
 
 
 def test_an_evaluator_of_another_solve_is_refused(gas_m6):
