@@ -25,6 +25,21 @@ energy coefficients and d are read-only float64 0-d arrays
 a Python float on every call.  Nor does it slice: the evaluator makes the
 views it writes through once and keeps them from solve to solve.
 
+Nor does an iterate allocate an array of the nodes' length.  On the steep
+rules (192 and 384 nodes) each such temporary, 1.5 or 3 KB, is past numpy's
+1 KB small-block cache, so it would cost a malloc and a free; the 64-node
+arrays of the polynomial rule are served from that cache.  Each evaluator
+keeps one workspace of node-length rows, made with it in one block (the
+tangent's in a second, by its first tangent), and the shape, Q, U and its
+partials, the residual's weighted rows, the tangent's weight rows and the
+row-weighted generators of its batched product are written into it, in
+place or through the output argument of each ufunc and of `ndarray.dot`
+(passed positionally, which numpy parses faster than `out=`).  Every
+element goes through the operations of the plain expression in the same
+order, so every value keeps its bits.  What still allocates is the iterator
+buffer numpy makes for the broadcast of the weight rows over the
+generators, and a few views (the halves of x) and tuples per call.
+
 An evaluator with d = 0 (a gas load) forms no hydrostatic term: not z, since
 Q = c - 0*z is the load c at any finite z, nor the two tangent products
 weighted by w s d l2, u u and u v, each a signed zero added to a non-zero
@@ -38,10 +53,14 @@ import numpy as np
 
 from .basis import BasisTables, SolutionState, _shape_p
 from .kinematics import hydro_load
-from .material import (ONE, MaterialParams, _const, energy, tension_partials,
+from .material import (_PARTIAL_ROWS, _VALUE_ROWS, ONE, MaterialParams, _const,
+                       _partial_work, _value_work, energy, tension_partials,
                        tension_values)
 
 HALF = _const(0.5)
+# the evaluator's own n-length rows in its block, ahead of the arrays of
+# `tension_values`: z', r', r, Q (z before it) and three rows of scratch
+_NODAL_ROWS = 7
 
 
 class Evaluator:
@@ -59,9 +78,14 @@ class Evaluator:
     `BasisTables.left` and `right_t` with the weight rows c of one (9, n)
     array, summed block by block; at d = 0 the two hydrostatic products,
     the last two, are left out, and Q is the load c as a 0-d array.  Those
-    rows, the (9, m, m) products and every view of them and of H are made
-    by the first tangent and kept (`_buffers`), so a lone residual makes
-    none of them.  The coupling
+    rows, the partials' arrays, the (k, m, n) row-weighted generators, the
+    (9, m, m) products and every view of them and of H are made by the
+    first tangent and kept (`_buffers`), so a lone residual makes none of
+    them.  The arrays an iterate writes, the shape, the stretches (stacked
+    as `tension_values` reads them), Q, the arrays of `tension_values` and
+    the residual's scratch rows, are one block made with the evaluator; the
+    next iterate overwrites them, as it does g and H, so an evaluator is
+    never shared by two solves in flight.  The coupling
     block is built once and set in both places, and the matrix is mirrored
     as (H + H^T) / 2, which symmetrizes the diagonal blocks and leaves the
     coupling blocks exact.  The v-v curvature coefficient uses the swap
@@ -80,6 +104,13 @@ class Evaluator:
         self.g = np.empty(n)
         self.h = np.empty((n, n))
         self.g_halves = self.g[:m], self.g[m:2 * m]
+        rows = np.empty((_NODAL_ROWS + sum(_VALUE_ROWS), tables.s.size))
+        self.dz, self.dr, self.r, q, *self.scratch = rows[:_NODAL_ROWS]
+        self.values = _value_work(rows[_NODAL_ROWS:])
+        self.l1, self.l2 = self.values[0]  # the stacked stretches
+        self.c0 = np.empty(())  # the iterate's load c
+        self.q = q if self._hydrostatic else self.c0
+        self.gm = np.empty(m)  # one matrix-vector product of length m
         self.buffers = None  # the tangent's, made by its first call
         if border is not None:
             self.e = np.concatenate([tables.u0, np.zeros(m)])
@@ -93,34 +124,45 @@ class Evaluator:
 
     def nodal(self, x, c):
         """Trial shape, stretches and load (r, z', r', l1, l2, Q) at the
-        quadrature nodes; at d = 0, Q is c and z is not formed."""
-        t, m = self.tables, self.m
+        quadrature nodes, written into the evaluator's arrays; at d = 0, Q
+        is the 0-d array of c and z is not formed."""
+        t, m, r, dz, dr = self.tables, self.m, self.r, self.dz, self.dr
         xu, xv = x[:m], x[m:]
+        self.c0[()] = c
         if self._hydrostatic:
-            q = hydro_load(xu.dot(t.u), c, self.d)
-        else:
-            q = np.array(c, dtype=float)
-        dz = xu.dot(t.du)
-        r = t.s + xv.dot(t.v)
-        dr = ONE + xv.dot(t.dv)
-        return r, dz, dr, np.hypot(dz, dr), r / t.s, q
+            hydro_load(xu.dot(t.u, self.q), self.c0, self.d, self.q)
+        xu.dot(t.du, dz)
+        np.add(t.s, xv.dot(t.v, r), r)
+        np.add(ONE, xv.dot(t.dv, dr), dr)
+        np.hypot(dz, dr, self.l1)
+        np.divide(r, t.s, self.l2)
+        return r, dz, dr, self.l1, self.l2, self.q
 
     def at(self, x, c) -> None:
         """Evaluate the iterate (x, c): its nodal shape and U, once."""
         self.x, self.c = x, c
-        _, self.dz, self.dr, self.l1, self.l2, self.q = self.nodal(x, c)
-        self.su12, self.su21, self.parts = tension_values(self.l1, self.l2, self.mat)
+        self.nodal(x, c)
+        self.su12, self.su21, self.parts = tension_values(
+            self.l1, self.l2, self.mat, self.values)
 
     def residual(self) -> np.ndarray:
         """The residual g at the iterate of `at`, the bordered row last."""
-        t, g, dz, dr, l2 = self.tables, self.g, self.dz, self.dr, self.l2
+        t, g, dz, dr, l2, gm = self.tables, self.g, self.dz, self.dr, self.l2, self.gm
         g_u, g_v = self.g_halves
-        ws = t.ws
-        wsu = ws * self.su12
-        wql = ws * self.q * l2
-        np.subtract(t.du.dot(wsu * dz), t.u.dot(wql * dr), out=g_u)
-        np.add(t.dv.dot(wsu * dr), t.v.dot(t.w * self.su21 * l2 + wql * dz),
-               out=g_v)
+        wsu, wql, tmp = self.scratch
+        np.multiply(t.ws, self.su12, wsu)
+        np.multiply(t.ws, self.q, wql)
+        wql *= l2
+        # g_u = u'.(ws U12 z') - u.(ws Q l2 r')
+        t.du.dot(np.multiply(wsu, dz, tmp), g_u)
+        t.u.dot(np.multiply(wql, dr, tmp), gm)
+        g_u -= gm
+        # g_v = v'.(ws U12 r') + v.(w U21 l2 + ws Q l2 z')
+        t.dv.dot(np.multiply(wsu, dr, tmp), g_v)
+        np.multiply(t.w, self.su21, tmp)
+        tmp *= l2
+        tmp += np.multiply(wql, dz, wsu)
+        g_v += t.v.dot(tmp, gm)
         if self.border is not None:
             a, b, rhs = self.border
             g[-1] = a * float(self.e.dot(self.x)) + b * self.c - rhs
@@ -129,19 +171,22 @@ class Evaluator:
     def _buffers(self) -> tuple:
         """The tangent's arrays and its views of them, made once: the nine
         weight rows, the nine products with their blocks, the operands of
-        the batched product (the leading seven pairs at d = 0), the blocks
-        of H with the square part and its transpose, and the halves of the
-        bordered column."""
+        the batched product (the leading seven pairs at d = 0) and the
+        row-weighted generators it multiplies, the blocks of H with the
+        square part and its transpose, the halves of the bordered column,
+        two rows of scratch and the arrays of `tension_partials`; the
+        n-length rows are one block."""
         t, m, h = self.tables, self.m, self.h
         n = 2 * m
         k = 9 if self._hydrostatic else 7
-        rows = np.empty((9, t.s.size))
+        rows = np.empty((11 + sum(_PARTIAL_ROWS), t.s.size))
         prod = np.empty((9, m, m))
         h_uv, hx = h[:m, m:n], h[:n, :n]
         column = (h[:m, n], h[m:n, n]) if self.border is not None else None
-        return (*rows, *prod, t.left[:k], rows[:k, None, :], t.right_t[:k],
-                prod[:k], h[:m, :m], h_uv, h[m:n, :m], h_uv.T, h[m:n, m:n],
-                hx, hx.T, column)
+        return (*rows[:9], *prod, t.left[:k], rows[:k, None, :],
+                np.empty((k, m, t.s.size)), t.right_t[:k], prod[:k], h[:m, :m],
+                h_uv, h[m:n, :m], h_uv.T, h[m:n, m:n], hx, hx.T, column,
+                rows[9], rows[10], _partial_work(rows[11:]))
 
     def tangent(self) -> np.ndarray:
         """The tangent at the iterate of `at`, bordered if the solve is;
@@ -149,35 +194,58 @@ class Evaluator:
         if self.buffers is None:
             self.buffers = self._buffers()
         (c0, c1, c2, c3, c4, c5, c6, c7, c8,
-         p0, p1, p2, p3, p4, p5, p6, p7, p8, left, rows_3d, right_t, prod,
-         h_uu, h_uv, h_vu, h_uv_t, h_vv, hx, hx_t, column) = self.buffers
-        du1, du2, du1_swap = tension_partials(self.parts)
+         p0, p1, p2, p3, p4, p5, p6, p7, p8, left, rows_3d, weighted, right_t,
+         prod, h_uu, h_uv, h_vu, h_uv_t, h_vv, hx, hx_t, column, sq, tmp,
+         partials) = self.buffers
+        du1, du2, du1_swap = tension_partials(self.parts, partials)
         t = self.tables
         dz, dr, l1, l2, su12 = self.dz, self.dr, self.l1, self.l2, self.su12
         w, s, ws = t.w, t.s, t.ws
-        sq = s * self.q
-        # one weight row per generator pair (A, B), in the order of the tables
-        np.multiply(ws, du1 * dz * dz / l1 + su12, out=c0)                  # u'  u'
-        np.divide(ws * du1 * dz * dr, l1, out=c1)                           # u'  v'
-        np.multiply(w, du2 * dz + sq * l2, out=c2)                          # u'  v
-        np.multiply(ws, du1 * dr * dr / l1 + su12, out=c3)                  # v'  v'
-        np.multiply(w * du2, dr, out=c4)                                    # v'  v
-        c5[...] = c4                                                        # v   v'
-        np.divide(w * (l2 * du1_swap + self.su21 + sq * dz), s, out=c6)     # v   v
+        np.multiply(s, self.q, sq)
+        # one weight row per generator pair (A, B), in the order of the
+        # tables, each formed in place in the order of its formula
+        np.multiply(du1, dz, c0)            # u'  u': ws (dU/da z'^2 / l1 + U12)
+        c0 *= dz
+        c0 /= l1
+        c0 += su12
+        np.multiply(ws, c0, c0)
+        np.multiply(ws, du1, c1)            # u'  v': ws dU/da z' r' / l1
+        c1 *= dz
+        c1 *= dr
+        c1 /= l1
+        np.multiply(du2, dz, c2)            # u'  v:  w (dU/db z' + s Q l2)
+        c2 += np.multiply(sq, l2, tmp)
+        np.multiply(w, c2, c2)
+        np.multiply(du1, dr, c3)            # v'  v': ws (dU/da r'^2 / l1 + U12)
+        c3 *= dr
+        c3 /= l1
+        c3 += su12
+        np.multiply(ws, c3, c3)
+        np.multiply(w, du2, c4)             # v'  v:  w dU/db r'
+        c4 *= dr
+        c5[...] = c4                        # v   v'
+        np.multiply(l2, du1_swap, c6)       # v   v:  w (l2 dU/da(l2,l1) + U21 + s Q z') / s
+        c6 += self.su21
+        c6 += np.multiply(sq, dz, tmp)
+        np.multiply(w, c6, c6)
+        c6 /= s
         if self._hydrostatic:
-            wdl = self.wd * l2
-            np.multiply(wdl, dr, out=c7)                                    # u   u
-            np.multiply(wdl, dz, out=c8)                                    # u   v
-        np.matmul(left * rows_3d, right_t, out=prod)
+            np.multiply(self.wd, l2, c8)
+            np.multiply(c8, dr, c7)         # u   u:  w s d l2 r'
+            c8 *= dz                        # u   v:  w s d l2 z'
+        np.matmul(np.multiply(left, rows_3d, weighted), right_t, prod)
 
         if self._hydrostatic:
-            np.add(p0, p7, out=h_uu)
-            np.subtract(p1 + p2, p8, out=h_uv)
+            np.add(p0, p7, h_uu)
+            np.add(p1, p2, h_uv)
+            h_uv -= p8
         else:
             h_uu[...] = p0
-            np.add(p1, p2, out=h_uv)
+            np.add(p1, p2, h_uv)
         h_vu[...] = h_uv_t
-        np.add(p3 + (p4 + p5), p6, out=h_vv)
+        np.add(p4, p5, h_vv)
+        np.add(p3, h_vv, h_vv)
+        h_vv += p6
         hx += hx_t
         hx *= HALF
         if column is not None:
@@ -186,11 +254,12 @@ class Evaluator:
 
     def dg_dc(self, dz, dr, l2, out) -> None:
         """dg/dc at the nodal shape (z', r', l2), written into the pair of
-        arrays `out`, its u and v halves."""
-        t = self.tables
-        wl = t.ws * l2
-        np.negative(t.u.dot(wl * dr), out=out[0])
-        out[1][...] = t.v.dot(wl * dz)
+        arrays `out`, its u and v halves, through the residual's scratch."""
+        t, gm = self.tables, self.gm
+        wl, _, tmp = self.scratch
+        np.multiply(t.ws, l2, wl)
+        np.negative(t.u.dot(np.multiply(wl, dr, tmp), gm), out[0])
+        out[1][...] = t.v.dot(np.multiply(wl, dz, tmp), gm)
 
 
 def _evaluator(state: SolutionState, mat: MaterialParams, rule,

@@ -79,7 +79,16 @@ def curvatures(s, shape: ShapeEval):
     return k1, k2
 
 
-def hydro_load(z, c, d):
-    """Pressure Q at height z for the load Q = c - d*z."""
-    return c - d * np.asarray(z, dtype=float)
+def hydro_load(z, c, d, out=None):
+    """Pressure Q at height z for the load Q = c - d*z.
+
+    With `out`, a float64 array of z's shape (z itself, say), d*z and
+    then Q are written into it, which makes no array: the evaluator of a
+    Newton solve forms z in its Q and passes c and d as 0-d arrays, so no
+    Python float reaches the ufuncs.  Without it, z is read as a float
+    array and Q is a new one; the bits are the same either way.
+    """
+    if out is None:
+        z = np.asarray(z, dtype=float)
+    return np.subtract(c, np.multiply(d, z, out), out)
 

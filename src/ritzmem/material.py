@@ -102,7 +102,42 @@ def principal_stresses(lambda1, lambda2, mat: MaterialParams):
     return t1, t2
 
 
-def tension_values(l1, l2, mat: MaterialParams):
+# The arrays of `tension_values` and of `tension_partials` as groups of
+# rows of the stretches' shape: a group of two is a stacked array, its rows
+# the two argument orders.
+_VALUE_ROWS = (2, 2, 2, 1, 1, 1, 2, 2, 2, 2, 2)
+_PARTIAL_ROWS = (2, 2, 1, 1, 2, 2)
+
+
+def _split(block: np.ndarray, groups) -> tuple:
+    """Consecutive row groups of `block`, (sum(groups), ...), as arrays
+    that share its memory: a group of one row without its leading axis
+    (0-d for a 1-d block), of k > 1 rows with it."""
+    out, i = [], 0
+    for k in groups:
+        out.append(block[i, ...] if k == 1 else block[i:i + k])
+        i += k
+    return tuple(out)
+
+
+def _value_work(block: np.ndarray) -> tuple:
+    """The workspace of `tension_values` in `block`, of sum(_VALUE_ROWS)
+    rows: its arrays, then the views of their rows that it and
+    `tension_partials` read, made here once."""
+    la, las, lbs, l12s, i1, inv, las2, den, a, b, su = _split(block, _VALUE_ROWS)
+    return (la, las, lbs, l12s, i1, inv, las2, den, a, b, su, las[::-1],
+            la[1, ...], den[0, ...], a[0, ...], b[0, ...], su[0, ...], su[1, ...])
+
+
+def _partial_work(block: np.ndarray) -> tuple:
+    """The workspace of `tension_partials` in `block`, of
+    sum(_PARTIAL_ROWS) rows: its arrays, then the views of their rows."""
+    two_l, du_a, db_dlb, du2, t1, t2 = _split(block, _PARTIAL_ROWS)
+    return (two_l, du_a, db_dlb, du2, t1, t2, two_l[1, ...], du_a[0, ...],
+            du_a[1, ...])
+
+
+def tension_values(l1, l2, mat: MaterialParams, work=None):
     """Tension coefficients U(l1, l2) and U(l2, l1), and the intermediates
     their partials reuse.
 
@@ -115,27 +150,45 @@ def tension_values(l1, l2, mat: MaterialParams):
     A Mooney-Rivlin material (gamma2 = gamma3 = 0) makes no energy
     evaluation: it forms no I1 and takes W1 = 1, W2 = gamma1, and no W11.
 
+    Every intermediate is written into the arrays of `work`, a
+    `_value_work` workspace whose first array holds l1 and l2 as its rows:
+    an evaluator passes the workspace it keeps, into which it wrote the
+    stretches, so an iterate allocates no array of the stretches' length
+    here (but W1 and W11 of a material that is not Mooney-Rivlin) and
+    makes no view.  Without `work` the stretches are copied into a new
+    one.  The operations and their order, and so the bits, are the same.
+
     Returns (U(l1,l2), U(l2,l1), parts), with `parts` what
     `tension_partials` reads.
     """
-    # row 0 is the order (a, b) = (l1, l2), row 1 the swapped order
-    la = np.array([l1, l2], dtype=float)
-    las = la * la
-    lbs = las[::-1].copy()  # contiguous: a reversed view is slower to read
+    if work is None:
+        # row 0 is the order (a, b) = (l1, l2), row 1 the swapped order
+        la = np.array([l1, l2], dtype=float)
+        work = _value_work(np.empty((sum(_VALUE_ROWS), *la.shape[1:])))
+        work[0][...] = la
+    (la, las, lbs, l12s, i1, inv, las2, den, a, b, su,
+     las_swap, l2, den0, a0, b0, su0, su1) = work
+    np.multiply(la, la, las)
+    np.copyto(lbs, las_swap)  # contiguous: a reversed view is slower to read
     if mat._mooney_rivlin:
         l12s, w1, w2, w11 = None, ONE, mat._w_coefs[0], None
     else:
-        l12s = las[0] * las[1]
-        w1, w2, w11 = energy_derivs(las[0] + las[1] + ONE / l12s, mat)
-    las2 = las * las
-    den = las2 * lbs
-    a = ONE - ONE / den
-    b = w1 + lbs * w2
-    su = a * b
-    return su[0], su[1], (la, las, lbs, l12s, las2, den, a, b, w2, w11)
+        np.multiply(las[0], las[1], l12s)
+        np.divide(ONE, l12s, inv)
+        np.add(las[0], las[1], i1)
+        i1 += inv
+        w1, w2, w11 = energy_derivs(i1, mat)
+    np.multiply(las, las, las2)
+    np.multiply(las2, lbs, den)
+    np.divide(ONE, den, a)
+    np.subtract(ONE, a, a)
+    np.multiply(lbs, w2, b)
+    np.add(w1, b, b)
+    np.multiply(a, b, su)
+    return su0, su1, (la, las, lbs, l12s, las2, a, b, w2, w11, l2, den0, a0, b0)
 
 
-def tension_partials(parts):
+def tension_partials(parts, work=None):
     """Partials (dU/da(l1,l2), dU/db(l1,l2), dU/da(l2,l1)) from the `parts`
     of `tension_values` at the same stretches.
 
@@ -144,14 +197,36 @@ def tension_partials(parts):
     it serves.  Each partial reuses the products its value already formed.
     Without W11 (a Mooney-Rivlin material) the terms it multiplies, the
     I1-curvature terms a W11 dI1/da and a W11 dI1/db, are not formed.
+    Every intermediate is written into the arrays of `work`, a
+    `_partial_work` workspace, or of a new one without it.
     """
-    la, las, lbs, l12s, las2, den, a, b, w2, w11 = parts
-    two_l = TWO * la
-    l2 = la[1]
-    du_a = FOUR / (las2 * la * lbs) * b
-    db_dlb = two_l[1] * w2
+    la, las, lbs, l12s, las2, a, b, w2, w11, l2, den0, a0, b0 = parts
+    if work is None:
+        work = _partial_work(np.empty((sum(_PARTIAL_ROWS), *la.shape[1:])))
+    two_l, du_a, db_dlb, du2, t1, t2, two_l1, du_a0, du_a1 = work
+    np.multiply(TWO, la, two_l)
+    np.multiply(las2, la, du_a)        # 4 / (a**5 b**2) (W1 + b**2 W2)
+    du_a *= lbs
+    np.divide(FOUR, du_a, du_a)
+    du_a *= b
+    np.multiply(two_l1, w2, db_dlb)
     if w11 is not None:
-        du_a = du_a + a * w11 * (two_l - TWO / (las * la * lbs))
-        db_dlb = w11 * (two_l[1] - TWO / (l12s * l2)) + db_dlb
-    du2 = TWO / (den[0] * l2) * b[0] + a[0] * db_dlb
-    return du_a[0], du2, du_a[1]
+        np.multiply(las, la, t1)       # + a W11 (2 a - 2 / (a**3 b**2))
+        t1 *= lbs
+        np.divide(TWO, t1, t1)
+        np.subtract(two_l, t1, t1)
+        np.multiply(a, w11, t2)
+        t2 *= t1
+        du_a += t2
+        t = du2                        # W11 dI1/db, before 2 b W2, in du2's row
+        np.multiply(l12s, l2, t)
+        np.divide(TWO, t, t)
+        np.subtract(two_l1, t, t)
+        np.multiply(w11, t, t)
+        np.add(t, db_dlb, db_dlb)
+    np.multiply(den0, l2, du2)         # 2 / (a**4 b**3) (W1 + b**2 W2) + a db
+    np.divide(TWO, du2, du2)
+    du2 *= b0
+    np.multiply(a0, db_dlb, db_dlb)
+    du2 += db_dlb
+    return du_a0, du2, du_a1

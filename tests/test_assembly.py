@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from ritzmem.basis import BasisSpec, BasisTables, SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams
 from ritzmem.material import MaterialParams, energy_derivs
 from ritzmem.quadrature import auto_rule, gauss_rule
-from ritzmem.solver import solve_membrane
+from ritzmem.solver import SolveContext, newton_solve, solve_membrane
 
 from reference import per_product_forms
 
@@ -216,6 +217,86 @@ def test_a_new_border_gives_the_bits_of_a_fresh_evaluator(gas_m6):
         ev.at(gas_m6.x, 1.7)
     assert kept.residual().tobytes() == fresh.residual().tobytes()
     assert kept.tangent().tobytes() == fresh.tangent().tobytes()
+
+
+@pytest.mark.parametrize("p, n", [(80.0, 384), (17.1, 192)])
+def test_an_iterate_allocates_no_node_length_array(p, n):
+    # a node-length array on the steep rules (1.5 or 3 KB) is past numpy's
+    # 1 KB small-block cache, so each temporary would be a malloc and a
+    # free: after its first tangent an evaluator writes every intermediate
+    # of an iterate into arrays it keeps, and its tangent allocates only the
+    # iterator buffer of the broadcast (k, m, n) row-weighted product
+    rule = auto_rule("adaptive", p)
+    assert rule.n == n
+    spec = BasisSpec("adaptive", 6, (p,))
+    ev = Evaluator(BasisTables.build(spec, rule), LIQ, 10.0)
+    x = _random_state(np.random.default_rng(131), spec, LoadParams(0.5, 10.0)).x
+    ev.at(x, 0.5)
+    ev.residual()
+    ev.tangent()
+    x = x * 1.01
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        ev.at(x, 0.6)
+        ev.residual()
+        now, iterate = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ev.tangent()
+        _, tangent = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert iterate - start < 8 * n
+    assert tangent - now < 9 * 6 * n * 8
+
+
+def _fresh_bits(ev, x, c):
+    """The residual and tangent bytes of a new evaluator like `ev` at (x, c)."""
+    fresh = Evaluator(ev.tables, ev.mat, float(ev.d), ev.border)
+    fresh.at(x, c)
+    return fresh.residual().tobytes(), fresh.tangent().tobytes()
+
+
+def test_evaluators_on_one_tables_keep_separate_workspaces(liquid_m6):
+    # the m = 1 start runs on head(1) views of the tables of the full solve,
+    # and a sweep keeps an arclength and a landing evaluator on one tables
+    # object; each evaluator keeps its own arrays, so two of them with their
+    # iterates interleaved each give the bits a fresh evaluator gives
+    tables = BasisTables.build(liquid_m6.spec, auto_rule("adaptive", 17.113))
+    x, d = liquid_m6.x, liquid_m6.load.d
+    arc = Evaluator(tables, LIQ, d, (0.0, 0.0, 0.0))
+    arc.set_border((-0.28, 0.96, 0.04))
+    pairs = [(Evaluator(tables, LIQ, d), x,
+              Evaluator(tables.head(1), LIQ, d), x[[0, 6]]),
+             (arc, x, Evaluator(tables, LIQ, d), x)]
+    for a, xa, b, xb in pairs:
+        for k in range(3):
+            ya, ca = xa * (1.0 + 0.01 * k), 0.5 + 0.1 * k
+            yb, cb = xb * (1.0 - 0.02 * k), 0.5 - 0.05 * k
+            a.at(ya, ca)
+            b.at(yb, cb)
+            ga, gb = a.residual().tobytes(), b.residual().tobytes()
+            ha, hb = a.tangent().tobytes(), b.tangent().tobytes()
+            assert (ga, ha) == _fresh_bits(a, ya, ca)
+            assert (gb, hb) == _fresh_bits(b, yb, cb)
+
+
+def test_one_shot_functions_after_a_newton_solve_give_their_standalone_bits(
+        gas_m6, liquid_m6):
+    # p_gradient and functional_value make evaluators of their own on the
+    # tables a Newton solve has just run on, the kept polynomial tables
+    # among them; they read nothing that solve's evaluator left
+    steep = SolveContext(LIQ, liquid_m6.load, liquid_m6.spec,
+                         auto_rule("adaptive", 17.113))
+    gas = SolveContext.create(GAS, gas_m6.load, "polynomial", 6)
+    for ctx, start, one_shot in ((steep, liquid_m6, p_gradient),
+                                 (steep, liquid_m6, functional_value),
+                                 (gas, gas_m6, functional_value)):
+        state, report = newton_solve(start.x * 0.99, ctx)
+        assert report.converged
+        kept = one_shot(state, ctx.mat, ctx.rule, ctx.tables)
+        alone = one_shot(state, ctx.mat, ctx.rule)
+        assert np.asarray(kept).tobytes() == np.asarray(alone).tobytes()
 
 
 def test_shared_scalar_operands_are_read_only():
