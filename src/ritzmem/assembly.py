@@ -11,13 +11,17 @@ and the tangent matrix is their exact coefficient Jacobian, which is
 symmetric because g is the gradient of a scalar.  All integrals run over
 the open interval, so the 1/s factors never hit the pole.
 
-The residual, the tangent and dg/dc have one form each, in `Evaluator`.
-A Newton solve evaluates every iterate through one evaluator, and a sweep
-keeps one for all its correctors (`set_border`): the nodal shape and the
-tension coefficients U once per iterate, the partials of U only for an
-iterate that assembles a tangent, so a converged iterate, a corrector that
-gave up and `p_gradient` evaluate none.  The public functions evaluate one
-state each, on an evaluator of their own.  Its matrix-vector products call
+The residual, the tangent, dg/dc, the energy and its gradient in the
+steepness parameters have one form each, in `Evaluator`.  A Newton solve
+evaluates every iterate through one evaluator, a sweep keeps one for all
+its correctors (`set_border`), and a p search one for all its inner solves,
+pointed at the tables of each p (`use`): the nodal shape and the tension
+coefficients U once per iterate, the partials of U only for an iterate
+that assembles a tangent, so a converged iterate, a corrector that gave up
+and `p_gradient` evaluate none.  The search reads the energy and its
+gradient in p from the converged iterate its evaluator has just evaluated.
+The public functions evaluate one state each, on an evaluator of their
+own.  Its matrix-vector products call
 `ndarray.dot`, which makes the BLAS call of `@` with less dispatch, bit for
 bit.  An iterate passes no Python float to a ufunc: the literals, the
 energy coefficients and d are read-only float64 0-d arrays
@@ -64,16 +68,19 @@ _NODAL_ROWS = 7
 
 
 class Evaluator:
-    """Residual, tangent and dg/dc of the iterates of Newton solves.
+    """Residual, tangent and dg/dc of the iterates of Newton solves, and
+    the energy and its gradient in p at an iterate.
 
-    Built once per solve, or per sweep, from the tables, the material and
-    the load gradient d, with what no iterate changes: w*s*d and, with
-    `border` = (a, b, rhs), the bordered row a (e.x) + b c = rhs, where e.x
-    is the pole sag.  `at(x, c)` evaluates the nodal shape and U of one
+    Built once per solve, per sweep or per p search, from the tables, the
+    material and the load gradient d, with what no iterate changes: w*s*d
+    and, with `border` = (a, b, rhs), the bordered row a (e.x) + b c = rhs,
+    where e.x is the pole sag.  `use` points it at other tables of its rule
+    and size.  `at(x, c)` evaluates the nodal shape and U of one
     iterate; `residual` and `tangent` then write into arrays the evaluator
     keeps, so each call overwrites what the last one returned: the residual
     g (the bordered row last) and the tangent H = dg/dx (bordered by the
-    column dg/dc and the row).  The tangent is nine row-weighted
+    column dg/dc and the row); `functional_value` and `p_gradient` read the
+    same evaluation.  The tangent is nine row-weighted
     products A diag(c) B^T, one batched matmul over the generator pairs of
     `BasisTables.left` and `right_t` with the weight rows c of one (9, n)
     array, summed block by block; at d = 0 the two hydrostatic products,
@@ -122,12 +129,28 @@ class Evaluator:
         self.h[-1, :-1] = border[0] * self.e
         self.h[-1, -1] = border[1]
 
+    def use(self, tables: BasisTables) -> None:
+        """Evaluate on `tables` from now on: tables of the same rule (the
+        same node and weight arrays) and size, say at another p.  What the
+        evaluator made from its tables follows them: the generator pairs of
+        the tangent and, bordered, the pole row e of the bordered row.
+        w*s*d stays, as w*s is the same product of the same arrays."""
+        if tables is self.tables:
+            return
+        self.tables = tables
+        if self.buffers is not None:
+            self.buffers = self.buffers[:-2] + self._pairs()
+        if self.border is not None:
+            self.e[:self.m] = tables.u0
+            self.set_border(self.border)
+
     def nodal(self, x, c):
-        """Trial shape, stretches and load (r, z', r', l1, l2, Q) at the
-        quadrature nodes, written into the evaluator's arrays; at d = 0, Q
-        is the 0-d array of c and z is not formed."""
+        """Trial shape, stretches and load (r, z', r', l1, l2, Q) of the
+        iterate (x, c) at the quadrature nodes, written into the evaluator's
+        arrays; at d = 0, Q is the 0-d array of c and z is not formed."""
         t, m, r, dz, dr = self.tables, self.m, self.r, self.dz, self.dr
         xu, xv = x[:m], x[m:]
+        self.x, self.c = x, c
         self.c0[()] = c
         if self._hydrostatic:
             hydro_load(xu.dot(t.u, self.q), self.c0, self.d, self.q)
@@ -140,7 +163,6 @@ class Evaluator:
 
     def at(self, x, c) -> None:
         """Evaluate the iterate (x, c): its nodal shape and U, once."""
-        self.x, self.c = x, c
         self.nodal(x, c)
         self.su12, self.su21, self.parts = tension_values(
             self.l1, self.l2, self.mat, self.values)
@@ -170,12 +192,13 @@ class Evaluator:
 
     def _buffers(self) -> tuple:
         """The tangent's arrays and its views of them, made once: the nine
-        weight rows, the nine products with their blocks, the operands of
-        the batched product (the leading seven pairs at d = 0) and the
-        row-weighted generators it multiplies, the blocks of H with the
-        square part and its transpose, the halves of the bordered column,
-        two rows of scratch and the arrays of `tension_partials`; the
-        n-length rows are one block."""
+        weight rows, the nine products with their blocks, the weight rows
+        and the row-weighted generators of the batched product (the leading
+        seven pairs at d = 0), the blocks of H with the square part and its
+        transpose, the halves of the bordered column, two rows of scratch,
+        the arrays of `tension_partials` and, last, the generator pairs of
+        the tables (`_pairs`), which `use` replaces; the n-length rows are
+        one block."""
         t, m, h = self.tables, self.m, self.h
         n = 2 * m
         k = 9 if self._hydrostatic else 7
@@ -183,10 +206,16 @@ class Evaluator:
         prod = np.empty((9, m, m))
         h_uv, hx = h[:m, m:n], h[:n, :n]
         column = (h[:m, n], h[m:n, n]) if self.border is not None else None
-        return (*rows[:9], *prod, t.left[:k], rows[:k, None, :],
-                np.empty((k, m, t.s.size)), t.right_t[:k], prod[:k], h[:m, :m],
-                h_uv, h[m:n, :m], h_uv.T, h[m:n, m:n], hx, hx.T, column,
-                rows[9], rows[10], _partial_work(rows[11:]))
+        return (*rows[:9], *prod, rows[:k, None, :], np.empty((k, m, t.s.size)),
+                prod[:k], h[:m, :m], h_uv, h[m:n, :m], h_uv.T, h[m:n, m:n], hx,
+                hx.T, column, rows[9], rows[10], _partial_work(rows[11:]),
+                *self._pairs())
+
+    def _pairs(self) -> tuple:
+        """The generator pairs of the batched product, as views of the
+        tables: the leading seven at d = 0, else all nine."""
+        k = 9 if self._hydrostatic else 7
+        return self.tables.left[:k], self.tables.right_t[:k]
 
     def tangent(self) -> np.ndarray:
         """The tangent at the iterate of `at`, bordered if the solve is;
@@ -194,9 +223,9 @@ class Evaluator:
         if self.buffers is None:
             self.buffers = self._buffers()
         (c0, c1, c2, c3, c4, c5, c6, c7, c8,
-         p0, p1, p2, p3, p4, p5, p6, p7, p8, left, rows_3d, weighted, right_t,
-         prod, h_uu, h_uv, h_vu, h_uv_t, h_vv, hx, hx_t, column, sq, tmp,
-         partials) = self.buffers
+         p0, p1, p2, p3, p4, p5, p6, p7, p8, rows_3d, weighted, prod, h_uu,
+         h_uv, h_vu, h_uv_t, h_vv, hx, hx_t, column, sq, tmp, partials, left,
+         right_t) = self.buffers
         du1, du2, du1_swap = tension_partials(self.parts, partials)
         t = self.tables
         dz, dr, l1, l2, su12 = self.dz, self.dr, self.l1, self.l2, self.su12
@@ -261,6 +290,43 @@ class Evaluator:
         np.negative(t.u.dot(np.multiply(wl, dr, tmp), gm), out[0])
         out[1][...] = t.v.dot(np.multiply(wl, dz, tmp), gm)
 
+    def functional_value(self) -> float:
+        """Potential energy of the iterate of the last `at` or `nodal`:
+        one half of int [ W s + Q r**2 z' ] ds.  Its gradient in the Ritz
+        coefficients is exactly the residual vector, for any d."""
+        t, r, dz, l1, l2, q = self.tables, self.r, self.dz, self.l1, self.l2, self.q
+        l3 = 1.0 / (l1 * l2)
+        i1 = l1 * l1 + l2 * l2 + l3 * l3
+        i2 = 1.0 / (l1 * l1) + 1.0 / (l2 * l2) + 1.0 / (l3 * l3)
+        w = energy(i1, i2, self.mat)
+        return 0.5 * float(t.w @ (w * t.s + q * r * r * dz))
+
+    def p_gradient(self) -> np.ndarray:
+        """Partial of the potential energy in the steepness parameters at
+        the iterate of the last `at`.
+
+        Same integrand structure as the residual with the basis generators
+        replaced by the parameter derivatives of the trial shape.  At a
+        converged state this is also the total derivative of the energy
+        along the optimized family, which is what the outer parameter
+        search zeroes.  The nodal shape and U are those of `at`, and the
+        parameter derivatives of the profile come from the tables
+        (`BasisTables.rho_p`); tables without steepness parameters raise
+        `ValueError`.
+        """
+        t, dz, dr, l2, q = self.tables, self.dz, self.dr, self.l2, self.q
+        dz_dp, dr_dp, dzp_dp, drp_dp = _shape_p(self.x, t.s, t.rho_p)
+        w, s, ws = t.w, t.s, t.ws
+        wsu = ws * self.su12
+        wql = ws * q * l2
+        out = (
+            dzp_dp @ (wsu * dz)
+            - dz_dp @ (wql * dr)
+            + drp_dp @ (wsu * dr)
+            + dr_dp @ (w * (self.su21 * l2 + s * q * l2 * dz))
+        )
+        return np.asarray(out, dtype=float)
+
 
 def _evaluator(state: SolutionState, mat: MaterialParams, rule,
                tables: BasisTables | None) -> Evaluator:
@@ -279,19 +345,10 @@ def _at(state: SolutionState, mat: MaterialParams, rule, tables) -> Evaluator:
 
 def functional_value(state: SolutionState, mat: MaterialParams, rule,
                      tables: BasisTables | None = None) -> float:
-    """Potential energy of the trial shape.
-
-    One half of int [ W s + Q r**2 z' ] ds; its gradient in the Ritz
-    coefficients is exactly the residual vector, for any d.
-    """
+    """Potential energy of the trial shape (`Evaluator.functional_value`)."""
     ev = _evaluator(state, mat, rule, tables)
-    r, dz, dr, l1, l2, q = ev.nodal(state.x, state.load.c)
-    l3 = 1.0 / (l1 * l2)
-    i1 = l1 * l1 + l2 * l2 + l3 * l3
-    i2 = 1.0 / (l1 * l1) + 1.0 / (l2 * l2) + 1.0 / (l3 * l3)
-    w = energy(i1, i2, mat)
-    t = ev.tables
-    return 0.5 * float(t.w @ (w * t.s + q * r * r * dz))
+    ev.nodal(state.x, state.load.c)
+    return ev.functional_value()
 
 
 def residual(state: SolutionState, mat: MaterialParams, rule,
@@ -321,26 +378,7 @@ def load_derivative(state: SolutionState, mat: MaterialParams, rule,
 
 def p_gradient(state: SolutionState, mat: MaterialParams, rule,
                tables: BasisTables | None = None) -> np.ndarray:
-    """Partial of the potential energy in the steepness parameters.
-
-    Same integrand structure as the residual with the basis generators
-    replaced by the parameter derivatives of the trial shape.  At a
-    converged state this is also the total derivative of the energy along
-    the optimized family, which is what the outer parameter search zeroes.
-    The nodal shape and U come from `Evaluator.at`, as for the residual,
-    and the parameter derivatives of the profile from the tables
-    (`BasisTables.rho_p`), which must be those of the state's basis.
-    """
-    ev = _at(state, mat, rule, tables)
-    t, dz, dr, l2, q = ev.tables, ev.dz, ev.dr, ev.l2, ev.q
-    dz_dp, dr_dp, dzp_dp, drp_dp = _shape_p(state, t.s, t.rho_p)
-    w, s, ws = t.w, t.s, t.ws
-    wsu = ws * ev.su12
-    wql = ws * q * l2
-    out = (
-        dzp_dp @ (wsu * dz)
-        - dz_dp @ (wql * dr)
-        + drp_dp @ (wsu * dr)
-        + dr_dp @ (w * (ev.su21 * l2 + s * q * l2 * dz))
-    )
-    return np.asarray(out, dtype=float)
+    """Partial of the potential energy in the steepness parameters
+    (`Evaluator.p_gradient`); the tables, if given, must be those of the
+    state's basis."""
+    return _at(state, mat, rule, tables).p_gradient()

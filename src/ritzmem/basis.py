@@ -31,7 +31,8 @@ Library (which scipy.special also uses), ported to numpy bit for bit in
 tables are numpy's own `i0` tables, and the order-1 tables were
 regenerated with mpmath by the recipe given there.  One profile
 evaluation serves the generators and their partials in p; a table build
-forms first derivatives only.
+forms first derivatives only, and the partials in p when they are first
+read (`BasisTables.rho_p`).
 
 No load, material or state changes the polynomial generators at given
 points, so a polynomial table depends on m and the bits of its points
@@ -348,20 +349,21 @@ def _shape(state: SolutionState, s, gen, second: bool) -> ShapeEval:
     return shape
 
 
-def _shape_p(state: SolutionState, s, rho_p):
-    """Partials of the trial shape in the steepness parameters at s, from
-    the partials (d rho/dp, d rho'/dp) there.
+def _shape_p(x, s, rho_p):
+    """Partials of the trial shape of the coefficients x in the steepness
+    parameters at s, from the partials (d rho/dp, d rho'/dp) there.
 
     Returns (dz_dp, dr_dp, dzp_dp, drp_dp), each shaped (n_p,) + s.shape,
-    where dzp_dp is the parameter derivative of dz/ds.
+    where dzp_dp is the parameter derivative of dz/ds.  Partials of no
+    parameter, a polynomial basis's, raise `ValueError`.
     """
-    if state.spec.family != "adaptive":
-        raise ValueError("shape parameter derivatives exist only for the steep family")
-    m = state.spec.m
     drho_dp, ddrho_dp = rho_p
+    if len(drho_dp) == 0:
+        raise ValueError("shape parameter derivatives exist only for the steep family")
+    m = len(x) // 2
     u_p, du_p, v_p, dv_p = _ladder(-drho_dp, -ddrho_dp, drho_dp, ddrho_dp, s, m)
-    xu = state.x[:m]
-    xv = state.x[m:]
+    xu = x[:m]
+    xv = x[m:]
     return tuple(x.dot(g.reshape(m, -1)).reshape(g.shape[1:])
                  for x, g in ((xu, u_p), (xv, v_p), (xu, du_p), (xv, dv_p)))
 
@@ -374,10 +376,12 @@ class BasisTables:
     so they are built once per (spec, rule) pair and reused across Newton
     iterations.  The generators u, u', v, v' at the nodes s are (m, n)
     rows of one stack, and `u0` holds the axial generators at the pole.
-    `rho_p` stacks the partials of the steep profile rho and of rho' in
-    the steepness parameters at the nodes, (2, n_p, n), from the profile
-    evaluation of the build, so `p_gradient` evaluates no profile; the
-    polynomial family has no parameters, so its stack is empty.  Derived
+    A steep build keeps its `profile`, evaluated at the nodes and the pole,
+    and `rho_p` stacks the partials of rho and of rho' in the steepness
+    parameters at the nodes, (2, n_p, n), formed from that profile on the
+    first read and kept, so `p_gradient` evaluates no profile and a table
+    whose partials are never read forms none; the polynomial family has no
+    parameters, so its stack is empty.  Derived
     on construction: the weights times the nodes `ws`, and the tangent's
     nine generator pairs stacked as `left` (9, m, n) and `right_t`
     (9, n, m, a transposed view), the two hydrostatic pairs (u u and u v,
@@ -385,7 +389,8 @@ class BasisTables:
     seven only.  Row k of every table is the same for any basis size
     m >= k, in both families, and `rho_p` does not depend on m, so
     `head(k)` gives the tables of the first k generators as views of these,
-    without evaluating a generator or copying a table.
+    without evaluating a generator or copying a table; a head and its
+    tables form `rho_p` once between them, and read the same array.
     """
 
     s: np.ndarray
@@ -395,7 +400,7 @@ class BasisTables:
     v: np.ndarray
     dv: np.ndarray
     u0: np.ndarray = field(repr=False)
-    rho_p: np.ndarray = field(repr=False)
+    profile: _Profile | None = field(default=None, repr=False)
     ws: np.ndarray = field(init=False, repr=False)
     left: np.ndarray = field(init=False, repr=False)
     right_t: np.ndarray = field(init=False, repr=False)
@@ -406,6 +411,16 @@ class BasisTables:
         self.ws = self.w * self.s
         self.left = gen[_LEFT]
         self.right_t = gen[_RIGHT].transpose(0, 2, 1)
+        # `rho_p` once formed, in a cell that every head shares
+        self._rho_p = [np.empty((2, 0, self.s.size)) if self.profile is None else None]
+
+    @property
+    def rho_p(self) -> np.ndarray:
+        """The partials of rho and rho' in p at the nodes, (2, n_p, n)."""
+        cell = self._rho_p
+        if cell[0] is None:
+            cell[0] = np.array(self.profile.p_derivs())[:, :, :-1]
+        return cell[0]
 
     @classmethod
     def build(cls, spec: BasisSpec, rule) -> "BasisTables":
@@ -414,12 +429,8 @@ class BasisTables:
         # see contiguous data
         (u, du, _, v, dv, _), prof = _generators(
             spec, np.append(rule.nodes, 0.0), second=False)
-        if prof is None:
-            rho_p = np.empty((2, 0, rule.n))
-        else:
-            rho_p = np.array(prof.p_derivs())[:, :, :-1]
         return cls(s=rule.nodes, w=rule.weights, u=u[:, :-1], du=du[:, :-1],
-                   v=v[:, :-1], dv=dv[:, :-1], u0=u[:, -1].copy(), rho_p=rho_p)
+                   v=v[:, :-1], dv=dv[:, :-1], u0=u[:, -1].copy(), profile=prof)
 
     def head(self, k: int) -> "BasisTables":
         """The tables of the first k generators as views of these, whose
@@ -438,8 +449,9 @@ def _poly_tables(m: int, nodes: bytes, weights: bytes) -> BasisTables:
     whose nodes and weights have the float64 bytes `nodes` and `weights`."""
     rule = QuadratureRule(np.frombuffer(nodes), np.frombuffer(weights))
     tables = BasisTables.build(BasisSpec("polynomial", m), rule)
-    for arr in vars(tables).values():
-        arr.flags.writeable = False
+    for arr in (*vars(tables).values(), tables.rho_p):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return tables
 
 

@@ -205,7 +205,10 @@ def build_config(raw: dict) -> RunConfig:
         if not 0.0 <= sp <= 1.0:
             raise ConfigError(f"probe {sp} outside [0, 1]")
     if "out" in vals:
-        cfg.out = Path(str(vals["out"]))
+        # an empty path is the working directory, and a JSON null is no path
+        if not isinstance(vals["out"], str) or not vals["out"]:
+            raise ConfigError(f"out must be a non-empty path, got {vals['out']!r}")
+        cfg.out = Path(vals["out"])
     cfg.c_start = vals.get("c_start")
     cfg.c_end = vals.get("c_end")
     cfg.c_step = vals.get("c_step")

@@ -15,10 +15,12 @@ outer secant iteration that zeroes the energy gradient in p1; the energy
 is unimodal in p1, so a golden-section scan backstops the secant.
 
 A Newton solve evaluates its iterates through one `assembly.Evaluator`,
-its own or one of the two a sweep keeps for its correctors, and carries
-the load c as a number, so an iterate makes no state or load object: it
-evaluates the nodal shape and the tension coefficients once, their
-partials only if it assembles a tangent, into arrays the evaluator keeps.
+its own, one of the two a sweep keeps for its correctors or the one a p
+search keeps for its inner solves, and carries the load c as a number, so
+an iterate makes no state or load object: it evaluates the nodal shape and
+the tension coefficients once, their partials only if it assembles a
+tangent, into arrays the evaluator keeps.  The p search reads the energy
+and its gradient in p1 from its evaluator at each converged iterate.
 `SolveContext.create` picks a family's basis and rule; every context takes
 its tables from `basis._kept_tables`, which keeps the polynomial ones per
 process.  There is one fixed-basis driver, `solve_ladder`; `solve_membrane`
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import Evaluator, functional_value, p_gradient
+from .assembly import Evaluator
 from .basis import (P_MIN, BasisSpec, BasisTables, SolutionState, _generator_blocks,
                     _kept_tables, _shape, eval_shape)
 from .kinematics import LoadParams, ShapeEval, curvatures, hydro_load, stretches
@@ -216,7 +218,9 @@ def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
     iterate within the tolerance whose hoop stretch lambda2 = r/s is not
     positive at some node has a radius that turns negative, no membrane's:
     it is not converged.  A given `evaluator` runs the iterates, given the
-    border; one of other tables, material, d or border mode is a ValueError.
+    border and pointed at the tables of `ctx` (`Evaluator.use`); one of
+    another rule (other node or weight arrays), basis size, material, d or
+    border mode is a ValueError.
 
     Returns (state, report); the equilibrium defect is left to
     `solve_membrane`.
@@ -226,9 +230,13 @@ def newton_solve(x0, ctx: SolveContext, border: tuple | None = None,
     c = ctx.load.c
     ev = evaluator or Evaluator(ctx.tables, ctx.mat, ctx.load.d, border)
     if evaluator is not None:
-        if (ev.tables is not ctx.tables or ev.mat != ctx.mat or ev.d != ctx.load.d
+        t = ev.tables
+        if (t.s is not ctx.tables.s or t.w is not ctx.tables.w or ev.m != ctx.spec.m
+                or ev.mat != ctx.mat or ev.d != ctx.load.d
                 or (ev.border is None) != (border is None)):
-            raise ValueError("the evaluator is not of this context and border mode")
+            raise ValueError("the evaluator is not of this context's rule, size, "
+                             "material, d and border mode")
+        ev.use(ctx.tables)
         if border is not None:
             ev.set_border(border)
     hist: list[float] = []
@@ -493,34 +501,38 @@ def optimize_basis(ctx: SolveContext):
     the unimodal energy is bracketed by a golden-section scan instead.  The
     spec must carry exactly one parameter.  Returns the chosen state with
     the report of the Newton solve that produced it.
+
+    Every inner solve, warm or cold, runs on one evaluator made for the
+    search and pointed at the tables of its p, and the energy and its
+    gradient in p1 are read from it at the converged iterate, which it
+    has just evaluated.
     """
     if ctx.spec.family != "adaptive":
         raise ValueError("basis optimization applies to the steep family only")
     if ctx.spec.n_p != 1:
         raise ValueError("basis optimization tunes exactly one steepness parameter")
     inner_counts: list[int] = []
+    ev = Evaluator(ctx.tables, ctx.mat, ctx.load.d)
 
     def inner(p1, x_warm):
         c = ctx if p1 == ctx.spec.p[0] else SolveContext(
             ctx.mat, ctx.load, ctx.spec.with_p((p1,)), ctx.rule)
         xw = x_warm if x_warm is not None else initial_guess(c)
-        st, rep = newton_solve(xw, c)
+        st, rep = newton_solve(xw, c, evaluator=ev)
         if not rep.converged and x_warm is not None:
-            st, rep = newton_solve(initial_guess(c), c)
-        return c, st, rep
+            st, rep = newton_solve(initial_guess(c), c, evaluator=ev)
+        return st, rep
 
-    def measures(c, st):
-        psi = p_gradient(st, c.mat, c.rule, c.tables)[0]
-        val = functional_value(st, c.mat, c.rule, c.tables)
-        return psi, val
+    def measures():
+        return ev.p_gradient()[0], ev.functional_value()
 
     p = ctx.spec.p[0]
-    cctx, state, rep = inner(p, None)
+    state, rep = inner(p, None)
     if not rep.converged:
         raise SolveFailure("inner solve failed at the starting parameters "
                            f"(p1 = {p:g}: {rep.message}, {_last_residual(rep)})")
     inner_counts.append(rep.iterations)
-    psi, val = measures(cctx, state)
+    psi, val = measures()
 
     # The energy is extremely flat in p (|dI/dp| ~ 1e-7 |I| per unit p in the
     # steep regime), so the gradient threshold alone fires far from the
@@ -545,10 +557,10 @@ def optimize_basis(ctx: SolveContext):
 
     stalled = False
     for _ in range(MAX_OUTER):
-        cctx, state, rep = inner(p, best_state.x)
+        state, rep = inner(p, best_state.x)
         bad = not rep.converged
         if not bad:
-            psi, val = measures(cctx, state)
+            psi, val = measures()
             bad = slid(val)
         if bad:
             p_bad = p
@@ -578,21 +590,21 @@ def optimize_basis(ctx: SolveContext):
         # accepted point always lands.
         def en(p1):
             try:
-                c, st, rp = inner(p1, best_state.x)
+                rp = inner(p1, best_state.x)[1]
             except SolveFailure:
                 return math.inf
             if not rp.converged:
                 return math.inf
             inner_counts.append(rp.iterations)
-            return functional_value(st, c.mat, c.rule, c.tables)
+            return ev.functional_value()
 
         p_mid = best_state.spec.p[0]
         p = _golden_min(en, max(P_MIN, p_mid / 3.0), 3.0 * p_mid)
-        cctx, state, rep = inner(p, best_state.x)
+        state, rep = inner(p, best_state.x)
         if not rep.converged:
             raise SolveFailure("p search could not recover")
         inner_counts.append(rep.iterations)
-        if slid(functional_value(state, cctx.mat, cctx.rule, cctx.tables)):
+        if slid(ev.functional_value()):
             state, rep = best_state, best_rep
 
     rep.inner_iterations = inner_counts

@@ -12,8 +12,9 @@ given, from `eval_shape` and the kinematics and material functions, apart
 from the solver's strong-form pass; `solver.delta_diagnostic` must give its
 `defect` bit for bit at its probes and grid, and `cli.profile_rows` its
 columns.  `bvp_state` solves the strong form as a boundary value problem,
-apart from the Ritz method, for the error of a Ritz state.  `fold_count`
-counts the folds of a load path.
+apart from the Ritz method, for the error of a Ritz state, and `bvp_curve`
+the load at given pole sags, for the load-sag curve and its folds.
+`fold_count` counts the folds of a load path.
 """
 
 from __future__ import annotations
@@ -186,49 +187,91 @@ def defect(state, mat: MaterialParams, s):
     return strong_form(state, mat, s)[-1]
 
 
-def bvp_state(mat: MaterialParams, load: LoadParams, guess):
-    """The equilibrium near the state `guess`, from the strong form alone.
+def _strong_rhs(mat: MaterialParams, s, y, c: float, d: float):
+    """(z', z'', r', r'') of the strong form at the points s, from the rows
+    (z, z', r, r') of y at the load (c, d).
 
     The weak form in the `assembly` docstring, integrated by parts, is
     (s U(l1,l2) z')' = -s Q l2 r' and (s U(l1,l2) r')' = U(l2,l1) l2 +
-    s Q l2 z'.  Written for (z, z', r, r'), a 2 x 2 system gives z'' and
-    r''.  `scipy.integrate.solve_bvp` solves it to a tolerance of 1e-8 on
-    [eps, 1], eps = 1e-3, from the shape of `guess`, with the pole series
-    conditions z' - eps z'' = 0 and r - eps r' = 0, both O(eps**3), and the
-    clamped edge z = 0, r = 1.  Returns the mesh s and the rows (z, z', r,
-    r') on it.
+    s Q l2 z'; a 2 x 2 system gives z'' and r''.
+    """
+    z, dz, r, dr = y
+    l1, l2 = np.hypot(dz, dr), r / s
+    u12, u21, parts = tension_values(l1, l2, mat)
+    ua, ub, _ = tension_partials(parts)
+    q = hydro_load(z, c, d)
+    # s U' z' and s U' r' carry U_a l1' = U_a (z' z'' + r' r'') / l1
+    a11, a12, a22 = (s * (u12 + ua * dz * dz / l1), s * ua * dz * dr / l1,
+                     s * (u12 + ua * dr * dr / l1))
+    grow = ub * (dr - l2)  # s U_b l2'
+    b1 = -s * q * l2 * dr - (u12 + grow) * dz
+    b2 = u21 * l2 + s * q * l2 * dz - (u12 + grow) * dr
+    det = a11 * a22 - a12 * a12
+    return np.array([dz, (a22 * b1 - a12 * b2) / det,
+                     dr, (a11 * b2 - a12 * b1) / det])
+
+
+# the pole end of the reference interval [EPS, 1]
+EPS = 1e-3
+
+
+def _pole_and_edge(mat: MaterialParams, ya, yb, c: float, d: float):
+    """The pole series conditions z' - eps z'' = 0 and r - eps r' = 0, both
+    O(eps**3), and the clamped edge z = 0, r = 1."""
+    d2z = _strong_rhs(mat, np.array([EPS]), ya[:, None], c, d)[1, 0]
+    return [ya[1] - EPS * d2z, ya[2] - EPS * ya[3], yb[0], yb[2] - 1.0]
+
+
+def bvp_state(mat: MaterialParams, load: LoadParams, guess):
+    """The equilibrium near the state `guess`, from the strong form alone.
+
+    `scipy.integrate.solve_bvp` solves `_strong_rhs` to a tolerance of 1e-8
+    on [eps, 1], eps = 1e-3, from the shape of `guess`, with the pole and
+    edge conditions of `_pole_and_edge`.  Returns the mesh s and the rows
+    (z, z', r, r') on it.
     """
     from scipy.integrate import solve_bvp
 
-    eps = 1e-3
-
-    def rhs(s, y):
-        z, dz, r, dr = y
-        l1, l2 = np.hypot(dz, dr), r / s
-        u12, u21, parts = tension_values(l1, l2, mat)
-        ua, ub, _ = tension_partials(parts)
-        q = hydro_load(z, load.c, load.d)
-        # s U' z' and s U' r' carry U_a l1' = U_a (z' z'' + r' r'') / l1
-        a11, a12, a22 = (s * (u12 + ua * dz * dz / l1), s * ua * dz * dr / l1,
-                         s * (u12 + ua * dr * dr / l1))
-        grow = ub * (dr - l2)  # s U_b l2'
-        b1 = -s * q * l2 * dr - (u12 + grow) * dz
-        b2 = u21 * l2 + s * q * l2 * dz - (u12 + grow) * dr
-        det = a11 * a22 - a12 * a12
-        return np.array([dz, (a22 * b1 - a12 * b2) / det,
-                         dr, (a11 * b2 - a12 * b1) / det])
-
-    def bc(ya, yb):
-        d2z = rhs(np.array([eps]), ya[:, None])[1, 0]
-        return np.array([ya[1] - eps * d2z, ya[2] - eps * ya[3], yb[0], yb[2] - 1.0])
-
-    s = np.linspace(eps, 1.0, 101)
+    s = np.linspace(EPS, 1.0, 101)
     shape = eval_shape(guess, s)
-    res = solve_bvp(rhs, bc, s, np.array([shape.z, shape.dz, shape.r, shape.dr]),
-                    tol=1e-8)
+    res = solve_bvp(lambda s, y: _strong_rhs(mat, s, y, load.c, load.d),
+                    lambda ya, yb: np.array(_pole_and_edge(mat, ya, yb, load.c, load.d)),
+                    s, np.array([shape.z, shape.dz, shape.r, shape.dr]), tol=1e-8)
     if not res.success:
         raise RuntimeError(f"reference solve failed: {res.message}")
     return res.x, res.y
+
+
+def bvp_curve(mat: MaterialParams, d: float, sags, guess):
+    """The loads c at the pole sags `sags` of the load-sag curve at the load
+    gradient d, from the strong form alone.
+
+    As `bvp_state`, with c an unknown parameter of `solve_bvp` and the
+    extra condition z(eps) - eps z'(eps)/2 = f, the pole sag f to O(eps**4)
+    as z'(0) = 0.  The first sag starts from the shape and load of the
+    state `guess`, and each next one from the solution at the last, so the
+    sags are steps along one branch of the curve; a fold in c is passed
+    like any other point, since the sag is fixed.  Past the second fold
+    (f ~ 2.5 on the gas curve) the mesh outgrows `solve_bvp`'s default of
+    1000 nodes, so it may take 5000.  Returns the loads, one per sag.
+    """
+    from scipy.integrate import solve_bvp
+
+    s = np.linspace(EPS, 1.0, 101)
+    shape = eval_shape(guess, s)
+    y, c = np.array([shape.z, shape.dz, shape.r, shape.dr]), guess.load.c
+    loads = []
+    for f in sags:
+        res = solve_bvp(
+            lambda s, y, p: _strong_rhs(mat, s, y, p[0], d),
+            lambda ya, yb, p: np.array(_pole_and_edge(mat, ya, yb, p[0], d)
+                                       + [ya[0] - 0.5 * EPS * ya[1] - f]),
+            s, y, p=[c], tol=1e-8, max_nodes=5000)
+        if not res.success:
+            raise RuntimeError(f"reference solve failed at f = {f}: {res.message}")
+        s, y, c = res.x, res.y, float(res.p[0])
+        loads.append(c)
+    return np.array(loads)
 
 
 def fold_count(points) -> int:

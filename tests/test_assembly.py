@@ -281,6 +281,37 @@ def test_evaluators_on_one_tables_keep_separate_workspaces(liquid_m6):
             assert (gb, hb) == _fresh_bits(b, yb, cb)
 
 
+@pytest.mark.parametrize("border", [None, (-0.28, 0.96, 0.04)], ids=["plain", "bordered"])
+@pytest.mark.parametrize("p1, rule, d", [
+    (3.0, gauss_rule(64), 0.0),
+    (17.1, auto_rule("adaptive", 17.1), 10.0),
+    (80.0, auto_rule("adaptive", 80.0), 100.0),
+], ids=["64", "192", "384"])
+def test_a_repointed_evaluator_gives_a_fresh_evaluators_bits(liquid_m6, p1, rule, d,
+                                                              border):
+    # the p search points one evaluator at the tables of each p on its rule;
+    # after its first tangent, so with the tangent's arrays made, each
+    # re-pointing gives the residual, tangent and dg/dc of a new evaluator
+    tables = [BasisTables.build(BasisSpec("adaptive", 6, (p,)), rule)
+              for p in (p1, 1.05 * p1, 0.9 * p1)]
+    assert tables[0].s.size == int(rule.nodes.size)
+    ev = Evaluator(tables[0], LIQ, d, border)
+    x, c = liquid_m6.x, 0.5
+    ev.at(x, c)
+    ev.tangent()
+    for t in tables[1:] + tables[:1]:
+        ev.use(t)
+        ev.at(x, c)
+        g, h = ev.residual().tobytes(), ev.tangent().tobytes()
+        fresh = Evaluator(t, LIQ, d, border)
+        fresh.at(x, c)
+        assert (g, h) == (fresh.residual().tobytes(), fresh.tangent().tobytes())
+        got, want = np.empty((2, 6)), np.empty((2, 6))
+        ev.dg_dc(ev.dz, ev.dr, ev.l2, got)
+        fresh.dg_dc(fresh.dz, fresh.dr, fresh.l2, want)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_one_shot_functions_after_a_newton_solve_give_their_standalone_bits(
         gas_m6, liquid_m6):
     # p_gradient and functional_value make evaluators of their own on the

@@ -32,7 +32,7 @@ NO_LOAD = LoadParams(0.0)
 
 def _shape_p_derivs(state, s):
     """The partials of the trial shape in p at s, from the profile there."""
-    return _shape_p(state, s, _Profile(s, state.spec.p, second=False).p_derivs())
+    return _shape_p(state.x, s, _Profile(s, state.spec.p, second=False).p_derivs())
 
 
 def _i0_series(x, terms=30):
@@ -384,6 +384,6 @@ def test_table_parameter_partials_equal_shape_p_derivs_at_the_nodes():
         for k in range(1, spec.m + 1):
             state = SolutionState(rng.normal(scale=0.3, size=2 * k),
                                   BasisSpec(spec.family, k, spec.p), NO_LOAD)
-            got = _shape_p(state, rule.nodes, tables.head(k).rho_p)
+            got = _shape_p(state.x, rule.nodes, tables.head(k).rho_p)
             for a, b in zip(got, _shape_p_derivs(state, rule.nodes)):
                 assert a.tobytes() == b.tobytes()

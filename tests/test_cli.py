@@ -325,6 +325,26 @@ def test_exit_code_2_on_invalid_values(tmp_path, verb, extra, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, flags", [
+    ({**GAS_JSON, "out": None}, []),
+    ({**GAS_JSON, "out": ""}, []),
+    ({**GAS_JSON, "out": 5}, []),
+    (GAS_KV + "out =\n", []),
+    (GAS_KV, ["--out", ""]),
+], ids=["json-null", "json-empty", "json-number", "kv-empty", "flag-empty"])
+def test_out_must_be_a_non_empty_path(tmp_path, monkeypatch, config, flags):
+    # a null out once wrote into a directory named None, and an empty one
+    # into the working directory; both are config errors that write nothing
+    monkeypatch.chdir(tmp_path)
+    if isinstance(config, dict):
+        cfg = write_cfg(tmp_path, json.dumps(config), "case.json")
+    else:
+        cfg = write_cfg(tmp_path, config)
+    before = sorted(tmp_path.iterdir())
+    assert main(["solve", "--config", cfg] + flags) == 2
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_sweep_rejects_a_load_range_that_overflows(tmp_path):
     # the default first step |c_end - c_start| / 20 is infinite here, which
     # StepPolicy rejects; the range is a config error

@@ -29,7 +29,7 @@ from ritzmem.solver import (
     solve_membrane,
 )
 
-from reference import bvp_state, defect, fold_count, newton_reference
+from reference import bvp_curve, bvp_state, defect, fold_count, newton_reference
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
@@ -674,12 +674,78 @@ def test_an_evaluator_of_another_solve_is_refused(gas_m6):
     others = [assembly.Evaluator(ctx.tables, ctx.mat, ctx.load.d),
               assembly.Evaluator(gas_context(5).tables, ctx.mat, 0.0, border),
               assembly.Evaluator(ctx.tables, LIQ, ctx.load.d, border),
-              assembly.Evaluator(ctx.tables, ctx.mat, 1.0, border)]
+              assembly.Evaluator(ctx.tables, ctx.mat, 1.0, border),
+              # tables of the same size on another rule
+              assembly.Evaluator(BasisTables.build(ctx.spec, gauss_rule(48)),
+                                 ctx.mat, ctx.load.d, border)]
     for ev in others:
         with pytest.raises(ValueError, match="evaluator"):
             newton_solve(state.x, ctx, border, evaluator=ev)
     with pytest.raises(ValueError, match="evaluator"):
         newton_solve(state.x, ctx, evaluator=others[-1])
+
+
+def test_a_searched_solve_runs_its_search_on_one_evaluator(monkeypatch):
+    # every inner solve of the p search, warm or cold, runs on the one
+    # evaluator the search makes; the m = 1 starts and the polynomial
+    # predictor run on evaluators of their own
+    made = []
+    inner = assembly.Evaluator.__init__
+
+    def counted(self, tables, *args, **kwargs):
+        made.append((self, tables))
+        inner(self, tables, *args, **kwargs)
+
+    monkeypatch.setattr(assembly.Evaluator, "__init__", counted)
+    used = []
+    solve = solver.newton_solve
+
+    def recorded(x0, ctx, border=None, corrector=False, *, evaluator=None):
+        out = solve(x0, ctx, border, corrector, evaluator=evaluator)
+        used.append((ctx.spec, evaluator))
+        return out
+
+    monkeypatch.setattr(solver, "newton_solve", recorded)
+    _, report = solve_membrane(LIQ, LoadParams(0.5, 10.0), "adaptive", 6)
+    assert report.converged
+    searched = [ev for ev, tables in made
+                if tables.u.shape[0] == 6 and tables.profile is not None]
+    assert len(searched) == 1
+    inner_solves = [ev for spec, ev in used
+                    if spec.family == "adaptive" and spec.m == 6]
+    assert len(inner_solves) >= 10 and set(inner_solves) == {searched[0]}
+
+
+def test_the_search_reads_the_bits_of_p_gradient_and_functional_value(monkeypatch):
+    # at every p whose inner solve converges, the search's psi and E, read
+    # from its evaluator at the converged iterate, are the one-shot
+    # functions' at that state, to the last bit
+    solves = []
+    solve = solver.newton_solve
+
+    def recorded(x0, ctx, *args, **kwargs):
+        state, rep = solve(x0, ctx, *args, **kwargs)
+        solves.append((ctx, state))
+        return state, rep
+
+    monkeypatch.setattr(solver, "newton_solve", recorded)
+    read = []
+    for name in ("p_gradient", "functional_value"):
+        method = getattr(assembly.Evaluator, name)
+
+        def reading(self, method=method, name=name):
+            out = method(self)
+            read.append((name, np.asarray(out).tobytes(), *solves[-1]))
+            return out
+
+        monkeypatch.setattr(assembly.Evaluator, name, reading)
+    _, report = solve_membrane(LIQ, LoadParams(0.5, 10.0), "adaptive", 6)
+    assert report.converged
+    assert sum(name == "p_gradient" for name, *_ in read) >= 5
+    monkeypatch.undo()
+    for name, got, ctx, state in read:
+        want = getattr(assembly, name)(state, LIQ, ctx.rule)
+        assert got == np.asarray(want).tobytes()
 
 
 def test_correctors_stop_at_their_iteration_budget(newton_reports):
@@ -950,6 +1016,39 @@ def test_liquid_error_against_the_strong_form_reference_falls():
     assert errors[-1] < 2e-7, errors
 
 
+def _fold_load(sags, loads) -> float:
+    """The extreme load of the parabola through three points of c(f)."""
+    a, b, c = np.polyfit(sags, loads, 2)
+    return float(c - b * b / (4.0 * a))
+
+
+def test_fold_loads_against_the_strong_form_reference():
+    # fixed-sag bordered solves (the row e.x = f) at m = 10 trace c(f) near
+    # both folds of the gas d = 0 curve, stepping the sag up from the
+    # c = 1.7 state; at each sag the reference curve gives the same load,
+    # the middle sag of each triple is beyond the other two in c, and the
+    # parabola through the three gives the fold load
+    ctx = gas_context(10)
+    state, report = newton_solve(initial_guess(ctx), ctx)
+    assert report.converged
+    x, c, f0 = state.x, ctx.load.c, ctx.sag(state.x)
+    for sags, c_fold, sign in (((1.04, 1.075, 1.11), 1.81954, 1.0),
+                               ((2.475, 2.51, 2.545), 1.48098, -1.0)):
+        states = []
+        for f in [*np.linspace(f0, sags[0], 8)[1:], *sags[1:]]:
+            state, report = newton_solve(x, ctx.with_load(c), (1.0, 0.0, f))
+            assert report.converged, (f, report.message)
+            x, c = state.x, state.load.c
+            states.append(state)
+        f0 = sags[-1]
+        ritz = [st.load.c for st in states[-3:]]
+        ref = bvp_curve(GAS, 0.0, sags, states[-3])
+        assert np.max(np.abs(np.array(ritz) - ref)) < 1e-4, (ritz, ref)
+        assert sign * ritz[1] > max(sign * ritz[0], sign * ritz[2])
+        for loads in (ritz, ref):
+            assert abs(_fold_load(sags, loads) - c_fold) < 1e-4, (loads, c_fold)
+
+
 def test_a_failed_solve_leaves_no_reference_cycle():
     # a failure kept as a value carries no traceback, whose frames would
     # hold it, and the ladder's tables, until the next collection
@@ -1209,7 +1308,7 @@ def tension_calls(monkeypatch):
 
 @pytest.mark.parametrize("mat, load, family, builds, tensions", [
     (GAS, LoadParams(1.7), "polynomial", 1, 11),
-    (LIQ, LoadParams(0.5, 10.0), "adaptive", 11, 77),
+    (LIQ, LoadParams(0.5, 10.0), "adaptive", 11, 67),
 ])
 def test_solves_build_tables_once_per_basis(build_calls, tension_calls,
                                             newton_reports, mat, load, family,
