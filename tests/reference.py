@@ -15,6 +15,15 @@ columns.  `bvp_state` solves the strong form as a boundary value problem,
 apart from the Ritz method, for the error of a Ritz state, and `bvp_curve`
 the load at given pole sags, for the load-sag curve and its folds.
 `fold_count` counts the folds of a load path.
+
+The p step has plain forms too, one expression per array: `steep_profile`
+(the scaled Bessel profile rho, rho' and its partials in p, on scipy's
+i0e and i1e), `ladder` and `steep_tables` (the steep generators at the
+nodes and the pole, and the stacks a table build derives from them),
+`shape_p` (the partials of the trial shape in p), `psi` and `energy_value`
+(the energy's gradient in p and the energy itself); `BasisTables.build`,
+`BasisTables.rho_p`, `Evaluator.p_gradient` and
+`Evaluator.functional_value` must agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ import numpy as np
 from ritzmem import solver
 from ritzmem.basis import SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams, curvatures, hydro_load, stretches
-from ritzmem.material import (MaterialParams, energy_derivs, principal_stresses,
-                               tension_partials, tension_values)
+from ritzmem.material import (MaterialParams, energy, energy_derivs,
+                               principal_stresses, tension_partials, tension_values)
 
 
 def stiffness_scalar(la, lb, mat: MaterialParams):
@@ -282,3 +291,107 @@ def fold_count(points) -> int:
     """
     dc = np.sign(np.diff([pt.c_value for pt in points]))
     return int(np.count_nonzero(np.diff(dc[dc != 0.0])))
+
+
+def steep_profile(s, p):
+    """rho, rho' and the partials (d rho/dp, d rho'/dp), (n_p,) + s.shape
+    each, of the steep profile rho = I0(y(s))/I0(y(1)), y = sum p[i]
+    s**(2i+1), at the 1-d points s."""
+    from scipy.special import i0e, i1e
+
+    y, dy = np.zeros_like(s), np.zeros_like(s)
+    for i, pi in enumerate(p):
+        e = 2 * i + 1
+        y += pi * s ** e
+        dy += pi * e * s ** (e - 1)
+    y1 = float(sum(p))
+    ys = np.append(y, y1)
+    i0, i1 = i0e(ys)[:-1], i1e(ys)[:-1]
+    i0_1, i1_1 = i0e(y1), i1e(y1)
+    beta1 = i1_1 / i0_1
+    scale = np.exp(np.abs(y) - abs(y1)) / i0_1
+    rho = scale * i0
+    drho = scale * i1 * dy
+    small = np.abs(y) < 1e-4
+    series = np.exp(-np.abs(y)) * (0.5 + y * y / 16.0 + y ** 4 / 384.0)
+    db1 = i0 - np.where(small, series, i1 / np.where(small, 1.0, y))
+    beta = i1 / i0
+    drho_dp, ddrho_dp = np.empty((2, len(p)) + s.shape)
+    for i in range(len(p)):
+        e = 2 * i + 1
+        se = s ** e
+        drho_dp[i] = rho * (beta * se - beta1)
+        ddrho_dp[i] = scale * (db1 * se * dy + i1 * e * s ** (e - 1)) - drho * beta1
+    return rho, drho, drho_dp, ddrho_dp
+
+
+def ladder(u1, du1, a, da, s, m: int):
+    """(u, u', v, v') of the steep ladder: u_1 = u1, u_2 = a (s**2 - 1),
+    u_k = s**2 u_{k-1} for k >= 3, v_k = s u_k, with the s-derivatives du1
+    and da of u1 and a; k leads."""
+    u = np.empty((m,) + np.shape(u1))
+    du = np.empty_like(u)
+    ss, s2 = s * s, 2.0 * s
+    u[0] = u1
+    du[0] = du1
+    if m >= 2:
+        w = ss - 1.0
+        u[1] = a * w
+        du[1] = da * w + s2 * a
+    for k in range(2, m):
+        u[k] = ss * u[k - 1]
+        du[k] = s2 * u[k - 1] + ss * du[k - 1]
+    return u, du, s * u, u + s * du
+
+
+# the generator pairs (A, B) of the tangent's products, as rows of the
+# (u, u', v, v') stack
+LEFT = [1, 1, 1, 3, 3, 2, 2, 0, 0]
+RIGHT = [1, 3, 2, 3, 2, 3, 2, 0, 2]
+
+
+def steep_tables(spec, rule):
+    """The arrays of a steep table build: u, u', v, v' at the nodes, u at
+    the pole, w s, the stacked pairs (left, right_t) and the partials of
+    rho and rho' in p at the nodes, (2, n_p, n)."""
+    s = np.append(rule.nodes, 0.0)
+    rho, drho, drho_dp, ddrho_dp = steep_profile(s, spec.p)
+    u, du, v, dv = ladder(1.0 - rho, -drho, rho, drho, s, spec.m)
+    gen = np.array([u[:, :-1], du[:, :-1], v[:, :-1], dv[:, :-1]])
+    return {"u": gen[0], "du": gen[1], "v": gen[2], "dv": gen[3],
+            "u0": u[:, -1].copy(), "ws": rule.weights * rule.nodes,
+            "left": gen[LEFT], "right_t": gen[RIGHT].transpose(0, 2, 1),
+            "rho_p": np.array([drho_dp, ddrho_dp])[:, :, :-1]}
+
+
+def shape_p(x, s, rho_p):
+    """(dz/dp, dr/dp, dz'/dp, dr'/dp) of the coefficients x at the nodes s
+    from the partials rho_p there."""
+    drho_dp, ddrho_dp = rho_p
+    m = len(x) // 2
+    u_p, du_p, v_p, dv_p = ladder(-drho_dp, -ddrho_dp, drho_dp, ddrho_dp, s, m)
+    return tuple(c @ g.reshape(m, -1) for c, g in
+                 ((x[:m], u_p), (x[m:], v_p), (x[:m], du_p), (x[m:], dv_p)))
+
+
+def psi(state, mat: MaterialParams, t):
+    """The energy's partials in p of the state on the steep tables t."""
+    _, r, dz, dr, l1, l2, q = nodal(state, t)
+    su12, su21 = stiffness_scalar(l1, l2, mat), stiffness_scalar(l2, l1, mat)
+    dz_dp, dr_dp, dzp_dp, drp_dp = (
+        g.reshape(-1, t.s.size) for g in shape_p(state.x, t.s, t.rho_p))
+    w, s = t.w, t.s
+    ws = w * s
+    wsu = ws * su12
+    wql = ws * q * l2
+    return (dzp_dp @ (wsu * dz) - dz_dp @ (wql * dr) + drp_dp @ (wsu * dr)
+            + dr_dp @ (w * (su21 * l2 + s * q * l2 * dz)))
+
+
+def energy_value(state, mat: MaterialParams, t) -> float:
+    """The potential energy, one half of int [ W s + Q r**2 z' ] ds."""
+    _, r, dz, _, l1, l2, q = nodal(state, t)
+    l3 = 1.0 / (l1 * l2)
+    i1 = l1 * l1 + l2 * l2 + l3 * l3
+    i2 = 1.0 / (l1 * l1) + 1.0 / (l2 * l2) + 1.0 / (l3 * l3)
+    return 0.5 * float(t.w @ (energy(i1, i2, mat) * t.s + q * r * r * dz))

@@ -25,7 +25,7 @@ from ritzmem.material import MaterialParams, energy_derivs
 from ritzmem.quadrature import auto_rule, gauss_rule
 from ritzmem.solver import SolveContext, newton_solve, solve_membrane
 
-from reference import per_product_forms
+from reference import energy_value, per_product_forms, psi
 
 GAS = MaterialParams(gamma1=0.02, gamma2=-0.015, gamma3=0.00025)
 LIQ = MaterialParams(gamma1=0.1)
@@ -449,3 +449,23 @@ def test_residual_and_tangent_equal_per_product_forms(family, m, p1, mat, c,
     assert np.array_equal(jacobian(state, mat, rule, tables), h, equal_nan=True)
     assert np.array_equal(load_derivative(state, mat, rule, tables), gc,
                           equal_nan=True)
+
+
+@pytest.mark.parametrize("p", [(3.0,), (17.1,), (80.0,), (1917.0,), (3.0, 0.5),
+                               (17.1, -2.0), (1.0, -3.0)], ids=str)
+def test_p_gradient_and_energy_equal_the_plain_forms(p):
+    # psi and E of an evaluator, the first read forming the partials in p,
+    # against the per-expression forms of `reference.psi` and
+    # `reference.energy_value`, byte for byte: a gas load and a liquid one,
+    # on a Mooney-Rivlin material and on one that is not
+    rule = auto_rule("adaptive", p[0])
+    spec = BasisSpec("adaptive", 6, p)
+    rng = np.random.default_rng(len(p))
+    for mat, d in ((LIQ, 10.0), (GAS, 0.0), (GAS, 3.0)):
+        tables = BasisTables.build(spec, rule)
+        state = SolutionState(rng.normal(scale=0.02, size=12), spec, LoadParams(0.5, d))
+        ev = Evaluator(tables, mat, d)
+        ev.at(state.x, 0.5)
+        for _ in range(2):  # the second read from what the first kept
+            assert ev.p_gradient().tobytes() == psi(state, mat, tables).tobytes()
+            assert ev.functional_value().hex() == energy_value(state, mat, tables).hex()

@@ -27,6 +27,8 @@ from ritzmem.material import MaterialParams
 from ritzmem.quadrature import auto_rule, gauss_rule
 from ritzmem.solver import DELTA_GRID
 
+from reference import shape_p, steep_tables
+
 NO_LOAD = LoadParams(0.0)
 
 
@@ -387,3 +389,28 @@ def test_table_parameter_partials_equal_shape_p_derivs_at_the_nodes():
             got = _shape_p(state.x, rule.nodes, tables.head(k).rho_p)
             for a, b in zip(got, _shape_p_derivs(state, rule.nodes)):
                 assert a.tobytes() == b.tobytes()
+
+
+# the steepness of the p search at 192 nodes (3, 17.1) and on the 384-node
+# two-panel rule (80, 1917), and two-parameter profiles, the last with
+# y(s) < 0 on most of (0, 1], which takes the negative-argument branch of
+# the Bessel functions; y(s) = 17.1 s - 2 s**3 stays positive there
+STEEP_P = [(3.0,), (17.1,), (80.0,), (1917.0,), (3.0, 0.5), (17.1, -2.0), (1.0, -3.0)]
+
+
+@pytest.mark.parametrize("p", STEEP_P, ids=str)
+def test_a_steep_build_equals_the_plain_forms(p):
+    # every array of a steep table build, and its partials in p, against
+    # the per-expression forms of `reference.steep_tables`, byte for byte
+    rule = auto_rule("adaptive", p[0])
+    want = steep_tables(BasisSpec("adaptive", 6, p), rule)
+    tables = BasisTables.build(BasisSpec("adaptive", 6, p), rule)
+    for name, ref in want.items():
+        got = getattr(tables, name)
+        assert got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    # the ladder of the partials, as the p gradient forms it
+    x = np.random.default_rng(len(p)).normal(scale=0.3, size=12)
+    for a, b in zip(_shape_p(x, rule.nodes, tables.rho_p),
+                    shape_p(x, rule.nodes, want["rho_p"])):
+        assert a.tobytes() == b.reshape(a.shape).tobytes()
