@@ -15,34 +15,27 @@ The residual, the tangent, dg/dc, the energy and its gradient in the
 steepness parameters have one form each, in `Evaluator`.  A Newton solve
 evaluates every iterate through one evaluator, a sweep keeps one for all
 its correctors (`set_border`), and a p search one for all its inner solves,
-pointed at the tables of each p (`use`): the nodal shape and the tension
-coefficients U once per iterate, the partials of U only for an iterate
-that assembles a tangent, so a converged iterate, a corrector that gave up
-and `p_gradient` evaluate none.  The search reads the energy and its
-gradient in p from the converged iterate its evaluator has just evaluated.
-The public functions evaluate one state each, on an evaluator of their
-own.  Its matrix-vector products call
-`ndarray.dot`, which makes the BLAS call of `@` with less dispatch, bit for
-bit.  An iterate passes no Python float to a ufunc: the literals, the
-energy coefficients and d are read-only float64 0-d arrays
-(`material._const`), with the same bits and without numpy's conversion of
-a Python float on every call.  Nor does it slice: the evaluator makes the
-views it writes through once and keeps them from solve to solve.
+pointed at the tables of each p (`use`): the nodal shape and U once per
+iterate, the partials of U only for a tangent.  The search reads the
+energy and its gradient in p at the converged iterate its evaluator has
+just evaluated; the public functions run an evaluator of their own.
 
-Nor does an iterate allocate an array of the nodes' length.  On the steep
-rules (192 and 384 nodes) each such temporary, 1.5 or 3 KB, is past numpy's
-1 KB small-block cache, so it would cost a malloc and a free; the 64-node
-arrays of the polynomial rule are served from that cache.  Each evaluator
-keeps one workspace of node-length rows, made with it in one block (the
-tangent's in a second, by its first tangent), and the shape, Q, U and its
-partials, the residual's weighted rows, the tangent's weight rows and the
-row-weighted generators of its batched product are written into it, in
-place or through the output argument of each ufunc and of `ndarray.dot`
-(passed positionally, which numpy parses faster than `out=`).  Every
-element goes through the operations of the plain expression in the same
-order, so every value keeps its bits.  What still allocates is the iterator
-buffer numpy makes for the broadcast of the weight rows over the
-generators, and a few views (the halves of x) and tuples per call.
+An iterate, and the energy and its gradient in p, pass no Python float to
+a ufunc (literals, energy coefficients and d are read-only 0-d arrays,
+`material._const`, which numpy need not convert on every call), make no
+view, and allocate no array of the nodes' length: on the steep rules (192
+and 384 nodes) such a temporary is past numpy's 1 KB small-block cache,
+so it would cost a malloc and a free.  The evaluator keeps its views and
+node-length rows (a block made with it, one for the tangent and one for
+the gradient in p made by their first calls) and writes the shape, Q, U,
+its partials, the weighted rows, the invariants, the weight rows and the
+shape's partials in p into them, in place or through the output argument
+of each ufunc and of `ndarray.dot` (passed positionally, which numpy
+parses faster than `out=`; it makes the BLAS call of `@` with less
+dispatch).  Every element goes through the operations of the plain
+expression in the same order, so every value keeps its bits.  What still
+allocates: numpy's iterator buffer for the tangent's broadcast, and a few
+views and tuples.
 
 An evaluator with d = 0 (a gas load) forms no hydrostatic term: not z, since
 Q = c - 0*z is the load c at any finite z, nor the two tangent products
@@ -55,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisTables, SolutionState, _shape_p
+from .basis import BasisTables, SolutionState, _powers, _shape_p, _shape_p_work
 from .kinematics import hydro_load
 from .material import (_PARTIAL_ROWS, _VALUE_ROWS, ONE, MaterialParams, _const,
                        _partial_work, _value_work, energy, tension_partials,
@@ -63,8 +56,8 @@ from .material import (_PARTIAL_ROWS, _VALUE_ROWS, ONE, MaterialParams, _const,
 
 HALF = _const(0.5)
 # the evaluator's own n-length rows in its block, ahead of the arrays of
-# `tension_values`: z', r', r, Q (z before it) and three rows of scratch
-_NODAL_ROWS = 7
+# `tension_values`: z', r', r, Q (z before it) and four rows of scratch
+_NODAL_ROWS = 8
 
 
 class Evaluator:
@@ -75,29 +68,25 @@ class Evaluator:
     material and the load gradient d, with what no iterate changes: w*s*d
     and, with `border` = (a, b, rhs), the bordered row a (e.x) + b c = rhs,
     where e.x is the pole sag.  `use` points it at other tables of its rule
-    and size.  `at(x, c)` evaluates the nodal shape and U of one
-    iterate; `residual` and `tangent` then write into arrays the evaluator
-    keeps, so each call overwrites what the last one returned: the residual
-    g (the bordered row last) and the tangent H = dg/dx (bordered by the
-    column dg/dc and the row); `functional_value` and `p_gradient` read the
-    same evaluation.  The tangent is nine row-weighted
-    products A diag(c) B^T, one batched matmul over the generator pairs of
-    `BasisTables.left` and `right_t` with the weight rows c of one (9, n)
-    array, summed block by block; at d = 0 the two hydrostatic products,
-    the last two, are left out, and Q is the load c as a 0-d array.  Those
-    rows, the partials' arrays, the (k, m, n) row-weighted generators, the
-    (9, m, m) products and every view of them and of H are made by the
-    first tangent and kept (`_buffers`), so a lone residual makes none of
-    them.  The arrays an iterate writes, the shape, the stretches (stacked
-    as `tension_values` reads them), Q, the arrays of `tension_values` and
-    the residual's scratch rows, are one block made with the evaluator; the
-    next iterate overwrites them, as it does g and H, so an evaluator is
-    never shared by two solves in flight.  The coupling
-    block is built once and set in both places, and the matrix is mirrored
-    as (H + H^T) / 2, which symmetrizes the diagonal blocks and leaves the
-    coupling blocks exact.  The v-v curvature coefficient uses the swap
-    identity dU/db(a,b) = (b/a) dU/db(b,a), so the mirrored matrix equals
-    the exact coefficient Jacobian of the residual up to quadrature error.
+    and size.  `at(x, c)` evaluates the nodal shape and U of one iterate;
+    `residual` and `tangent` then write into arrays the evaluator keeps, so
+    each call overwrites what the last one returned: the residual g (the
+    bordered row last) and the tangent H = dg/dx (bordered by the column
+    dg/dc and the row); `functional_value` and `p_gradient` read the same
+    evaluation.  The tangent is nine row-weighted products A diag(c) B^T,
+    one batched matmul over the generator pairs of `BasisTables.left` and
+    `right_t` with the weight rows c of one (9, n) array, summed block by
+    block; at d = 0 the two hydrostatic products, the last two, are left
+    out, and Q is the load c as a 0-d array.  The tangent's arrays and
+    views (`_buffers`) and those of `p_gradient` (`p_work`) are made by
+    their first calls, the rest with the evaluator; the next iterate
+    overwrites them all, so an evaluator is never shared by two solves in
+    flight.  The coupling block is built once and set in both places, and
+    the matrix is mirrored as (H + H^T) / 2, which symmetrizes the diagonal
+    blocks and leaves the coupling blocks exact.  The v-v curvature
+    coefficient uses the swap identity dU/db(a,b) = (b/a) dU/db(b,a), so
+    the mirrored matrix equals the exact coefficient Jacobian of the
+    residual up to quadrature error.
     """
 
     def __init__(self, tables: BasisTables, mat: MaterialParams, d: float,
@@ -119,6 +108,7 @@ class Evaluator:
         self.q = q if self._hydrostatic else self.c0
         self.gm = np.empty(m)  # one matrix-vector product of length m
         self.buffers = None  # the tangent's, made by its first call
+        self.p_work = None  # p_gradient's, made by its first call
         if border is not None:
             self.e = np.concatenate([tables.u0, np.zeros(m)])
             self.set_border(border)
@@ -171,7 +161,7 @@ class Evaluator:
         """The residual g at the iterate of `at`, the bordered row last."""
         t, g, dz, dr, l2, gm = self.tables, self.g, self.dz, self.dr, self.l2, self.gm
         g_u, g_v = self.g_halves
-        wsu, wql, tmp = self.scratch
+        wsu, wql, tmp, _ = self.scratch
         np.multiply(t.ws, self.su12, wsu)
         np.multiply(t.ws, self.q, wql)
         wql *= l2
@@ -285,21 +275,27 @@ class Evaluator:
         """dg/dc at the nodal shape (z', r', l2), written into the pair of
         arrays `out`, its u and v halves, through the residual's scratch."""
         t, gm = self.tables, self.gm
-        wl, _, tmp = self.scratch
+        wl, _, tmp, _ = self.scratch
         np.multiply(t.ws, l2, wl)
         np.negative(t.u.dot(np.multiply(wl, dr, tmp), gm), out[0])
         out[1][...] = t.v.dot(np.multiply(wl, dz, tmp), gm)
 
     def functional_value(self) -> float:
         """Potential energy of the iterate of the last `at` or `nodal`:
-        one half of int [ W s + Q r**2 z' ] ds.  Its gradient in the Ritz
-        coefficients is exactly the residual vector, for any d."""
-        t, r, dz, l1, l2, q = self.tables, self.r, self.dz, self.l1, self.l2, self.q
-        l3 = 1.0 / (l1 * l2)
-        i1 = l1 * l1 + l2 * l2 + l3 * l3
-        i2 = 1.0 / (l1 * l1) + 1.0 / (l2 * l2) + 1.0 / (l3 * l3)
-        w = energy(i1, i2, self.mat)
-        return 0.5 * float(t.w @ (w * t.s + q * r * r * dz))
+        one half of int [ W s + Q r**2 z' ] ds, its invariants and W
+        formed in the scratch rows.  Its gradient in the Ritz coefficients
+        is exactly the residual vector, for any d."""
+        t, r, l1, l2, (a, b, c, i1) = self.tables, self.r, self.l1, self.l2, self.scratch
+        np.divide(ONE, np.multiply(l1, l2, c), c)  # l3
+        np.multiply(c, c, c)
+        np.add(np.multiply(l1, l1, a), np.multiply(l2, l2, b), i1)
+        i1 += c
+        np.divide(ONE, a, a)  # I2 = 1/l1**2 + 1/l2**2 + 1/l3**2
+        a += np.divide(ONE, b, b)
+        a += np.divide(ONE, c, b)
+        np.multiply(energy(i1, a, self.mat, (b, i1, a)), t.s, a)
+        a += np.multiply(np.multiply(np.multiply(self.q, r, c), r, c), self.dz, c)
+        return 0.5 * float(t.w.dot(a))
 
     def p_gradient(self) -> np.ndarray:
         """Partial of the potential energy in the steepness parameters at
@@ -312,20 +308,26 @@ class Evaluator:
         search zeroes.  The nodal shape and U are those of `at`, and the
         parameter derivatives of the profile come from the tables
         (`BasisTables.rho_p`); tables without steepness parameters raise
-        `ValueError`.
+        `ValueError`.  The shape's partials and their ladder go into arrays
+        made by the first call (`p_work`), the weighted rows into scratch.
         """
-        t, dz, dr, l2, q = self.tables, self.dz, self.dr, self.l2, self.q
-        dz_dp, dr_dp, dzp_dp, drp_dp = _shape_p(self.x, t.s, t.rho_p)
-        w, s, ws = t.w, t.s, t.ws
-        wsu = ws * self.su12
-        wql = ws * q * l2
-        out = (
-            dzp_dp @ (wsu * dz)
-            - dz_dp @ (wql * dr)
-            + drp_dp @ (wsu * dr)
-            + dr_dp @ (w * (self.su21 * l2 + s * q * l2 * dz))
-        )
-        return np.asarray(out, dtype=float)
+        t, dz, dr, l2, q, (a, b, *_) = (self.tables, self.dz, self.dr, self.l2,
+                                        self.q, self.scratch)
+        shape = t.rho_p.shape[1:]
+        if self.p_work is None or self.p_work[0][2].shape[1:] != shape:
+            self.p_work = (_shape_p_work(self.m, shape), np.empty((4, shape[0])),
+                           _powers(t.s, self.m))
+        work, prod, pts = self.p_work
+        dz_dp, dr_dp, dzp_dp, drp_dp = _shape_p(self.x, pts, t.rho_p, work)
+        np.multiply(t.ws, self.su12, a)  # ws U12 z', ws U12 r'
+        dzp_dp.dot(np.multiply(a, dz, b), prod[0])
+        drp_dp.dot(np.multiply(a, dr, b), prod[2])
+        np.multiply(np.multiply(np.multiply(t.ws, q, a), l2, a), dr, a)  # ws Q l2 r'
+        dz_dp.dot(a, prod[1])
+        np.multiply(np.multiply(np.multiply(t.s, q, b), l2, b), dz, b)  # s Q l2 z'
+        np.multiply(t.w, np.add(np.multiply(self.su21, l2, a), b, a), a)
+        dr_dp.dot(a, prod[3])
+        return np.subtract(prod[0], prod[1]) + prod[2] + prod[3]
 
 
 def _evaluator(state: SolutionState, mat: MaterialParams, rule,

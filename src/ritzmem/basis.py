@@ -32,15 +32,16 @@ tables are numpy's own `i0` tables, and the order-1 tables were
 regenerated with mpmath by the recipe given there.  One profile
 evaluation serves the generators and their partials in p; a table build
 forms first derivatives only, and the partials in p when they are first
-read (`BasisTables.rho_p`).
+read (`BasisTables.rho_p`), both as an iterate runs (`assembly`): in
+place, on 0-d literals and on the rule's ladder factors (`_rule_points`).
 
 No load, material or state changes the polynomial generators at given
 points, so a polynomial table depends on m and the bits of its points
 alone, and is kept per process by them, -0.0 and 0.0 apart, in bounded
-stores, read-only: the tables on a rule's nodes and weights (`_kept_tables`)
-and the generator blocks of the strong-form pass (`_generator_blocks`).
-Steep tables change with p and are made on every call.  Only
-`BasisTables.build` and `eval_generators` build or evaluate generators.
+read-only stores: the tables on a rule (`_kept_tables`) and the generator
+blocks of the strong-form pass (`_generator_blocks`).  Steep tables change
+with p and are made on every call, by `BasisTables.build`, which with
+`eval_generators` is all that builds or evaluates generators.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import numpy as np
 
 from ._data import I0E_LARGE, I0E_SMALL, I1E_LARGE, I1E_SMALL
 from .kinematics import LoadParams, ShapeEval
+from .material import ONE, TWO, _const
 from .quadrature import QuadratureRule
 
 FAMILIES = ("polynomial", "adaptive")
@@ -65,11 +67,10 @@ P_MIN = 1e-3
 MAX_M = 12
 
 # Generator pairs (A, B) of the nine weighted products A diag(c) B^T that
-# the tangent assembles, as rows of the (u, u', v, v') stack; the two
-# hydrostatic pairs, u u and u v, come last, so a load with d = 0 runs on
-# the leading seven.
-_LEFT = [1, 1, 1, 3, 3, 2, 2, 0, 0]
-_RIGHT = [1, 3, 2, 3, 2, 3, 2, 0, 2]
+# the tangent assembles, as rows of the (u, u', v, v') stack: the rows A
+# of the nine, then the rows B.  The two hydrostatic pairs, u u and u v,
+# come last, so a load with d = 0 runs on the leading seven.
+_PAIRS = np.array([1, 1, 1, 3, 3, 2, 2, 0, 0] + [1, 3, 2, 3, 2, 3, 2, 0, 2])
 
 
 def _padded(table):
@@ -78,10 +79,12 @@ def _padded(table):
     return (0.0,) * (len(I0E_SMALL) - len(table)) + table
 
 
-# Chebyshev coefficients, one row per step and one column per order and
-# argument range: i0e on |x| <= 8 and above, then i1e on the same two.
+ZERO, HALF, EIGHT, THIRTY_TWO, SERIES_X = map(_const, (0.0, 0.5, 8.0, 32.0, 1e-4))
+
+# Chebyshev coefficients, one (order, argument range) block per step: i0e
+# on |x| <= 8 and above, then i1e on the same two.
 _CHEB = np.array([_padded(I0E_SMALL), _padded(I0E_LARGE),
-                  _padded(I1E_SMALL), _padded(I1E_LARGE)]).T.copy()
+                  _padded(I1E_SMALL), _padded(I1E_LARGE)]).T.reshape(-1, 2, 2)
 
 
 def _i0e_i1e(x):
@@ -91,52 +94,68 @@ def _i0e_i1e(x):
     runs both orders at every point, each point on the coefficients of its
     argument range: t = |x|/2 - 2 up to |x| = 8, t = 32/|x| - 2 above,
     where the sum is divided by sqrt|x|.  The order-1 sum is multiplied by
-    |x| below 8 and takes the sign of x.
+    |x| below 8 and takes the sign of x; both orders in flat rows, in place.
     """
     x = np.asarray(x, dtype=float)
     z = np.abs(x).ravel()
-    large = z > 8.0
-    t = np.where(large, 32.0 / np.maximum(z, 8.0) - 2.0, 0.5 * z - 2.0)
-    # the two orders side by side in flat buffers, which numpy's fastest
-    # loops serve; b0, b1, b2 of chbevl trade buffers every step
-    t = np.concatenate([t, t])
-    col = large.astype(np.intp)
-    c = _CHEB[:, np.concatenate([col, col + 2])]
-    b0, b1, b2 = c[0].copy(), np.zeros_like(t), np.empty_like(t)
-    for ck in c[1:]:
+    n, large = z.size, np.greater(z, EIGHT)
+    t, b0, b1, b2 = np.empty((4, 2 * n))
+    np.divide(THIRTY_TWO, z, np.multiply(HALF, z, t[:n]), where=large)
+    t[n:] = np.subtract(t[:n], TWO, t[:n])
+    c = _CHEB[:, :, large.astype(np.intp)].reshape(len(_CHEB), 2 * n)
+    b0[...], b1[...] = c[0], 0.0
+    for ck in c[1:]:  # b0, b1, b2 of chbevl trade buffers every step
         b0, b1, b2 = b2, b0, b1
         np.multiply(t, b1, b0)
         np.subtract(b0, b2, b0)
         np.add(b0, ck, b0)
-    out = (0.5 * (b0 - b2)).reshape(2, -1)
-    out /= np.where(large, np.sqrt(z), 1.0)
-    i1 = out[1] * np.where(large, 1.0, z)
-    out[1] = np.where(x.ravel() < 0.0, -i1, i1)
+    out = np.multiply(np.subtract(b0, b2, b1), HALF).reshape(2, n)
+    np.divide(out, np.sqrt(z, t[:n]), out, where=large)
+    np.multiply(out[1], z, out[1], where=np.logical_not(large, large))
+    np.negative(out[1], out[1], where=np.less(x.ravel(), ZERO, large))
     return out.reshape((2,) + x.shape)
 
 
-def _i1e_over_x(x, i1):
-    """Exponentially scaled I1(x)/x from i1 = i1e(x), finite at x = 0
-    (limit 1/2)."""
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    series = np.exp(-np.abs(x)) * (0.5 + x * x / 16.0 + x ** 4 / 384.0)
-    return np.where(small, series, i1 / xs)
+def _i1e_over_x(x, i1, out):
+    """Exponentially scaled I1(x)/x from i1 = i1e(x), into `out`: below
+    |x| = 1e-4 a series, formed there only if such an x is not 0 (limit 1/2)."""
+    small = np.less(np.abs(x), SERIES_X)
+    np.divide(i1, x, out, where=np.logical_not(small))
+    xs = x[small]
+    out[small] = (np.exp(-np.abs(xs)) * (0.5 + xs * xs / 16.0 + xs ** 4 / 384.0)
+                  if xs.any() else HALF)
+    return out
 
 
-def _poly_y(s, p, second: bool):
-    """Steepness polynomial y(s) = sum p[i] s**(2i+1), y' and, with
-    `second`, y'' (else None)."""
-    y = np.zeros_like(s)
-    dy = np.zeros_like(s)
+def _poly_y(s, p, second: bool, y):
+    """Steepness polynomial y(s) = sum p[i] s**(2i+1), into y; returns y'
+    (p[0] as a 0-d array for one parameter) and, with `second`, y''."""
+    dy = np.array(float(p[0]) if p else 0.0)
+    np.multiply(dy, s, y)
     d2y = np.zeros_like(s) if second else None
-    for i, pi in enumerate(p):
+    for i, pi in enumerate(p[1:], 1):
         e = 2 * i + 1
         y += pi * s ** e
-        dy += pi * e * s ** (e - 1)
-        if second and e >= 2:
+        dy = dy + pi * e * s ** (e - 1)
+        if second:
             d2y += pi * e * (e - 1) * s ** (e - 2)
-    return y, dy, d2y
+    return dy, d2y
+
+
+def _powers(s, m: int):
+    """The steep ladder's factors at the 1-d points s: s in m rows, s*s, 2 s, s*s - 1."""
+    ss = s * s
+    return np.tile(s, (m, 1)), ss, 2.0 * s, ss - 1.0
+
+
+@lru_cache(maxsize=2)
+def _rule_points(nodes: bytes):
+    """`_powers` at the nodes of float64 bytes `nodes` and the pole, the
+    points of a build, for any m: kept for the last two rules, read-only."""
+    pts = _powers(np.append(np.frombuffer(nodes), 0.0), MAX_M)
+    for arr in pts:
+        arr.flags.writeable = False
+    return pts
 
 
 @dataclass(frozen=True)
@@ -184,48 +203,51 @@ class _Profile:
     rho' = exp(|y| - |y1|) * i1e(y) * y' / i0e(y1)
     rho'' uses I1'(y) = I0(y) - I1(y)/y in the same scaling; it is formed
     only with `second` (else None).  One `_i0e_i1e` call serves the points
-    and y1 = y(1).
+    and y1 = y(1), which follows y in one array.
     """
 
     def __init__(self, s, p, second: bool):
         self.s, self.p = s, p
-        self.y, self.dy, d2y = _poly_y(s, p, second)
-        y1 = float(sum(p))
-        bessel = _i0e_i1e(np.append(self.y, y1))
-        self.i0, self.i1 = bessel[:, :-1].reshape((2,) + s.shape)
-        i0_1, i1_1 = bessel[:, -1]
+        ys = np.empty(s.size + 1)
+        self.y, ys[-1] = ys[:-1], sum(p)
+        self.dy, d2y = _poly_y(s, p, second, self.y)
+        bessel = _i0e_i1e(ys)
+        (self.i0, self.i1), (i0_1, i1_1) = bessel[:, :-1], bessel[:, -1]
         self.beta1 = i1_1 / i0_1
-        self.scale = np.exp(np.abs(self.y) - abs(y1)) / i0_1
-        self.rho = self.scale * self.i0
-        self.drho = self.scale * self.i1 * self.dy
+        ays = np.abs(ys)
+        self.scale = np.exp(np.subtract(ays[:-1], ays[-1, ...], ays[:-1]), ays[:-1])
+        self.scale /= bessel[0, -1, ...]
+        self.rho = np.multiply(self.scale, self.i0)
+        self.drho = np.multiply(self.scale, self.i1) * self.dy
         self.d2rho = None
-        if second:
-            self.d2rho = self.scale * (self._di1() * self.dy * self.dy
-                                       + self.i1 * d2y)
-
-    def _di1(self):
-        """I1'(y) = I0(y) - I1(y)/y in the scaling of i0e."""
-        return self.i0 - _i1e_over_x(self.y, self.i1)
+        if second:  # I1'(y) = I0(y) - I1(y)/y in the scaling of i0e
+            di1 = self.i0 - _i1e_over_x(self.y, self.i1, np.empty_like(self.y))
+            self.d2rho = self.scale * (di1 * self.dy * self.dy + self.i1 * d2y)
 
     def p_derivs(self):
-        """Partials of rho and rho' in each steepness parameter.
+        """Partials of rho and rho' in each steepness parameter, (2, n_p, n).
 
         d(rho)/dp_i = rho * (beta(s) s**(2i+1) - beta(1)) with
         beta = I1(y)/I0(y) evaluated from the scaled functions.
         """
-        s = self.s
-        beta = self.i1 / self.i0
-        db1 = self._di1()
-        n = len(self.p)
-        drho_dp = np.empty((n,) + s.shape)
-        ddrho_dp = np.empty((n,) + s.shape)
-        for i in range(n):
+        s, rho, i1 = self.s, self.rho, self.i1
+        out = np.empty((2, len(self.p), s.size))
+        beta, db1, drho_b1 = np.empty((3, s.size))
+        np.divide(i1, self.i0, beta)
+        np.subtract(self.i0, _i1e_over_x(self.y, i1, db1), db1)  # I1'(y)
+        np.multiply(self.drho, self.beta1, drho_b1)
+        for i, (d, dd) in enumerate(zip(*out)):
             e = 2 * i + 1
-            se = s ** e
-            drho_dp[i] = self.rho * (beta * se - self.beta1)
-            ddrho_dp[i] = (self.scale * (db1 * se * self.dy + self.i1 * e * s ** (e - 1))
-                           - self.drho * self.beta1)
-        return drho_dp, ddrho_dp
+            se = s if e == 1 else s ** e
+            np.multiply(beta, se, d)
+            d -= self.beta1
+            d *= rho
+            np.multiply(db1, se, dd)
+            dd *= self.dy
+            dd += i1 if e == 1 else i1 * e * s ** (e - 1)  # i1 * 1 * s**0 is i1
+            dd *= self.scale
+            dd -= drho_b1
+        return out
 
 
 def _poly_uv(spec: BasisSpec, s, second: bool):
@@ -252,53 +274,66 @@ def _poly_uv(spec: BasisSpec, s, second: bool):
     return u, du, d2u, v, dv, d2v
 
 
-def _ladder(u1, du1, a, da, s, m: int):
-    """The steep ladder (u, u', v, v') from u_1 = u1 and u_2 = a (s**2 - 1),
-    with their s-derivatives du1 and da: u_k = s**2 u_{k-1} for k >= 3 and
-    v_k = s u_k.  The generators take a = rho, their partials in p the
-    partials of rho, which lead with an axis of their own; k leads both."""
-    u = np.empty((m,) + np.shape(u1))
-    du = np.empty_like(u)
-    ss, s2 = s * s, 2.0 * s
-    u[0] = u1
-    du[0] = du1
-    if m >= 2:
-        w = ss - 1.0
-        u[1] = a * w
-        du[1] = da * w + s2 * a
-    for k in range(2, m):
-        u[k] = ss * u[k - 1]
-        du[k] = s2 * u[k - 1] + ss * du[k - 1]
-    return u, du, s * u, u + s * du
+def _rungs(g):
+    """The ladder g = (u, u', v, v') with its row views (u_k, u_k', v_k')."""
+    return g, tuple(zip(g[0], g[1], g[3]))
 
 
-def _steep_uv(spec: BasisSpec, s, prof: _Profile):
-    """Steep ladder from the profile at s; second derivatives if `prof`
-    has rho''."""
-    m = spec.m
+def _ladder(rungs, a, da, pts, unit: bool):
+    """The steep ladder (u, u', v, v') of `rungs`, from u_1 = 1 - a (with
+    `unit`, else -a), u_2 = a (s**2 - 1), u_k = s**2 u_{k-1} for k >= 3 and
+    v_k = s u_k, with the s-derivative da of a, at the points of `pts` =
+    `_powers(s, k >= m)`, in place (v' holds the scratch), and returned.
+    The generators take a = rho, their partials in p the partials of rho."""
+    (u, du, v, dv), rows = rungs
+    s, ss, s2, sw = pts
+    if unit:
+        np.subtract(ONE, a, rows[0][0])
+    else:
+        np.negative(a, rows[0][0])
+    np.negative(da, rows[0][1])
+    if len(rows) >= 2:
+        u1, du1, tmp = rows[1]
+        np.multiply(a, sw, u1)
+        np.multiply(da, sw, du1)
+        np.add(du1, np.multiply(s2, a, tmp), du1)
+    for (u_prev, du_prev, _), (u_k, du_k, tmp) in zip(rows[1:], rows[2:]):
+        np.multiply(ss, u_prev, u_k)
+        np.multiply(s2, u_prev, du_k)
+        np.add(du_k, np.multiply(ss, du_prev, tmp), du_k)
+    np.multiply(s[:len(rows)], u, v)
+    np.add(np.multiply(s[:len(rows)], du, dv), u, dv)
+    return u, du, v, dv
+
+
+def _steep_uv(m: int, pts, prof: _Profile):
+    """Steep ladder from the profile at the points of `pts`; second
+    derivatives if `prof` has rho''."""
     rho, drho, d2rho = prof.rho, prof.drho, prof.d2rho
-    u, du, v, dv = _ladder(1.0 - rho, -drho, rho, drho, s, m)
+    u, du, v, dv = _ladder(_rungs(np.empty((4, m) + rho.shape)), rho, drho, pts, True)
     if d2rho is None:
         return u, du, None, v, dv, None
-    ss = s * s
+    s, ss, sw = pts[0][0], pts[1], pts[3]
     d2u = np.empty_like(u)
     d2u[0] = -d2rho
     if m >= 2:
-        d2u[1] = d2rho * (ss - 1.0) + 4.0 * s * drho + 2.0 * rho
+        d2u[1] = d2rho * sw + 4.0 * s * drho + 2.0 * rho
     for k in range(2, m):
         d2u[k] = 2.0 * u[k - 1] + 4.0 * s * du[k - 1] + ss * d2u[k - 1]
     d2v = 2.0 * du + s * d2u
     return u, du, d2u, v, dv, d2v
 
 
-def _generators(spec: BasisSpec, s, second: bool):
-    """The generators at s, as `eval_generators` returns them but with u''
-    and v'' None and not evaluated without `second`, and the steep
-    family's profile there (None for the polynomial family)."""
+def _generators(spec: BasisSpec, s, second: bool, pts=None):
+    """The generators at the 1-d points s, as `eval_generators` returns
+    them but with u'' and v'' None and not evaluated without `second`, and
+    the steep family's profile there (None for the polynomial family), on
+    `pts` = `_powers(s, k >= m)` if given."""
     if spec.family == "polynomial":
         return _poly_uv(spec, s, second), None
+    pts = _powers(s, spec.m) if pts is None else pts
     prof = _Profile(s, spec.p, second)
-    return _steep_uv(spec, s, prof), prof
+    return _steep_uv(spec.m, pts, prof), prof
 
 
 def eval_generators(spec: BasisSpec, s):
@@ -306,7 +341,9 @@ def eval_generators(spec: BasisSpec, s):
 
     Returns (u, u', u'', v, v', v''), arrays shaped (m,) + s.shape.
     """
-    return _generators(spec, np.asarray(s, dtype=float), second=True)[0]
+    s = np.asarray(s, dtype=float)
+    gen = _generators(spec, s.ravel(), second=True)[0]
+    return tuple(g.reshape((spec.m,) + s.shape) for g in gen)
 
 
 @dataclass
@@ -349,23 +386,35 @@ def _shape(state: SolutionState, s, gen, second: bool) -> ShapeEval:
     return shape
 
 
-def _shape_p(x, s, rho_p):
+def _shape_p(x, pts, rho_p, work=None):
     """Partials of the trial shape of the coefficients x in the steepness
-    parameters at s, from the partials (d rho/dp, d rho'/dp) there.
+    parameters at the points s of `pts` = `_powers(s, k >= m)`, from the
+    partials (d rho/dp, d rho'/dp) there.
 
-    Returns (dz_dp, dr_dp, dzp_dp, drp_dp), each shaped (n_p,) + s.shape,
-    where dzp_dp is the parameter derivative of dz/ds.  Partials of no
-    parameter, a polynomial basis's, raise `ValueError`.
+    Returns (dz_dp, dr_dp, dzp_dp, drp_dp) as one (4, n_p, n) array, where
+    dzp_dp is the parameter derivative of dz/ds, in the arrays of `work`
+    (`_shape_p_work`) or new ones.  Partials of no parameter raise
+    `ValueError`.
     """
     drho_dp, ddrho_dp = rho_p
     if len(drho_dp) == 0:
         raise ValueError("shape parameter derivatives exist only for the steep family")
     m = len(x) // 2
-    u_p, du_p, v_p, dv_p = _ladder(-drho_dp, -ddrho_dp, drho_dp, ddrho_dp, s, m)
-    xu = x[:m]
-    xv = x[m:]
-    return tuple(x.dot(g.reshape(m, -1)).reshape(g.shape[1:])
-                 for x, g in ((xu, u_p), (xv, v_p), (xu, du_p), (xv, dv_p)))
+    rungs, dots, out = work or _shape_p_work(m, drho_dp.shape)
+    for r, a, da in zip(rungs, drho_dp, ddrho_dp):  # one parameter at a time
+        _ladder(r, a, da, pts, False)
+    for c, (g, o) in zip((x[:m], x[m:], x[:m], x[m:]), dots):
+        c.dot(g, o)
+    return out
+
+
+def _shape_p_work(m: int, shape):
+    """The arrays `_shape_p` writes for (n_p, n) partials: the rungs of each
+    parameter's ladder, its (u, v, u', v') as (m, n_p n) matrices paired
+    with the flat rows of the result, and the result."""
+    g, out = np.empty((4, m) + shape), np.empty((4,) + shape)
+    return ([_rungs(g[:, :, i]) for i in range(shape[0])],
+            [(g[k].reshape(m, -1), o.reshape(-1)) for k, o in zip((0, 2, 1, 3), out)], out)
 
 
 @dataclass
@@ -375,22 +424,18 @@ class BasisTables:
     Assembly is a handful of weighted outer products against these tables,
     so they are built once per (spec, rule) pair and reused across Newton
     iterations.  The generators u, u', v, v' at the nodes s are (m, n)
-    rows of one stack, and `u0` holds the axial generators at the pole.
-    A steep build keeps its `profile`, evaluated at the nodes and the pole,
-    and `rho_p` stacks the partials of rho and of rho' in the steepness
-    parameters at the nodes, (2, n_p, n), formed from that profile on the
-    first read and kept, so `p_gradient` evaluates no profile and a table
-    whose partials are never read forms none; the polynomial family has no
-    parameters, so its stack is empty.  Derived
-    on construction: the weights times the nodes `ws`, and the tangent's
-    nine generator pairs stacked as `left` (9, m, n) and `right_t`
-    (9, n, m, a transposed view), the two hydrostatic pairs (u u and u v,
-    weighted by d) last, so that a load with d = 0 multiplies the leading
-    seven only.  Row k of every table is the same for any basis size
-    m >= k, in both families, and `rho_p` does not depend on m, so
-    `head(k)` gives the tables of the first k generators as views of these,
-    without evaluating a generator or copying a table; a head and its
-    tables form `rho_p` once between them, and read the same array.
+    rows of one stack, and `u0` holds the axial generators at the pole.  A
+    steep build keeps its `profile` at the nodes and the pole, from which
+    the first read of `rho_p`, the partials of rho and rho' in p at the
+    nodes, (2, n_p, n), forms them (empty for the polynomial family).
+    Derived on construction: `ws` = w s, and the tangent's nine generator
+    pairs as `left` (9, m, n) and `right_t` (9, n, m), views of one stack,
+    the two hydrostatic pairs (u u and u v, weighted by d) last, so that a
+    load with d = 0 multiplies the leading seven only.  Row k of every
+    table is the same for any basis size m >= k, in both families, and
+    `rho_p` does not depend on m, so `head(k)` gives the tables of the
+    first k generators as views of these, without evaluating a generator or
+    copying a table; a head and its tables form `rho_p` once between them.
     """
 
     s: np.ndarray
@@ -409,8 +454,8 @@ class BasisTables:
         gen = np.array([self.u, self.du, self.v, self.dv])
         self.u, self.du, self.v, self.dv = gen
         self.ws = self.w * self.s
-        self.left = gen[_LEFT]
-        self.right_t = gen[_RIGHT].transpose(0, 2, 1)
+        pairs = gen[_PAIRS]
+        self.left, self.right_t = pairs[:9], pairs[9:].transpose(0, 2, 1)
         # `rho_p` once formed, in a cell that every head shares
         self._rho_p = [np.empty((2, 0, self.s.size)) if self.profile is None else None]
 
@@ -419,16 +464,16 @@ class BasisTables:
         """The partials of rho and rho' in p at the nodes, (2, n_p, n)."""
         cell = self._rho_p
         if cell[0] is None:
-            cell[0] = np.array(self.profile.p_derivs())[:, :, :-1]
+            cell[0] = self.profile.p_derivs()[:, :, :-1]
         return cell[0]
 
     @classmethod
     def build(cls, spec: BasisSpec, rule) -> "BasisTables":
         # one generator pass over the nodes and the pole, first derivatives
-        # only; the pole column is copied out so that dot products with it
-        # see contiguous data
-        (u, du, _, v, dv, _), prof = _generators(
-            spec, np.append(rule.nodes, 0.0), second=False)
+        # only, on the points the rule keeps; the pole column is copied out
+        # so that dot products with it see contiguous data
+        pts = _rule_points(rule.nodes.tobytes())
+        (u, du, _, v, dv, _), prof = _generators(spec, pts[0][0], False, pts)
         return cls(s=rule.nodes, w=rule.weights, u=u[:, :-1], du=du[:, :-1],
                    v=v[:, :-1], dv=dv[:, :-1], u0=u[:, -1].copy(), profile=prof)
 

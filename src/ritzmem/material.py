@@ -58,17 +58,28 @@ class MaterialParams:
                                   3.0 * self.gamma3, 6.0 * self.gamma3)))
 
     @cached_property
+    def _e_coefs(self):
+        """(gamma1, gamma2, gamma3) as read-only 0-d arrays."""
+        return tuple(map(_const, (self.gamma1, self.gamma2, self.gamma3)))
+
+    @cached_property
     def _mooney_rivlin(self) -> bool:
         """Whether gamma2 = gamma3 = 0 (either zero's sign): W is then
         linear in I1, so W1 is 1 and W11 is 0 at any finite I1."""
         return self.gamma2 == 0.0 and self.gamma3 == 0.0
 
 
-def energy(i1, i2, mat: MaterialParams):
-    """Strain energy density at the given invariants."""
-    e1 = i1 - 3.0
-    e2 = i2 - 3.0
-    return e1 + mat.gamma1 * e2 + mat.gamma2 * e1 * e1 + mat.gamma3 * e1 ** 3
+def energy(i1, i2, mat: MaterialParams, work=None):
+    """Strain energy density at the given invariants, written into w of
+    `work` = (w, e1, t), three arrays of their shape, through e1 and t (e1
+    may be i1's array and t i2's), or into new ones without it."""
+    w, e1, t = work or [np.empty(np.shape(i1)) for _ in range(3)]
+    g1, g2, g3 = mat._e_coefs
+    np.subtract(i2, THREE, t)
+    np.add(np.subtract(i1, THREE, e1), np.multiply(g1, t, t), w)
+    w += np.multiply(np.multiply(g2, e1, t), e1, t)  # + gamma2 e1 e1
+    w += np.multiply(g3, np.power(e1, THREE, t), t)  # + gamma3 e1**3
+    return w
 
 
 def energy_derivs(i1, mat: MaterialParams):

@@ -14,13 +14,12 @@ For the steep basis family the one profile parameter p1 is tuned by an
 outer secant iteration that zeroes the energy gradient in p1; the energy
 is unimodal in p1, so a golden-section scan backstops the secant.
 
-A Newton solve evaluates its iterates through one `assembly.Evaluator`,
-its own, one of the two a sweep keeps for its correctors or the one a p
-search keeps for its inner solves, and carries the load c as a number, so
-an iterate makes no state or load object: it evaluates the nodal shape and
-the tension coefficients once, their partials only if it assembles a
-tangent, into arrays the evaluator keeps.  The p search reads the energy
-and its gradient in p1 from its evaluator at each converged iterate.
+A Newton solve evaluates its iterates through one `assembly.Evaluator`
+and carries the load c as a number, so an iterate makes no state or load
+object: its own evaluator, one of the two a sweep keeps for its
+correctors, or one of the two a p search keeps, for its inner solves and
+for the m = 1 solves of its cold starts.  The search reads the energy and
+its gradient in p1 from its evaluator at each converged iterate.
 `SolveContext.create` picks a family's basis and rule; every context takes
 its tables from `basis._kept_tables`, which keeps the polynomial ones per
 process.  There is one fixed-basis driver, `solve_ladder`; `solve_membrane`
@@ -305,16 +304,15 @@ def _resize(x, k: int) -> np.ndarray:
     return out.ravel()
 
 
-def initial_guess(ctx: SolveContext) -> np.ndarray:
+def initial_guess(ctx: SolveContext, *, evaluator: Evaluator | None = None) -> np.ndarray:
     """Starting coefficients from the two-unknown (m = 1) subproblem, as
     components 1 and m+1 of the full vector.
 
     Row 1 of the tables is the same for every basis size, so every size of
     one (material, load, family, p, rule) shares this start.  The m = 1
     solve is seeded so the pole moves with the load (positive c, positive
-    sag).  If it fails, or its sag has the wrong sign, the load is likely
-    beyond a limit point of the small system and `SolveFailure` asks the
-    caller to sweep up to it instead, naming c, why the m = 1 solve was
+    sag), on `evaluator` if given (`newton_solve`).  If it fails, or its sag
+    has the wrong sign, `SolveFailure` names c, why the m = 1 solve was
     rejected and its last residual.  At zero load the guess is zero,
     without a solve.
     """
@@ -328,12 +326,11 @@ def initial_guess(ctx: SolveContext) -> np.ndarray:
     sag0 = math.copysign(min(0.5, abs(c) / (1.0 + ctx.load.d)), c)
     seed = np.array([sag0 / u0, 0.0])
 
-    state, rep = newton_solve(seed, sub)
+    state, rep = newton_solve(seed, sub, evaluator=evaluator)
     if not (rep.converged and sub.sag(state.x) * c > 0.0):
         why = rep.message or "sag of the wrong sign"
-        raise SolveFailure(
-            "could not start from the small-system guess; reduce the load "
-            f"or sweep up to it (c = {c:g}: {why}, {_last_residual(rep)})")
+        raise SolveFailure("could not start from the small-system guess "
+                           f"(c = {c:g}: {why}, {_last_residual(rep)})")
     return _resize(state.x, ctx.spec.m)
 
 
@@ -502,10 +499,11 @@ def optimize_basis(ctx: SolveContext):
     spec must carry exactly one parameter.  Returns the chosen state with
     the report of the Newton solve that produced it.
 
-    Every inner solve, warm or cold, runs on one evaluator made for the
-    search and pointed at the tables of its p, and the energy and its
-    gradient in p1 are read from it at the converged iterate, which it
-    has just evaluated.
+    Every inner solve runs on one evaluator made for the search, pointed
+    at the tables of its p, and every cold start's m = 1 solve on one more;
+    the energy and its gradient in p1 are read from the first at the
+    converged iterate.  A failed cold start after a failed warm solve fails
+    that inner solve, with no state and the start's reason as its message.
     """
     if ctx.spec.family != "adaptive":
         raise ValueError("basis optimization applies to the steep family only")
@@ -513,14 +511,18 @@ def optimize_basis(ctx: SolveContext):
         raise ValueError("basis optimization tunes exactly one steepness parameter")
     inner_counts: list[int] = []
     ev = Evaluator(ctx.tables, ctx.mat, ctx.load.d)
+    start = Evaluator(ctx.tables.head(1), ctx.mat, ctx.load.d)
 
     def inner(p1, x_warm):
         c = ctx if p1 == ctx.spec.p[0] else SolveContext(
             ctx.mat, ctx.load, ctx.spec.with_p((p1,)), ctx.rule)
-        xw = x_warm if x_warm is not None else initial_guess(c)
+        xw = x_warm if x_warm is not None else initial_guess(c, evaluator=start)
         st, rep = newton_solve(xw, c, evaluator=ev)
         if not rep.converged and x_warm is not None:
-            st, rep = newton_solve(initial_guess(c), c, evaluator=ev)
+            try:
+                st, rep = newton_solve(initial_guess(c, evaluator=start), c, evaluator=ev)
+            except SolveFailure as exc:  # no state, and the start's reason
+                st, rep.message = None, str(exc)
         return st, rep
 
     def measures():
@@ -589,10 +591,7 @@ def optimize_basis(ctx: SolveContext):
         # Energy along p1 is unimodal, so a bracket scan around the best
         # accepted point always lands.
         def en(p1):
-            try:
-                rp = inner(p1, best_state.x)[1]
-            except SolveFailure:
-                return math.inf
+            rp = inner(p1, best_state.x)[1]
             if not rp.converged:
                 return math.inf
             inner_counts.append(rp.iterations)
@@ -602,7 +601,8 @@ def optimize_basis(ctx: SolveContext):
         p = _golden_min(en, max(P_MIN, p_mid / 3.0), 3.0 * p_mid)
         state, rep = inner(p, best_state.x)
         if not rep.converged:
-            raise SolveFailure("p search could not recover")
+            why = "" if state is not None else f" at p1 = {p:g}: {rep.message}"
+            raise SolveFailure("p search could not recover" + why)
         inner_counts.append(rep.iterations)
         if slid(ev.functional_value()):
             state, rep = best_state, best_rep

@@ -35,8 +35,8 @@ import numpy as np
 from ritzmem import solver
 from ritzmem.basis import SolutionState, eval_shape
 from ritzmem.kinematics import LoadParams, curvatures, hydro_load, stretches
-from ritzmem.material import (MaterialParams, energy, energy_derivs,
-                               principal_stresses, tension_partials, tension_values)
+from ritzmem.material import (MaterialParams, energy_derivs, principal_stresses,
+                               tension_partials, tension_values)
 
 
 def stiffness_scalar(la, lb, mat: MaterialParams):
@@ -394,4 +394,6 @@ def energy_value(state, mat: MaterialParams, t) -> float:
     l3 = 1.0 / (l1 * l2)
     i1 = l1 * l1 + l2 * l2 + l3 * l3
     i2 = 1.0 / (l1 * l1) + 1.0 / (l2 * l2) + 1.0 / (l3 * l3)
-    return 0.5 * float(t.w @ (energy(i1, i2, mat) * t.s + q * r * r * dz))
+    e1, e2 = i1 - 3.0, i2 - 3.0
+    w = e1 + mat.gamma1 * e2 + mat.gamma2 * e1 * e1 + mat.gamma3 * e1 ** 3
+    return 0.5 * float(t.w @ (w * t.s + q * r * r * dz))

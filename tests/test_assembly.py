@@ -250,6 +250,37 @@ def test_an_iterate_allocates_no_node_length_array(p, n):
     assert tangent - now < 9 * 6 * n * 8
 
 
+@pytest.mark.parametrize("p, n", [(80.0, 384), (17.1, 192)])
+def test_a_p_step_allocates_its_tables_and_a_bounded_remainder(p, n):
+    # a p step of the search builds the tables of its p, forms their
+    # partials in p on the first read and reads psi and E from an evaluator
+    # that has read them before: what stays allocated is the tables' own
+    # arrays, the profile and the partials, and at no point is more than a
+    # bounded remainder on top of them: the build's ladder over its n + 1
+    # points, 4m rows, and four rows more
+    rule = auto_rule("adaptive", p)
+    assert rule.n == n
+    spec = BasisSpec("adaptive", 6, (p,))
+    ev = Evaluator(BasisTables.build(spec, rule), LIQ, 10.0)
+    x = _random_state(np.random.default_rng(131), spec, LoadParams(0.5, 10.0)).x
+    ev.at(x, 0.5)
+    ev.p_gradient()
+    ev.functional_value()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tables = BasisTables.build(spec.with_p((p * 1.01,)), rule)
+        ev.use(tables)
+        ev.at(x, 0.5)
+        tables.rho_p
+        ev.p_gradient()
+        ev.functional_value()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= (4 * 6 + 4) * (n + 1) * 8
+
+
 def _fresh_bits(ev, x, c):
     """The residual and tangent bytes of a new evaluator like `ev` at (x, c)."""
     fresh = Evaluator(ev.tables, ev.mat, float(ev.d), ev.border)

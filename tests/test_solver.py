@@ -912,8 +912,8 @@ def test_searched_solve_reports_the_newton_solve_of_its_state(liquid_m6):
 def test_start_failure_is_stated_not_ramped():
     # a load ramp once rescued this start and "converged" to a defect of 5e21;
     # the failure names the load, the m = 1 Newton's stop and its residual
-    with pytest.raises(SolveFailure, match=r"small-system guess; reduce the load "
-                       r"or sweep up to it \(c = 30: max_iter exceeded, "
+    with pytest.raises(SolveFailure, match=r"^could not start from the small-system "
+                       r"guess \(c = 30: max_iter exceeded, "
                        r"last residual 5\.59e-09\)$"):
         solve_membrane(GAS, LoadParams(30.0, 10.0), "polynomial", 6)
 
@@ -1065,6 +1065,34 @@ def test_a_failed_solve_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_failed_cold_start_is_a_failed_inner_solve(monkeypatch):
+    # after a failed warm solve the p search retries from `initial_guess`;
+    # a start that fails there fails that inner solve, as a non-converged
+    # one does: a bad secant step, not the end of the search, and after the
+    # golden scan a failure that names p1 and the start's reason
+    real, first = solver.initial_guess, []
+
+    def refused_off_the_first_p(ctx, **kw):
+        if ctx.spec.family == "adaptive":
+            first.append(ctx.spec.p[0])
+            if ctx.spec.p[0] != first[0]:
+                raise SolveFailure("start refused")
+        return real(ctx, **kw)
+
+    recovers, fails = LoadParams(0.9, 110.0), LoadParams(0.87, 112.0)
+    want, _ = solve_membrane(MaterialParams(gamma1=0.09), recovers, "adaptive", 6)
+    with pytest.raises(SolveFailure, match=r"^p search could not recover$"):
+        solve_membrane(MaterialParams(gamma1=0.085), fails, "adaptive", 6)
+    monkeypatch.setattr(solver, "initial_guess", refused_off_the_first_p)
+    got, _ = solve_membrane(MaterialParams(gamma1=0.09), recovers, "adaptive", 6)
+    assert len(set(first)) > 1  # starts were refused
+    assert got.spec.p == want.spec.p and got.x.tobytes() == want.x.tobytes()
+    first.clear()
+    with pytest.raises(SolveFailure, match=r"^p search could not recover at "
+                       r"p1 = 109\.029: start refused$"):
+        solve_membrane(MaterialParams(gamma1=0.085), fails, "adaptive", 6)
 
 
 def test_ladder_start_failure_is_every_rungs_failure():
