@@ -72,14 +72,15 @@ class MaterialParams:
 def energy(i1, i2, mat: MaterialParams, work=None):
     """Strain energy density at the given invariants, written into w of
     `work` = (w, e1, t), three arrays of their shape, through e1 and t (e1
-    may be i1's array and t i2's), or into new ones without it."""
+    may be i1's array and t i2's), or into new ones (a float64 scalar for
+    scalar invariants)."""
     w, e1, t = work or [np.empty(np.shape(i1)) for _ in range(3)]
     g1, g2, g3 = mat._e_coefs
     np.subtract(i2, THREE, t)
     np.add(np.subtract(i1, THREE, e1), np.multiply(g1, t, t), w)
     w += np.multiply(np.multiply(g2, e1, t), e1, t)  # + gamma2 e1 e1
     w += np.multiply(g3, np.power(e1, THREE, t), t)  # + gamma3 e1**3
-    return w
+    return w[()]
 
 
 def energy_derivs(i1, mat: MaterialParams):
